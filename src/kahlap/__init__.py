@@ -36,7 +36,6 @@ from .geometry import (
     trace_identity_check,
 )
 from .laplacian import (
-    LaplacianBudget,
     NotEinsteinError,
     euclidean_laplacian,
     euclidean_moments,

@@ -519,10 +519,10 @@ def parse_spec(text: str) -> PotentialSpec:
         if head == "polydisc":
             return Polydisc(_positive_int(rest))
         if head == "type1":
-            p, q = (int(x) for x in rest.split(","))
+            p, q = (_positive_int(x) for x in rest.split(","))
             return TypeI(p, q)
         if head == "type1dual":
-            p, q = (int(x) for x in rest.split(","))
+            p, q = (_positive_int(x) for x in rest.split(","))
             return TypeIDual(p, q)
         if head == "type3":
             return TypeIII(_positive_int(rest))

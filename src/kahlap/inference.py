@@ -12,9 +12,17 @@ finite family" -- honest but not a proof.  A *Refuted* verdict, by
 contrast, exhibits two test functions whose equations admit no common
 solution, which is a proof that no polynomial works.
 
-Witness pairs are found by scanning pairs of rows in family order with an
-exact two-row rank test and are re-validated independently at emission
-time (proportional moment vectors, incompatible right-hand sides).
+A monomial's Euclidean moment vector has at most one nonzero entry
+(Lapc^j (z^a zb^b)(0) = j! a! when a = b and |a| = j), so every row falls
+in one class: the zero class, or the slot j < k of its single nonzero
+unknown moment.  A class-j row fixes a_j to its normalised right-hand side
+rhs / m_j.  Two rows are incompatible exactly when one of them is in the
+zero class with a nonzero right-hand side, or both are in the same class
+with different normalised right-hand sides; one pass over the family finds
+the first such pair in family order.  When there is none, each class fixes
+its coefficient and a class without rows leaves it free.  Witness pairs are
+re-validated independently at emission time (proportional moment vectors,
+incompatible right-hand sides).
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from .laplacian import (
     NotEinsteinError,
     euclidean_moments,
     inverse_metric_cross_hessian,
+    monomial_moment,
     power_at_origin,
     powers_at_origin,
 )
@@ -56,10 +65,6 @@ class PowerPolynomial:
 
     degree: int
     lower: tuple
-
-    @classmethod
-    def pure_power(cls, k: int) -> "PowerPolynomial":
-        return cls(degree=k, lower=tuple(ZERO for _ in range(k - 1)))
 
     def coefficient(self, j: int):
         if j == self.degree:
@@ -124,7 +129,6 @@ def build_test_family(n: int, k: int) -> TestFamily:
     max_support = min(n, 3)
     vecs = _exponent_vectors(n, k)
     entries = []
-    order = 2 * k
     for alpha in vecs:
         for beta in vecs:
             bi = BiIndex(alpha, beta)
@@ -132,9 +136,10 @@ def build_test_family(n: int, k: int) -> TestFamily:
                 continue
             if len(bi.support()) > max_support:
                 continue
-            phi = Jet(n, max(order, bi.degree), [(bi, 1)])
-            moments = tuple(euclidean_moments(phi, k))
-            entries.append(FamilyEntry(index=bi, moments=moments))
+            moments = [ZERO] * k
+            if alpha == beta:
+                moments[sum(alpha) - 1] = monomial_moment(bi)
+            entries.append(FamilyEntry(index=bi, moments=tuple(moments)))
     entries.sort(
         key=lambda e: (
             e.index.degree,
@@ -203,34 +208,6 @@ class Verdict:
     note: str = ""
 
 
-def _two_row_refutes(ma, ya, mb, yb) -> bool:
-    """Exact rank test: rank[ma; mb] < rank[ma ya; mb yb]."""
-    rows = [list(ma) + [ya], list(mb) + [yb]]
-    ncols = len(ma)
-    rank_m = _rank([r[:ncols] for r in rows])
-    rank_aug = _rank(rows)
-    return rank_aug > rank_m
-
-
-def _rank(rows) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv_p = rat(1) / rows[rank][col]
-        rows[rank] = [x * inv_p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 def infer(
     m: MetricJet,
     k: int,
@@ -241,94 +218,76 @@ def infer(
 
     ``kahler_values`` optionally supplies Lap^k phi(0) per family entry
     (as produced by :func:`kahler_value_table`); otherwise they are
-    computed here.
+    computed here.  Raises KahlapError for a row with more than one
+    nonzero unknown moment, which the grouping rule cannot handle.
     """
     if not in_normal_coordinates(m):
         raise KahlapError("inference requires normal coordinates at the origin")
     if kahler_values is None:
         table = kahler_value_table(m, family, k)
         kahler_values = [row[k - 1] for row in table]
-    rows = []
+    keys = []  # (class, normalised rhs) per row; class None is the zero class
     for entry, value in zip(family.entries, kahler_values):
-        mom = entry.moments[: k - 1]
         rhs = value - entry.moments[k - 1]
-        rows.append((entry, mom, rhs, value))
-    # witness scan in family order
-    for a in range(len(rows)):
-        ea, ma, ya, va = rows[a]
-        for b in range(a + 1, len(rows)):
-            eb, mb, yb, vb = rows[b]
-            if _two_row_refutes(ma, ya, mb, yb):
-                witness = Witness(
-                    k=k,
-                    first=WitnessRow(ea.index, va, ea.moments[:k]),
-                    second=WitnessRow(eb.index, vb, eb.moments[:k]),
-                )
-                if not witness.validated():
-                    return Verdict(
-                        k=k,
-                        status=REFUTED,
-                        witness=None,
-                        note=(
-                            "inconsistent system without a two-row "
-                            "proportionality certificate"
-                        ),
-                    )
-                return Verdict(k=k, status=REFUTED, witness=witness)
-    # consistent pairwise; solve the full system
-    nunk = k - 1
-    if nunk == 0:
-        return Verdict(k=1, status=CONSISTENT, polynomial=PowerPolynomial.pure_power(1))
-    mat = [list(mom) + [rhs] for (_, mom, rhs, _) in rows]
-    solution, free = _solve_exact(mat, nunk)
-    if solution is None:
-        return Verdict(
+        slots = [j for j in range(k - 1) if entry.moments[j] != 0]
+        if len(slots) > 1:
+            raise KahlapError(
+                f"row {entry.index.text()} has more than one nonzero moment"
+            )
+        if slots:
+            keys.append((slots[0], rhs / entry.moments[slots[0]]))
+        else:
+            keys.append((None, rhs))
+    pair = _first_refuting_pair(keys)
+    if pair is not None:
+        ea, eb = (family.entries[i] for i in pair)
+        witness = Witness(
             k=k,
-            status=REFUTED,
-            witness=None,
-            note="inconsistent system without a two-row proportionality certificate",
+            first=WitnessRow(ea.index, kahler_values[pair[0]], ea.moments[:k]),
+            second=WitnessRow(eb.index, kahler_values[pair[1]], eb.moments[:k]),
         )
+        if not witness.validated():
+            return Verdict(
+                k=k,
+                status=REFUTED,
+                witness=None,
+                note="inconsistent system without a two-row proportionality certificate",
+            )
+        return Verdict(k=k, status=REFUTED, witness=witness)
+    solution = {cls: value for cls, value in keys if cls is not None}
+    free = tuple(j + 1 for j in range(k - 1) if j not in solution)
     if free:
-        return Verdict(k=k, status=UNDERDETERMINED, free_indices=tuple(free))
+        return Verdict(k=k, status=UNDERDETERMINED, free_indices=free)
     return Verdict(
         k=k,
         status=CONSISTENT,
-        polynomial=PowerPolynomial(degree=k, lower=tuple(solution)),
+        polynomial=PowerPolynomial(
+            degree=k, lower=tuple(solution[j] for j in range(k - 1))
+        ),
     )
 
 
-def _solve_exact(aug_rows, nunk):
-    """Gauss elimination; returns (solution | None, free column indices).
+def _first_refuting_pair(keys) -> tuple[int, int] | None:
+    """Lexicographically first pair (a, b), a < b, of incompatible rows.
 
-    None solution means inconsistent; with free columns the solution is
-    not unique and None is paired with the free 1-based indices.
+    A zero-class row with a nonzero right-hand side refutes with any other
+    row, so its first occurrence at b yields (0, b); a class pairs its first
+    row with its first row of a different value.  Every other refuting pair
+    comes later in family order than one of these.
     """
-    rows = [list(r) for r in aug_rows if any(x != 0 for x in r)]
-    pivots = {}
-    rank = 0
-    for col in range(nunk):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
+    candidates = []
+    first = {}
+    for pos, (cls, value) in enumerate(keys):
+        if cls is None:
+            if value != 0:
+                # row 0 pairs with row 1, or with itself in a one-row family
+                candidates.append((0, pos) if pos else (0, min(1, len(keys) - 1)))
+                break
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv_p = rat(1) / rows[rank][col]
-        rows[rank] = [x * inv_p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        pivots[col] = rank
-        rank += 1
-    for i in range(rank, len(rows)):
-        if rows[i][nunk] != 0:
-            return None, []
-    free = [c + 1 for c in range(nunk) if c not in pivots]
-    if free:
-        return None, free
-    solution = [ZERO] * nunk
-    for col, r in pivots.items():
-        solution[col] = rows[r][nunk]
-    return solution, []
+        start, base = first.setdefault(cls, (pos, value))
+        if value != base:
+            candidates.append((start, pos))
+    return min(candidates, default=None)
 
 
 def kahler_value_table(m: MetricJet, family: TestFamily, kmax: int):

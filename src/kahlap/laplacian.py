@@ -7,6 +7,11 @@ to degree 2k-2 and the test function exact (a polynomial jet).  Working
 degrees are capped along the chain -- the s-th intermediate result is only
 needed through degree 2(k-s) -- which keeps high-dimensional runs cheap.
 
+Euclidean moments need no iteration: Lapc^j (z^a zb^b)(0) is j! a! when
+a = b and |a| = j, and 0 otherwise, so a monomial's moment vector has at
+most one nonzero entry and :func:`euclidean_moments` reads it off the
+balanced terms.
+
 The expanded origin formulas for the second and third powers on an Einstein
 metric in normal coordinates are implemented as independent cross-checks of
 the iteration (they use only origin derivatives of g_inv and of the test
@@ -20,34 +25,14 @@ from dataclasses import dataclass
 
 from .geometry import MetricJet
 from .jets import (
+    BiIndex,
     DimensionMismatchError,
     InsufficientOrderError,
     Jet,
     KahlapError,
     _mul_capped,
 )
-from .rationals import ZERO
-
-
-@dataclass(frozen=True)
-class LaplacianBudget:
-    """Truncation accounting for iterated Laplacians.
-
-    ``required_order`` is the default potential order 2k+2 (one spare degree
-    pair beyond the hard floor 2k coming from the two potential derivatives
-    that build the metric).
-    """
-
-    k: int
-    potential_order: int
-
-    @property
-    def required_order(self) -> int:
-        return 2 * self.k + 2
-
-    @property
-    def satisfied(self) -> bool:
-        return self.potential_order >= self.required_order
+from .rationals import ZERO, rat
 
 
 def require_budget(m: MetricJet, phi: Jet, k: int) -> None:
@@ -99,19 +84,12 @@ def kahler_laplacian(m: MetricJet, phi: Jet, cap: int | None = None) -> Jet:
     return acc
 
 
-def powers_at_origin(m: MetricJet | None, phi: Jet, kmax: int) -> list:
-    """[Lap^1 phi(0), ..., Lap^kmax phi(0)]; m None means the Euclidean one.
+def powers_at_origin(m: MetricJet, phi: Jet, kmax: int) -> list:
+    """[Lap^1 phi(0), ..., Lap^kmax phi(0)] for the Kahler Laplacian of m.
 
     Intermediate jets are truncated to the degree actually needed by the
     remaining applications.
     """
-    if m is None:
-        values = []
-        psi = phi
-        for _ in range(kmax):
-            psi = euclidean_laplacian(psi)
-            values.append(psi.eval0())
-        return values
     require_budget(m, phi, kmax)
     values = []
     psi = phi
@@ -121,14 +99,32 @@ def powers_at_origin(m: MetricJet | None, phi: Jet, kmax: int) -> list:
     return values
 
 
-def power_at_origin(m: MetricJet | None, phi: Jet, k: int):
-    """Lap^k phi(0) exactly (Kahler for a MetricJet, Euclidean for None)."""
+def power_at_origin(m: MetricJet, phi: Jet, k: int):
+    """Lap^k phi(0) exactly."""
     return powers_at_origin(m, phi, k)[k - 1]
 
 
+def monomial_moment(bi: BiIndex):
+    """Lapc^j (z^a zb^b)(0) at its one possibly nonzero slot j = |a|:
+    j! a! when a = b, else 0."""
+    if bi.hol != bi.anti:
+        return ZERO
+    return rat(math.factorial(sum(bi.hol)) * math.prod(map(math.factorial, bi.hol)))
+
+
 def euclidean_moments(phi: Jet, kmax: int) -> list:
-    """[Lapc^j phi(0)] for j = 1..kmax (exact, cheap)."""
-    return powers_at_origin(None, phi, kmax)
+    """[Lapc^j phi(0)] for j = 1..kmax, summed in closed form over the
+    balanced terms of phi."""
+    if not phi.exact and phi.valid < 2 * kmax:
+        raise InsufficientOrderError(
+            "validity exhausted: the jet no longer determines its value at 0"
+        )
+    values = [ZERO] * kmax
+    for bi, c in phi.terms():
+        j = sum(bi.hol)
+        if 1 <= j <= kmax:
+            values[j - 1] += c * monomial_moment(bi)
+    return values
 
 
 # ----------------------------------------------------------------------
@@ -170,8 +166,6 @@ def second_power_check(m: MetricJet, phi: Jet) -> PowerIdentity:
 
 def deriv_at0(jet: Jet, alpha, beta):
     """d^alpha dbar^beta jet at 0 = coefficient times factorials."""
-    from .jets import BiIndex
-
     c = jet.coefficient(BiIndex(tuple(alpha), tuple(beta)))
     if c == 0:
         return ZERO

@@ -13,8 +13,6 @@ try:
 
     def rat(p, q=1):
         """Exact rational p/q."""
-        if isinstance(p, str):
-            return rat_from_str(p) / _mpq(q)
         return _mpq(p, q)
 
     RatType = type(_mpq(0))

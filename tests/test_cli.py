@@ -44,6 +44,13 @@ def test_check_order_too_small_reports_minimum(capsys):
     assert code == 1 and "8" in err
 
 
+@pytest.mark.parametrize("spec", ["type1:0,2", "type1:-1,-2", "type1dual:0,1"])
+def test_check_nonpositive_matrix_dimensions_are_usage_errors(capsys, spec):
+    code, _, err = run(capsys, "check", spec)
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_bad_expect_value(capsys):
     code, _, err = run(capsys, "check", "hyp:1", "--expect", "perhaps")
     assert code == 1

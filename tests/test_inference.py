@@ -2,6 +2,7 @@
 the k = 3 reference values."""
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from kahlap.catalog import (
     Flat,
@@ -17,7 +18,9 @@ from kahlap.geometry import metric_from_potential
 from kahlap.inference import (
     CONSISTENT,
     REFUTED,
+    FamilyEntry,
     PowerPolynomial,
+    TestFamily as Family,
     Witness,
     WitnessRow,
     build_test_family,
@@ -190,14 +193,87 @@ def test_no_underdetermined_verdicts_at_desk_scale():
 
 def test_family_moment_matrix_has_full_rank():
     """The unknown coefficients are always determined by the shipped
-    families, independent of the metric (the t^j rows are triangular)."""
-    from kahlap.inference import _rank
-
+    families, independent of the metric: every row has at most one nonzero
+    unknown moment, and each slot 1..k-1 has a row (the t^j rows)."""
     cases = [(n, k) for n in (1, 2, 3) for k in (2, 3, 4)] + [(4, 2), (4, 3)]
     for n, k in cases:
         fam = build_test_family(n, k)
-        rows = [list(e.moments[: k - 1]) for e in fam.entries]
-        assert _rank(rows) == k - 1, (n, k)
+        classes = set()
+        for e in fam.entries:
+            slots = [j for j, x in enumerate(e.moments[: k - 1]) if x != 0]
+            assert len(slots) <= 1, (n, k, e.index)
+            classes.update(slots)
+        assert classes == set(range(k - 1)), (n, k)
+
+
+# ----------------------------------------------------------------------
+# the grouping rule against the two-row rank predicate
+
+FLAT1 = metric_from_potential(potential(Flat(1), 4))
+
+
+def _rank2(u, v):
+    if not any(u) and not any(v):
+        return 0
+    n = len(u)
+    return 2 if any(u[i] * v[j] != u[j] * v[i] for i in range(n) for j in range(i + 1, n)) else 1
+
+
+def _brute_first_pair(rows):
+    for a, (ma, ya) in enumerate(rows):
+        for b in range(a + 1, len(rows)):
+            mb, yb = rows[b]
+            if _rank2(ma, mb) < _rank2(ma + (ya,), mb + (yb,)):
+                return a, b
+    return None
+
+
+def _synthetic_family(k, rows):
+    """Rows (moments on the k-1 unknowns, rhs) as a family with Lapc^k = 0,
+    so the supplied Kahler values are the right-hand sides."""
+    entries = tuple(
+        FamilyEntry(index=bi((i + 1,), (0,)), moments=mom + (rat(0),))
+        for i, (mom, _) in enumerate(rows)
+    )
+    return Family(dim=1, max_k=k, entries=entries), [y for _, y in rows]
+
+
+@st.composite
+def one_hot_rows(draw):
+    k = draw(st.integers(1, 4))
+    small = st.integers(-2, 2).map(rat)
+    row = st.tuples(st.integers(-1, k - 2), st.sampled_from([1, -2, 3]), small)
+    rows = []
+    for slot, m, y in draw(st.lists(row, min_size=2, max_size=12)):
+        mom = tuple(rat(m) if j == slot else rat(0) for j in range(k - 1))
+        rows.append((mom, y))
+    return k, rows
+
+
+@seed(20201030)
+@settings(max_examples=300, deadline=None)
+@given(one_hot_rows())
+def test_grouped_pass_matches_brute_force_pair_scan(case):
+    k, rows = case
+    family, values = _synthetic_family(k, rows)
+    verdict = infer(FLAT1, k, family, kahler_values=values)
+    want = _brute_first_pair(rows)
+    if want is None:
+        assert verdict.status != REFUTED
+        if verdict.status == CONSISTENT:
+            for mom, y in rows:
+                assert sum(m * a for m, a in zip(mom, verdict.polynomial.lower)) == y
+    else:
+        w = verdict.witness
+        assert (w.first.index, w.second.index) == tuple(family.entries[i].index for i in want)
+        assert w.validated()
+
+
+def test_infer_rejects_row_with_two_unknown_moments():
+    rows = [((rat(1), rat(0)), rat(0)), ((rat(2), rat(3)), rat(1))]
+    family, values = _synthetic_family(3, rows)
+    with pytest.raises(KahlapError, match="more than one nonzero moment"):
+        infer(FLAT1, 3, family, kahler_values=values)
 
 
 def test_consistency_stable_under_extension_seeds():
