@@ -215,10 +215,14 @@ class MetricJet:
     """Metric matrix of jets together with its series inverse.
 
     The inverse is computed lazily (Newton) and cached; ``valid`` bounds the
-    degree through which g * g_inv equals the identity.
+    degree through which g * g_inv equals the identity.  The Einstein data
+    and the origin values of Laplacian powers of monomials (filled by
+    :func:`kahlap.laplacian.powers_at_origin`) are cached the same way.
     """
 
-    __slots__ = ("dim", "order", "valid", "g", "_g_inv", "_einstein")
+    __slots__ = (
+        "dim", "order", "valid", "g", "_g_inv", "_einstein", "_origin_values"
+    )
 
     def __init__(self, g: Matrix):
         n = len(g)
@@ -230,6 +234,7 @@ class MetricJet:
         self.g = g
         self._g_inv = None
         self._einstein = None
+        self._origin_values = None
         for i in range(n):
             for j in range(i, n):
                 if g[i][j].conj() != g[j][i]:

@@ -151,10 +151,12 @@ def build_test_family(n: int, k: int) -> TestFamily:
 
 
 def _exponent_vectors(n: int, k: int) -> list[tuple[int, ...]]:
+    """Length-n exponent vectors with sum at most k, in lexicographic order;
+    each prefix is extended only by what its sum leaves of k."""
     out = [()]
     for _ in range(n):
-        out = [v + (e,) for v in out for e in range(k + 1)]
-    return [v for v in out if sum(v) <= k]
+        out = [v + (e,) for v in out for e in range(k + 1 - sum(v))]
+    return out
 
 
 # ----------------------------------------------------------------------

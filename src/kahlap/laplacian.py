@@ -1,11 +1,24 @@
 """Kahler and complex Euclidean Laplacians; operator powers at the origin.
 
-Powers are computed by iterating the operator on jets.  The only subtlety
-is the truncation budget: one Laplacian application costs two degrees of
-validity, so evaluating the k-th power at the origin needs the metric valid
-to degree 2k-2 and the test function exact (a polynomial jet).  Working
-degrees are capped along the chain -- the s-th intermediate result is only
-needed through degree 2(k-s) -- which keeps high-dimensional runs cheap.
+:func:`kahler_laplacian` applies the operator to a whole jet.  Powers at the
+origin do not iterate it: ``Lap^s phi(0)`` is linear in the terms of phi, so
+:func:`powers_at_origin` sums ``c * val(mu, s)`` over the terms ``c * mu``
+of phi, where ``val(mu, s) = [Lap^s mu](0)`` obeys
+
+    val(1, 0) = 1,  val(mu, 0) = 0 for mu != 1,
+    val(mu, s) = sum over a, b and the terms c_t * t of g_inv[a][b] of
+                 beta_a * alpha_b * c_t * val(t * mu / (z_b zb_a), s - 1)
+
+for mu = z^alpha zb^beta.  Every term of Lap lowers the holomorphic and the
+antiholomorphic degree by at most one each, so ``val(mu, s)`` is 0 once
+either degree of mu exceeds s; the recursion prunes such monomials.  Hence
+``val(mu, s)`` reads only the terms of g_inv of bidegree at most
+``(s-1, s-1)``, total degree at most ``2s-2``.  The budget check -- metric
+valid to degree ``2k-2``, test function exact -- therefore covers every
+value a call with ``kmax = k`` reads, and a value does not depend on the
+``kmax`` of the call that computed it: one memo per metric, keyed by
+``(packed monomial, s)`` and kept on the :class:`MetricJet`, serves every
+later call on that metric.
 
 Euclidean moments need no iteration: Lapc^j (z^a zb^b)(0) is j! a! when
 a = b and |a| = j, and 0 otherwise, so a monomial's moment vector has at
@@ -14,7 +27,7 @@ balanced terms.
 
 The expanded origin formulas for the second and third powers on an Einstein
 metric in normal coordinates are implemented as independent cross-checks of
-the iteration (they use only origin derivatives of g_inv and of the test
+the recursion (they use only origin derivatives of g_inv and of the test
 function, no operator iteration).
 """
 
@@ -31,8 +44,10 @@ from .jets import (
     Jet,
     KahlapError,
     _mul_capped,
+    _pack_bi,
+    _unpack,
 )
-from .rationals import ZERO, rat
+from .rationals import ONE, ZERO, rat
 
 
 def require_budget(m: MetricJet, phi: Jet, k: int) -> None:
@@ -61,17 +76,15 @@ def euclidean_laplacian(phi: Jet) -> Jet:
     return acc
 
 
-def kahler_laplacian(m: MetricJet, phi: Jet, cap: int | None = None) -> Jet:
+def kahler_laplacian(m: MetricJet, phi: Jet) -> Jet:
     """sum_{a,b} g_inv[a][b] * d^2 phi / dz_b dzb_a.
 
-    Result validity is min(metric valid, phi valid - 2).  ``cap`` truncates
-    the output degree (used by the power schedule).
+    Result validity is min(metric valid, phi valid - 2).
     """
     if phi.dim != m.dim:
         raise DimensionMismatchError(
             f"metric dimension {m.dim} vs jet dimension {phi.dim}"
         )
-    out_order = phi.order if cap is None else min(cap, phi.order)
     x = m.g_inv
     acc = None
     for a in range(m.dim):
@@ -79,23 +92,105 @@ def kahler_laplacian(m: MetricJet, phi: Jet, cap: int | None = None) -> Jet:
             hess = phi.diff_hol(b + 1).diff_anti(a + 1)
             if hess.is_zero and acc is not None:
                 continue
-            term = _mul_capped(x[a][b], hess, out_order)
+            term = _mul_capped(x[a][b], hess, phi.order)
             acc = term if acc is None else acc + term
     return acc
+
+
+class _OriginValues:
+    """val(mu, s) = [Lap^s mu](0) for one metric, memoised by (packed
+    monomial, s); see the module docstring for the recursion."""
+
+    __slots__ = ("dim", "terms", "units", "memo")
+
+    def __init__(self, m: MetricJet):
+        n = m.dim
+        self.dim = n
+        # per (a, b): the terms of g_inv[a][b] through the metric's validity,
+        # as (hol degree, anti degree, packed key, coefficient) by hol degree
+        self.terms = [
+            [
+                sorted(
+                    _bidegree(key, n) + (key, c)
+                    for d, bucket in m.g_inv[a][b]._grades.items()
+                    if d <= m.valid
+                    for key, c in bucket.items()
+                )
+                for b in range(n)
+            ]
+            for a in range(n)
+        ]
+        # packed key of z_b zb_a, the monomial d_b dbar_a divides out
+        self.units = [
+            [_pack_bi(BiIndex(_unit(n, b), _unit(n, a))) for b in range(n)]
+            for a in range(n)
+        ]
+        self.memo = {}
+
+    def value(self, key: int, s: int):
+        """val(mu, s) for the monomial mu packed as ``key``, of bidegree at
+        most (s, s)."""
+        if s == 0:
+            return ONE if key == 0 else ZERO
+        hit = self.memo.get((key, s))
+        if hit is not None:
+            return hit
+        n = self.dim
+        exps = _unpack(key, 2 * n)
+        hol, anti = exps[:n], exps[n:]
+        # only terms t that keep t * mu / (z_b zb_a) within bidegree
+        # (s-1, s-1) can reach the origin in s-1 more steps
+        hmax, emax = s - sum(hol), s - sum(anti)
+        total = ZERO
+        for a in range(n):
+            if not anti[a]:
+                continue
+            for b in range(n):
+                if not hol[b]:
+                    continue
+                nu = key - self.units[a][b]
+                acc = ZERO
+                for th, ta, tkey, c in self.terms[a][b]:
+                    if th > hmax:
+                        break
+                    if ta <= emax:
+                        v = self.value(nu + tkey, s - 1)
+                        if v:
+                            acc += c * v
+                if acc:
+                    total += anti[a] * hol[b] * acc
+        self.memo[(key, s)] = total
+        return total
+
+
+def _bidegree(key: int, n: int) -> tuple[int, int]:
+    exps = _unpack(key, 2 * n)
+    return sum(exps[:n]), sum(exps[n:])
 
 
 def powers_at_origin(m: MetricJet, phi: Jet, kmax: int) -> list:
     """[Lap^1 phi(0), ..., Lap^kmax phi(0)] for the Kahler Laplacian of m.
 
-    Intermediate jets are truncated to the degree actually needed by the
-    remaining applications.
+    Sums the memoised monomial values over the terms of phi; the memo lives
+    on ``m`` and is shared by every call on it.
     """
     require_budget(m, phi, kmax)
-    values = []
-    psi = phi
-    for s in range(1, kmax + 1):
-        psi = kahler_laplacian(m, psi, cap=2 * (kmax - s))
-        values.append(psi.eval0())
+    n = m.dim
+    if phi.dim != n:
+        raise DimensionMismatchError(
+            f"metric dimension {n} vs jet dimension {phi.dim}"
+        )
+    origin = m._origin_values
+    if origin is None:
+        origin = m._origin_values = _OriginValues(m)
+    values = [ZERO] * kmax
+    for bucket in phi._grades.values():
+        for key, c in bucket.items():
+            # Lap^s mu(0) vanishes while s is below either degree of mu
+            for s in range(max(1, *_bidegree(key, n)), kmax + 1):
+                v = origin.value(key, s)
+                if v:
+                    values[s - 1] += c * v
     return values
 
 

@@ -69,6 +69,20 @@ def test_family_order_is_graded_z1_major():
     assert quartics.index(bi((2, 0), (2, 0))) < quartics.index(bi((1, 1), (1, 1)))
 
 
+def test_exponent_vectors_enumerate_bounded_sums_directly():
+    import itertools
+
+    from kahlap.inference import _exponent_vectors
+
+    for n in range(1, 5):
+        for k in range(0, 5):
+            product = itertools.product(range(k + 1), repeat=n)
+            brute = [v for v in product if sum(v) <= k]
+            assert _exponent_vectors(n, k) == brute, (n, k)
+    # C(15, 3): the (k+1)^n = 4^12 product is never built
+    assert len(_exponent_vectors(12, 3)) == 455
+
+
 def test_family_moments_match_direct_computation():
     fam = build_test_family(1, 3)
     entry = next(e for e in fam.entries if e.index == bi((2,), (2,)))

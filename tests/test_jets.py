@@ -1,7 +1,7 @@
 """Jet ring arithmetic: documented examples plus randomized ring axioms."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from kahlap.jets import (
     BiIndex,
@@ -228,6 +228,7 @@ def jets(draw, dim=None, order=None, unit_constant=False):
     return jet
 
 
+@seed(20201030)
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_ring_axioms(data):
@@ -243,6 +244,7 @@ def test_ring_axioms(data):
     assert (a * b) * c == a * (b * c)
 
 
+@seed(20201030)
 @settings(max_examples=40, deadline=None)
 @given(jets(unit_constant=True))
 def test_inverse_property(a):
@@ -250,12 +252,14 @@ def test_inverse_property(a):
     assert (a * a.inv1()).agrees(one)
 
 
+@seed(20201030)
 @settings(max_examples=40, deadline=None)
 @given(jets(unit_constant=True))
 def test_exp_log_round_trip(a):
     assert a.log1().exp().agrees(a)
 
 
+@seed(20201030)
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_mixed_derivatives_commute(data):
@@ -264,6 +268,7 @@ def test_mixed_derivatives_commute(data):
     assert a.diff_hol(1).diff_hol(2) == a.diff_hol(2).diff_hol(1)
 
 
+@seed(20201030)
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_flip_is_ring_homomorphism_and_involution(data):

@@ -2,6 +2,7 @@
 and the univariate radial-reduction oracle."""
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from kahlap import radial
 from kahlap.catalog import (
@@ -141,6 +142,69 @@ def test_linearity_of_powers(hyp1):
     for k in (1, 2, 3):
         expect = rat(2, 3) * power_at_origin(hyp1, a, k) - 5 * power_at_origin(hyp1, b, k)
         assert power_at_origin(hyp1, combo, k) == expect
+
+
+# the reference: iterate the jet operator, then read each value at 0
+def _chain_at_origin(m, phi, kmax):
+    values, psi = [], phi
+    for _ in range(kmax):
+        psi = kahler_laplacian(m, psi)
+        values.append(psi.eval0())
+    return values
+
+
+@pytest.fixture(scope="module")
+def reference_metrics(type1_metric_order8):
+    metrics = {
+        spec.label(): metric_from_potential(potential(spec, 8))
+        for spec in (Hyperbolic(2), FubiniStudy(2), Polydisc(2))
+    }
+    metrics["type1:2,2"] = type1_metric_order8
+    return metrics
+
+
+@st.composite
+def exponents(draw, n, total):
+    """Exponent vectors of length n summing to ``total``."""
+    out = []
+    for _ in range(n - 1):
+        out.append(draw(st.integers(0, total - sum(out))))
+    out.append(total - sum(out))
+    return tuple(draw(st.permutations(out)))
+
+
+@st.composite
+def polynomials(draw, n, k):
+    """Exact polynomials with rational coefficients, bidegree <= (k, k).
+
+    Most terms have equal hol and anti degree, because on the catalog
+    metrics only those can be nonzero at the origin."""
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        hol = draw(exponents(n, draw(st.integers(0, k))))
+        anti = draw(
+            st.one_of(
+                st.just(hol),
+                exponents(n, sum(hol)),
+                st.integers(0, k).flatmap(lambda d: exponents(n, d)),
+            )
+        )
+        c = rat(draw(st.integers(-9, 9)), draw(st.integers(1, 5)))
+        terms.append((BiIndex(hol, anti), c))
+    return terms
+
+
+@pytest.mark.parametrize("name", ["hyp:2", "fs:2", "polydisc:2", "type1:2,2"])
+@seed(20201030)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_powers_match_iterated_jet_laplacian(reference_metrics, name, data):
+    # every k is queried on the same metric in shuffled order, so the
+    # monomial memo warmed at one k serves the others
+    m = reference_metrics[name]
+    for k in data.draw(st.permutations([1, 2, 3])):
+        phi = Jet(m.dim, m.order, data.draw(polynomials(m.dim, k)))
+        assert powers_at_origin(m, phi, k) == _chain_at_origin(m, phi, k), (k, phi)
 
 
 def test_budget_enforced():
