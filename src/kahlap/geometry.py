@@ -215,13 +215,17 @@ class MetricJet:
     """Metric matrix of jets together with its series inverse.
 
     The inverse is computed lazily (Newton) and cached; ``valid`` bounds the
-    degree through which g * g_inv equals the identity.  The Einstein data
-    and the origin values of Laplacian powers of monomials (filled by
-    :func:`kahlap.laplacian.powers_at_origin`) are cached the same way.
+    degree through which g * g_inv equals the identity.  The Einstein data,
+    the origin values of Laplacian powers of monomials (filled by
+    :func:`kahlap.laplacian.powers_at_origin`) and the weights of the
+    expanded third-power formula (filled by
+    :func:`kahlap.laplacian.third_power_rhs`) are cached the same way; each
+    fill is deterministic.
     """
 
     __slots__ = (
-        "dim", "order", "valid", "g", "_g_inv", "_einstein", "_origin_values"
+        "dim", "order", "valid", "g",
+        "_g_inv", "_einstein", "_origin_values", "_third_power_weights",
     )
 
     def __init__(self, g: Matrix):
@@ -235,6 +239,7 @@ class MetricJet:
         self._g_inv = None
         self._einstein = None
         self._origin_values = None
+        self._third_power_weights = None
         for i in range(n):
             for j in range(i, n):
                 if g[i][j].conj() != g[j][i]:

@@ -28,7 +28,11 @@ balanced terms.
 The expanded origin formulas for the second and third powers on an Einstein
 metric in normal coordinates are implemented as independent cross-checks of
 the recursion (they use only origin derivatives of g_inv and of the test
-function, no operator iteration).
+function, no operator iteration).  The expanded third power is a linear
+functional of the Taylor coefficients of the test function: its g_inv sums
+are built once per metric as one weight per coefficient, kept on the
+:class:`MetricJet` beside the memo, and each call sums the weights against
+the terms of the test function.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .jets import (
     Jet,
     KahlapError,
     _mul_capped,
+    _pack,
     _pack_bi,
     _unpack,
 )
@@ -122,7 +127,7 @@ class _OriginValues:
         ]
         # packed key of z_b zb_a, the monomial d_b dbar_a divides out
         self.units = [
-            [_pack_bi(BiIndex(_unit(n, b), _unit(n, a))) for b in range(n)]
+            [_pack_bi(BiIndex(_units(n, b), _units(n, a))) for b in range(n)]
             for a in range(n)
         ]
         self.memo = {}
@@ -272,12 +277,43 @@ def deriv_at0(jet: Jet, alpha, beta):
     return c * mult
 
 
-def _unit(n, i):
-    return tuple(1 if k == i else 0 for k in range(n))
+def _units(n, *indices):
+    """Exponent vector of length n counting how often each slot is listed."""
+    return tuple(indices.count(k) for k in range(n))
 
 
-def _unit2(n, i, j):
-    return tuple((1 if k == i else 0) + (1 if k == j else 0) for k in range(n))
+def _third_power_weights(m: MetricJet) -> dict:
+    """The g_inv part of :func:`third_power_rhs` as a linear functional on
+    the Taylor coefficients of the test function: packed key of
+    z^alpha zb^beta -> mult * c * alpha! beta!, where c is the origin
+    derivative of g_inv that multiplies d^alpha dbar^beta phi(0) in the
+    expansion and mult is 2 for the mixed term, 1 for the other three.
+    Zero weights are dropped."""
+    n = m.dim
+    x = m.g_inv
+    zero = (0,) * n
+    weights = {}
+    for i in range(n):
+        for j in range(n):
+            xij = x[i][j]
+            for l in range(n):
+                for h in range(n):
+                    for mult, c, alpha, beta in (
+                        (2, deriv_at0(xij, _units(n, l), _units(n, h)),
+                         _units(n, j, h), _units(n, l, i)),
+                        (1, deriv_at0(xij, _units(n, l, h), zero),
+                         _units(n, j), _units(n, h, l, i)),
+                        (1, deriv_at0(xij, zero, _units(n, l, h)),
+                         _units(n, j, h, l), _units(n, i)),
+                        (1, deriv_at0(xij, _units(n, l, h), _units(n, l, h)),
+                         _units(n, j), _units(n, i)),
+                    ):
+                        if c != 0:
+                            exps = alpha + beta
+                            f = math.prod(map(math.factorial, exps))
+                            key = _pack(exps)
+                            weights[key] = weights.get(key, ZERO) + mult * c * f
+    return {key: w for key, w in weights.items() if w != 0}
 
 
 def third_power_rhs(m: MetricJet, phi: Jet):
@@ -291,7 +327,9 @@ def third_power_rhs(m: MetricJet, phi: Jet):
         +   sum d_l d_h dbar_l dbar_h X[i][j] * d_j dbar_i phi
 
     with X = g_inv, all derivative coefficients evaluated at 0.  Requires
-    the inverse metric valid through degree 4.
+    the inverse metric valid through degree 4.  The sums over X are a
+    weight per Taylor coefficient of phi, built once per metric and kept
+    on ``m``.
     """
     lam = _require_einstein(m)
     if m.valid < 4:
@@ -299,46 +337,21 @@ def third_power_rhs(m: MetricJet, phi: Jet):
             "third-power expansion needs metric valid degree >= 4",
             required_order=8,
         )
-    n = m.dim
-    x = m.g_inv
+    if phi.dim != m.dim:
+        raise DimensionMismatchError(
+            f"metric dimension {m.dim} vs jet dimension {phi.dim}"
+        )
+    weights = m._third_power_weights
+    if weights is None:
+        weights = m._third_power_weights = _third_power_weights(m)
     mom = euclidean_moments(phi, 3)
     total = mom[2] + 3 * lam * mom[1] + lam * lam * mom[0]
-    for i in range(n):
-        for j in range(n):
-            xij = x[i][j]
-            for l in range(n):
-                for h in range(n):
-                    c_mixed = deriv_at0(xij, _unit(n, l), _unit(n, h))
-                    if c_mixed != 0:
-                        f = deriv_at0(phi, _unit2(n, j, h), _unit2(n, l, i))
-                        if f != 0:
-                            total += 2 * c_mixed * f
-                    c_holhol = deriv_at0(xij, _unit2(n, l, h), (0,) * n)
-                    if c_holhol != 0:
-                        f = _phi_deriv(phi, (j,), (h, l, i), n)
-                        if f != 0:
-                            total += c_holhol * f
-                    c_antianti = deriv_at0(xij, (0,) * n, _unit2(n, l, h))
-                    if c_antianti != 0:
-                        f = _phi_deriv(phi, (j, h, l), (i,), n)
-                        if f != 0:
-                            total += c_antianti * f
-                    c_quartic = deriv_at0(xij, _unit2(n, l, h), _unit2(n, l, h))
-                    if c_quartic != 0:
-                        f = deriv_at0(phi, _unit(n, j), _unit(n, i))
-                        if f != 0:
-                            total += c_quartic * f
+    for bucket in phi._grades.values():
+        for key, c in bucket.items():
+            w = weights.get(key)
+            if w is not None:
+                total += c * w
     return total
-
-
-def _phi_deriv(phi: Jet, hol_indices, anti_indices, n):
-    alpha = [0] * n
-    beta = [0] * n
-    for idx in hol_indices:
-        alpha[idx] += 1
-    for idx in anti_indices:
-        beta[idx] += 1
-    return deriv_at0(phi, tuple(alpha), tuple(beta))
 
 
 def third_power_check(m: MetricJet, phi: Jet) -> PowerIdentity:
@@ -357,8 +370,8 @@ def inverse_metric_cross_hessian(m: MetricJet, i: int, j: int):
     i -= 1
     j -= 1
     return (
-        deriv_at0(x[j][j], _unit(n, i), _unit(n, i)),
-        deriv_at0(x[i][i], _unit(n, j), _unit(n, j)),
-        deriv_at0(x[i][j], _unit(n, j), _unit(n, i)),
-        deriv_at0(x[j][i], _unit(n, i), _unit(n, j)),
+        deriv_at0(x[j][j], _units(n, i), _units(n, i)),
+        deriv_at0(x[i][i], _units(n, j), _units(n, j)),
+        deriv_at0(x[i][j], _units(n, j), _units(n, i)),
+        deriv_at0(x[j][i], _units(n, i), _units(n, j)),
     )

@@ -145,6 +145,18 @@ def test_reproduce_json_schema(capsys):
     assert [inst["pair"] for inst in doc["instances"]] == ["(1,1)", "(2,2)", "(2,3)"]
 
 
+def test_reproduce_laplcube_end_to_end(capsys):
+    code, doc, _ = run_json(capsys, "reproduce", "laplcube")
+    assert code == 0 and doc["passed"]
+    checked = {inst["spec"]: inst["pairs_checked"] for inst in doc["instances"]}
+    assert checked == {
+        "fs:1": 2, "fs:2": 13, "fs:3": 33,
+        "hyp:1": 2, "hyp:2": 13, "hyp:3": 33,
+        "polydisc:2": 13, "type1:2,2": 62,
+    }
+    assert all(inst["failures"] == [] for inst in doc["instances"])
+
+
 def test_catalog_lists_gate_status(capsys):
     code, doc, _ = run_json(capsys, "catalog")
     assert code == 0

@@ -15,7 +15,7 @@ from kahlap.catalog import (
     potential,
 )
 from kahlap.geometry import metric_from_potential
-from kahlap.jets import BiIndex, InsufficientOrderError, Jet
+from kahlap.jets import BiIndex, DimensionMismatchError, InsufficientOrderError, Jet
 from kahlap.laplacian import (
     NotEinsteinError,
     euclidean_laplacian,
@@ -248,6 +248,33 @@ def test_third_power_rhs_flat_is_pure_euclidean():
     m = metric_from_potential(Jet.abs_square_sum(2, 8))
     phi = mono(2, 8, (2, 1), (2, 1))
     assert third_power_rhs(m, phi) == euclidean_moments(phi, 3)[2]
+
+
+@pytest.mark.parametrize("name", ["hyp:2", "fs:2", "polydisc:2", "type1:2,2"])
+@seed(20201030)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_third_power_rhs_matches_direct_engine(reference_metrics, name, data):
+    # one metric per case, so the weights built for the first phi serve the
+    # rest; hyp:2 and fs:2 share a dimension and have opposite lambda, so
+    # weights leaking between metrics would show
+    m = reference_metrics[name]
+    phi = Jet(m.dim, m.order, data.draw(polynomials(m.dim, 3)))
+    assert third_power_rhs(m, phi) == power_at_origin(m, phi, 3), phi
+
+
+def test_third_power_rhs_guards_hold_on_every_call(hyp1):
+    short = metric_from_potential(potential(Hyperbolic(1), 5))
+    assert short.valid == 3
+    product = metric_from_potential(potential(Product(Flat(1), Hyperbolic(1)), 8))
+    for _ in range(2):
+        with pytest.raises(InsufficientOrderError) as err:
+            third_power_rhs(short, mono(1, 5, (1,), (1,)))
+        assert err.value.required_order == 8
+        with pytest.raises(NotEinsteinError):
+            third_power_rhs(product, mono(2, 8, (1, 0), (1, 0)))
+        with pytest.raises(DimensionMismatchError):
+            third_power_rhs(hyp1, mono(2, 10, (1, 0), (1, 0)))
 
 
 def test_third_power_identity_hyperbolic(hyp1):
