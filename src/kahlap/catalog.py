@@ -409,7 +409,7 @@ def potential(spec: PotentialSpec, order: int) -> Jet:
 
 
 def gate_status(spec: PotentialSpec, order: int = 6) -> tuple[bool, str]:
-    """(accepted, message) without raising; used by the catalog listing."""
+    """(accepted, message) without raising."""
     try:
         potential(spec, order)
         return True, "ok"

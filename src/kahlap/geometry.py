@@ -285,8 +285,18 @@ def metric_from_potential(phi: Jet) -> MetricJet:
 
 
 def ricci(m: MetricJet) -> Matrix:
-    """Ric[i][j] = -d_i dbar_j log det(g)."""
-    det = series_determinant(m.g)
+    """Ric[i][j] = -d_i dbar_j log det(g), valid through ``m.valid - 2``.
+
+    The series work stops at ``m.valid``: g is truncated there before the
+    determinant, so no product, pivot inverse or logarithm computes a
+    higher degree.  That is exact: truncation commutes with sums, products,
+    ``inv1`` and ``log1``, and pivots are chosen by constant terms alone,
+    so log det(g) through ``m.valid`` is what the full-order route gives.
+    The entries come back at order ``m.valid``.
+    """
+    det = series_determinant(
+        tuple(tuple(e.truncated(m.valid) for e in row) for row in m.g)
+    )
     c0 = det.constant_term()
     det_unit = det.scale(rat(1) / c0)  # log of the positive constant drops out
     logdet = det_unit.log1()
@@ -344,16 +354,21 @@ def matrices_agree(a: Matrix, b: Matrix, through: int | None = None) -> bool:
 
 
 def einstein_data(m: MetricJet) -> EinsteinData:
-    """Proportionality test Ric = lam*g through the common valid degree."""
+    """Proportionality test Ric = lam*g through the common valid degree.
+
+    The checked degree ``m.valid - 2`` needs log det(g) only through
+    ``m.valid``, where :func:`ricci` stops its series work, exactly.  Ricci
+    entries live at order ``m.valid``, not ``m.order``, so they are compared
+    with lam*g coefficient by coefficient instead of subtracted.
+    """
     ric = ricci(m)
     lam = ric[0][0].eval0() / m.g[0][0].eval0()
     checked = min(m.valid - 2, m.order)
-    is_e = True
-    for i in range(m.dim):
-        for j in range(m.dim):
-            diff = ric[i][j] - m.g[i][j].scale(lam)
-            if not diff.agrees(Jet.zero(diff.dim, diff.order), checked):
-                is_e = False
+    is_e = all(
+        ric[i][j].agrees(m.g[i][j].scale(lam), checked)
+        for i in range(m.dim)
+        for j in range(m.dim)
+    )
     return EinsteinData(is_einstein=is_e, lam=lam, checked_degree=checked)
 
 

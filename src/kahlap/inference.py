@@ -44,8 +44,8 @@ from .laplacian import (
     euclidean_moments,
     inverse_metric_cross_hessian,
     monomial_moment,
+    monomial_powers_at_origin,
     power_at_origin,
-    powers_at_origin,
 )
 from .rationals import ZERO, rat, rat_pretty
 
@@ -104,9 +104,6 @@ class FamilyEntry:
     def balanced(self) -> bool:
         a, b = self.index.bidegree
         return a == b
-
-    def jet(self, dim: int, order: int) -> Jet:
-        return Jet(dim, order, [(self.index, 1)])
 
 
 @dataclass(frozen=True)
@@ -294,11 +291,9 @@ def _first_refuting_pair(keys) -> tuple[int, int] | None:
 
 def kahler_value_table(m: MetricJet, family: TestFamily, kmax: int):
     """Per family entry, the vector [Lap^1 phi(0), ..., Lap^kmax phi(0)]."""
-    table = []
-    for entry in family.entries:
-        phi = entry.jet(m.dim, m.order)
-        table.append(powers_at_origin(m, phi, kmax))
-    return table
+    return monomial_powers_at_origin(
+        m, family.dim, [entry.index for entry in family.entries], kmax
+    )
 
 
 # ----------------------------------------------------------------------
@@ -519,18 +514,30 @@ def duality_negation_check(
 ) -> DualityCheck:
     """Lap^3(|z_i z_j|^2)(0) on a catalog entry against its dual; the two
     values must be exact negatives."""
-    phi = cat.potential(spec, order)
+    return duality_negation_checks(cat.potential(spec, order), [(i, j)])[0]
+
+
+def duality_negation_checks(phi: Jet, pairs) -> list[DualityCheck]:
+    """:func:`duality_negation_check` for every index pair ``(i, j)`` of
+    ``pairs`` on the potential ``phi``; the metric of phi and that of its
+    dual are built once and shared by all pairs."""
     n = phi.dim
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise KahlapError(f"indices ({i},{j}) outside 1..{n}")
-    alpha = [0] * n
-    alpha[i - 1] += 1
-    alpha[j - 1] += 1
-    bi = BiIndex(tuple(alpha), tuple(alpha))
-    test = Jet(n, order, [(bi, 1)])
+    for i, j in pairs:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise KahlapError(f"indices ({i},{j}) outside 1..{n}")
     m = metric_from_potential(phi)
     m_dual = metric_from_potential(dual_potential(phi))
-    return DualityCheck(
-        value=power_at_origin(m, test, 3),
-        dual_value=power_at_origin(m_dual, test, 3),
-    )
+    checks = []
+    for i, j in pairs:
+        alpha = [0] * n
+        alpha[i - 1] += 1
+        alpha[j - 1] += 1
+        bi = BiIndex(tuple(alpha), tuple(alpha))
+        test = Jet(n, phi.order, [(bi, 1)])
+        checks.append(
+            DualityCheck(
+                value=power_at_origin(m, test, 3),
+                dual_value=power_at_origin(m_dual, test, 3),
+            )
+        )
+    return checks

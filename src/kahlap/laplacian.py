@@ -56,14 +56,21 @@ from .rationals import ONE, ZERO, rat
 
 
 def require_budget(m: MetricJet, phi: Jet, k: int) -> None:
-    """Raise InsufficientOrderError unless Lap^k phi(0) is computable exactly."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    """Raise InsufficientOrderError unless Lap^k phi(0) is computable exactly:
+    phi must be an exact polynomial jet and m valid to degree 2k-2."""
     if not phi.exact:
         raise InsufficientOrderError(
             "test functions must be exact polynomial jets",
             required_order=2 * k + 2,
         )
+    _require_metric_budget(m, k)
+
+
+def _require_metric_budget(m: MetricJet, k: int) -> None:
+    """The part of :func:`require_budget` that an exact test function meets
+    or fails by the metric alone."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if m.valid < 2 * k - 2:
         raise InsufficientOrderError(
             f"metric valid to {m.valid} < {2 * k - 2}; "
@@ -132,6 +139,15 @@ class _OriginValues:
         ]
         self.memo = {}
 
+    def powers(self, key: int, kmax: int) -> list:
+        """[val(mu, 1), ..., val(mu, kmax)] for the monomial mu packed as
+        ``key``."""
+        row = [ZERO] * kmax
+        # Lap^s mu(0) vanishes while s is below either degree of mu
+        for s in range(max(1, *_bidegree(key, self.dim)), kmax + 1):
+            row[s - 1] = self.value(key, s)
+        return row
+
     def value(self, key: int, s: int):
         """val(mu, s) for the monomial mu packed as ``key``, of bidegree at
         most (s, s)."""
@@ -173,6 +189,17 @@ def _bidegree(key: int, n: int) -> tuple[int, int]:
     return sum(exps[:n]), sum(exps[n:])
 
 
+def _memo(m: MetricJet, dim: int) -> _OriginValues:
+    """The memo of ``m`` for test functions in ``dim`` variables."""
+    if dim != m.dim:
+        raise DimensionMismatchError(
+            f"metric dimension {m.dim} vs jet dimension {dim}"
+        )
+    if m._origin_values is None:
+        m._origin_values = _OriginValues(m)
+    return m._origin_values
+
+
 def powers_at_origin(m: MetricJet, phi: Jet, kmax: int) -> list:
     """[Lap^1 phi(0), ..., Lap^kmax phi(0)] for the Kahler Laplacian of m.
 
@@ -180,23 +207,27 @@ def powers_at_origin(m: MetricJet, phi: Jet, kmax: int) -> list:
     on ``m`` and is shared by every call on it.
     """
     require_budget(m, phi, kmax)
-    n = m.dim
-    if phi.dim != n:
-        raise DimensionMismatchError(
-            f"metric dimension {n} vs jet dimension {phi.dim}"
-        )
-    origin = m._origin_values
-    if origin is None:
-        origin = m._origin_values = _OriginValues(m)
+    origin = _memo(m, phi.dim)
     values = [ZERO] * kmax
     for bucket in phi._grades.values():
         for key, c in bucket.items():
-            # Lap^s mu(0) vanishes while s is below either degree of mu
-            for s in range(max(1, *_bidegree(key, n)), kmax + 1):
-                v = origin.value(key, s)
+            for s, v in enumerate(origin.powers(key, kmax)):
                 if v:
-                    values[s - 1] += c * v
+                    values[s] += c * v
     return values
+
+
+def monomial_powers_at_origin(
+    m: MetricJet, dim: int, indices, kmax: int
+) -> list:
+    """:func:`powers_at_origin` of every monomial z^alpha zb^beta of
+    ``indices``, each in ``dim`` variables, read off the memo by its packed
+    key.  No jet is built, and the budget and dimension checks run once for
+    the whole list: every monomial is an exact test function, so each one
+    passes or fails them alike."""
+    _require_metric_budget(m, kmax)
+    origin = _memo(m, dim)
+    return [origin.powers(_pack_bi(bi), kmax) for bi in indices]
 
 
 def power_at_origin(m: MetricJet, phi: Jet, k: int):

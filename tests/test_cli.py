@@ -157,6 +157,26 @@ def test_reproduce_laplcube_end_to_end(capsys):
     assert all(inst["failures"] == [] for inst in doc["instances"])
 
 
+def test_reproduce_duality_builds_each_metric_once(capsys, monkeypatch):
+    import kahlap.geometry
+
+    inverses = []
+    original = kahlap.geometry.series_matrix_inverse
+
+    def counting(*args, **kwargs):
+        inverses.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kahlap.geometry, "series_matrix_inverse", counting)
+    code, doc, _ = run_json(capsys, "reproduce", "duality")
+    assert code == 0 and doc["passed"]
+    counts = {inst["spec"]: len(inst["values"]) for inst in doc["instances"]}
+    assert counts == {"hyp:1": 1, "hyp:2": 4, "type1:2,2": 4}
+    assert all(v["negated"] for inst in doc["instances"] for v in inst["values"])
+    # an entry and its dual, for three entries
+    assert len(inverses) == 6
+
+
 def test_catalog_lists_gate_status(capsys):
     code, doc, _ = run_json(capsys, "catalog")
     assert code == 0

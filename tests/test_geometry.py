@@ -176,6 +176,51 @@ def test_ricci_two_routes_agree_on_catalog():
         assert matrices_agree(ricci(m), ricci_contracted(m, cap=4), 4), spec.label()
 
 
+def _full_order_ricci(m):
+    """-d dbar log det(g) with every series product at the ambient order."""
+    det = series_determinant(m.g)
+    logdet = det.scale(rat(1) / det.constant_term()).log1()
+    return tuple(
+        tuple(-(logdet.diff_hol(i + 1).diff_anti(j + 1)) for j in range(m.dim))
+        for i in range(m.dim)
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [Hyperbolic(2), FubiniStudy(2), Polydisc(2), TypeI(2, 2), Product(Flat(1), Hyperbolic(1))],
+    ids=lambda spec: spec.label(),
+)
+def test_ricci_matches_full_order_route(spec):
+    m = metric_from_potential(potential(spec, 8))
+    ric = ricci(m)
+    assert all(e.order == m.valid and e.valid == m.valid - 2 for row in ric for e in row)
+    assert matrices_agree(ric, _full_order_ricci(m), m.valid - 2)
+
+
+@pytest.mark.parametrize(
+    "spec,order",
+    [(Hyperbolic(1), 8), (Hyperbolic(2), 8), (TypeI(2, 2), 8), (FubiniStudy(2), 10)],
+    ids=lambda x: x.label() if hasattr(x, "label") else str(x),
+)
+def test_einstein_check_sees_the_top_valid_degree(spec, order):
+    """Adding |z1|^N to an order-N potential changes g first in degree N-2
+    and Ricci first in degree N-4, the checked degree: the perturbed metric
+    must fail the Einstein test, so log det(g) must be computed through
+    degree N-2 = m.valid."""
+    phi = potential(spec, order)
+    n = spec.dim
+    e1 = tuple(1 if i == 0 else 0 for i in range(n))
+    half = tuple(order // 2 * x for x in e1)
+    bump = Jet(n, order, [(bi(half, half), 1)])
+    plain = einstein_data(metric_from_potential(phi))
+    m = metric_from_potential(phi + bump)
+    bumped = einstein_data(m)
+    assert plain.is_einstein and plain.checked_degree == order - 4
+    assert bumped.checked_degree == m.valid - 2 == order - 4
+    assert not bumped.is_einstein and bumped.lam == plain.lam
+
+
 def test_determinant_times_inverse_det():
     m = metric_from_potential(potential(Hyperbolic(2), 8))
     det = series_determinant(m.g)

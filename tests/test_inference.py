@@ -26,10 +26,18 @@ from kahlap.inference import (
     build_test_family,
     duality_negation_check,
     infer,
+    kahler_value_table,
     third_power_summary,
     verify_property,
 )
-from kahlap.jets import BiIndex, InsufficientOrderError, KahlapError
+from kahlap.jets import (
+    BiIndex,
+    DimensionMismatchError,
+    InsufficientOrderError,
+    Jet,
+    KahlapError,
+)
+from kahlap.laplacian import powers_at_origin
 from kahlap.rationals import rat
 
 
@@ -94,8 +102,6 @@ def test_unbalanced_family_rows_are_trivial():
     and zero operator powers (the bidegree-balance canary)."""
     m = metric_from_potential(potential(Hyperbolic(2), 8))
     fam = build_test_family(2, 3)
-    from kahlap.inference import kahler_value_table
-
     table = kahler_value_table(m, fam, 3)
     saw_unbalanced = 0
     for entry, values in zip(fam.entries, table):
@@ -105,6 +111,24 @@ def test_unbalanced_family_rows_are_trivial():
             assert all(v == 0 for v in entry.moments)
             assert all(v == 0 for v in values)
     assert saw_unbalanced > 0
+
+
+def test_value_table_matches_powers_at_origin_per_entry(type1_metric_order8):
+    """The table reads the memo by each entry's packed key; every row must
+    equal powers_at_origin on the entry's monomial jet, and the checks the
+    jet path runs per call fire once for the table."""
+    m = type1_metric_order8
+    fam = build_test_family(4, 3)
+    table = kahler_value_table(m, fam, 3)
+    assert len(table) == len(fam.entries)
+    for entry, values in zip(fam.entries, table):
+        phi = Jet(4, m.order, [(entry.index, 1)])
+        assert values == powers_at_origin(m, phi, 3), entry.index.text()
+    with pytest.raises(InsufficientOrderError) as err:
+        kahler_value_table(m, fam, 5)  # metric valid 6 < 2*5-2
+    assert err.value.required_order == 12
+    with pytest.raises(DimensionMismatchError):
+        kahler_value_table(m, build_test_family(2, 3), 3)
 
 
 # ----------------------------------------------------------------------
