@@ -297,7 +297,7 @@ def _trace_log_potential(z_rows, order, signs=False) -> Jet:
         c = rat((-1) ** (m + 1), m) if signs else rat(1, m)
         phi = phi + trace.scale(c)
     # truncation of a log series: valid to order, not exact
-    return Jet._raw(n, order, order, False, phi._grades)
+    return phi._flagged(order, False)
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +366,7 @@ def _raw_potential(spec: PotentialSpec, order: int) -> Jet:
                 lphi.valid if not lphi.exact else order,
                 rphi.valid if not rphi.exact else order,
             )
-            return Jet._raw(n, order, valid, exact, out._grades)
+            return out._flagged(valid, exact)
         case DualOf(inner=inner):
             return dual_potential(potential(inner, order))
         case Custom(jet=jet):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .jets import (
+    _INF,
     InsufficientOrderError,
     Jet,
     KahlapError,
@@ -47,14 +48,23 @@ class NormalizationError(KahlapError):
 # rational constant matrices
 
 
-def _rational_inverse(rows):
-    """Inverse of a rational matrix via Gauss-Jordan; None when singular."""
+def _eliminate(rows):
+    """Gauss-Jordan on a rational matrix: (inverse, pivots).
+
+    ``pivots[k]`` is the diagonal entry met at step k, before any row swap;
+    the inverse is None when the matrix is singular.  Rows are swapped only
+    past a zero pivot, so while every pivot is nonzero ``pivots[k]`` is the
+    ratio of the leading principal minors of sizes k+1 and k, and all
+    pivots are positive exactly when all leading principal minors are.
+    """
     n = len(rows)
     aug = [[rat(rows[i][j]) for j in range(n)] + [rat(1 if k == i else 0) for k in range(n)] for i in range(n)]
+    pivots = []
     for col in range(n):
+        pivots.append(aug[col][col])
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
-            return None
+            return None, pivots
         aug[col], aug[piv] = aug[piv], aug[col]
         inv_p = rat(1) / aug[col][col]
         aug[col] = [x * inv_p for x in aug[col]]
@@ -62,26 +72,7 @@ def _rational_inverse(rows):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _leading_minors_positive(rows) -> bool:
-    n = len(rows)
-    work = [[rat(rows[i][j]) for j in range(n)] for i in range(n)]
-    # fraction-free-enough: track determinant of each leading block by elimination
-    det = rat(1)
-    for k in range(n):
-        if work[k][k] == 0:
-            return False
-        det = det * work[k][k]
-        if det <= 0:
-            return False
-        inv_p = rat(1) / work[k][k]
-        for i in range(k + 1, n):
-            f = work[i][k] * inv_p
-            for j in range(k, n):
-                work[i][j] = work[i][j] - f * work[k][j]
-    return True
+    return [row[n:] for row in aug], pivots
 
 
 # ----------------------------------------------------------------------
@@ -92,20 +83,35 @@ def mat_mul(a: Sequence[Sequence[Jet]], b: Sequence[Sequence[Jet]], cap: int) ->
     """Matrix product with every jet product capped at degree ``cap``.
 
     Entries come back at the ambient order of ``a``'s entries so they mix
-    freely with uncapped jets; their validity is bounded by ``cap``.
+    freely with uncapped jets; their validity is bounded by ``cap``.  A
+    product with a zero factor has no terms and is skipped, but its
+    validity and exactness still bound the entry's.
     """
     n = len(a)
     m = len(b[0])
     inner = len(b)
+    dim = a[0][0].dim
     ambient = a[0][0].order
     out = []
     for i in range(n):
         row = []
         for j in range(m):
             acc = None
+            # flags of the skipped products, as _mul_capped would set them
+            veff, exact = _INF, True
             for k in range(inner):
-                p = _mul_capped(a[i][k], b[k][j], cap).lifted(ambient)
+                x, y = a[i][k], b[k][j]
+                if x.is_zero or y.is_zero:
+                    dropped = x.max_degree() + y.max_degree() > cap
+                    if not (x.exact and y.exact) or dropped:
+                        veff, exact = min(veff, x._veff, y._veff, cap), False
+                    continue
+                p = _mul_capped(x, y, cap).lifted(ambient)
                 acc = p if acc is None else acc + p
+            if acc is None:
+                acc = Jet._raw(dim, ambient, veff, exact, {})
+            elif not exact:
+                acc = acc._flagged(min(acc._veff, veff), False)
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
@@ -121,7 +127,7 @@ def series_matrix_inverse(g: Matrix, target_valid: int) -> Matrix:
     dim = g[0][0].dim
     order = g[0][0].order
     g0 = [[entry.constant_term() for entry in row] for row in g]
-    g0inv = _rational_inverse(g0)
+    g0inv, _ = _eliminate(g0)
     if g0inv is None:
         raise DegenerateMetricError("degenerate metric at origin")
     x: Matrix = tuple(
@@ -141,9 +147,7 @@ def series_matrix_inverse(g: Matrix, target_valid: int) -> Matrix:
         x = mat_mul(x, corr, v)
     # Newton's convergence degree, not the muls' bookkeeping, bounds validity
     valid = min(target_valid, min(e._veff for row in g for e in row))
-    return tuple(
-        tuple(Jet._raw(dim, order, valid, False, e._grades) for e in row) for row in x
-    )
+    return tuple(tuple(e._flagged(valid, False) for e in row) for row in x)
 
 
 def series_determinant(mat: Matrix) -> Jet:
@@ -246,11 +250,11 @@ class MetricJet:
                     raise DegenerateMetricError(
                         f"metric not Hermitian: entry ({i + 1},{j + 1})"
                     )
-        g0 = [[e.constant_term() for e in row] for row in g]
-        if _rational_inverse(g0) is None:
+        g0inv, pivots = _eliminate([[e.constant_term() for e in row] for row in g])
+        if g0inv is None:
             raise DegenerateMetricError("degenerate metric at origin")
-        # Sylvester's criterion; g0 is symmetric by the Hermitian check above
-        if not _leading_minors_positive(g0):
+        # Sylvester's criterion; g(0) is symmetric by the Hermitian check above
+        if not all(p > 0 for p in pivots):
             raise DegenerateMetricError("metric not positive definite at origin")
 
     @property
@@ -273,11 +277,8 @@ def metric_from_potential(phi: Jet) -> MetricJet:
             "potential must be valid at least to degree 2", required_order=2
         )
     n = phi.dim
-    g = tuple(
-        tuple(phi.diff_hol(i + 1).diff_anti(j + 1) for j in range(n))
-        for i in range(n)
-    )
-    return MetricJet(g)
+    rows = (phi.diff_hol(i + 1) for i in range(n))
+    return MetricJet(tuple(tuple(d.diff_anti(j + 1) for j in range(n)) for d in rows))
 
 
 # ----------------------------------------------------------------------
@@ -301,10 +302,8 @@ def ricci(m: MetricJet) -> Matrix:
     det_unit = det.scale(rat(1) / c0)  # log of the positive constant drops out
     logdet = det_unit.log1()
     n = m.dim
-    return tuple(
-        tuple(-(logdet.diff_hol(i + 1).diff_anti(j + 1)) for j in range(n))
-        for i in range(n)
-    )
+    rows = (logdet.diff_hol(i + 1) for i in range(n))
+    return tuple(tuple(-(d.diff_anti(j + 1)) for j in range(n)) for d in rows)
 
 
 def ricci_contracted(m: MetricJet, cap: int | None = None) -> Matrix:
@@ -459,7 +458,7 @@ def pullback(phi: Jet, components: Sequence[Jet]) -> Jet:
         total = total + prod.scale(c)
     valid = min(limit, total._veff, order)
     exact = total.exact and phi.exact
-    return Jet._raw(src_dim, order, valid, exact, total._grades)
+    return total._flagged(valid, exact)
 
 
 def to_normal_coordinates(phi: Jet) -> Jet:

@@ -13,6 +13,16 @@ monomial product is a single integer addition; coefficients are grouped by
 total degree, which lets every product skip pairs beyond the truncation
 order without per-pair degree checks.
 
+A jet stores its coefficients as Python-int numerators over one positive
+integer ``den`` shared by all of them, so every ring and calculus kernel
+runs on ints and normalises once, at its end, instead of once per
+coefficient.  The stored form is canonical: no zero numerator, no empty
+degree, ``gcd(den, every numerator) == 1`` and ``den == 1`` for the zero
+jet.  Two jets with the same coefficients therefore store the same
+numerators and ``den``, and ``==`` compares them structurally.  Rationals
+appear only at the boundary (:meth:`Jet.coefficient`, :meth:`Jet.terms`
+and the methods built on them).
+
 :class:`UniSeries` is the univariate analogue, used for radial profiles
 f(t) with potential f(|z|^2) and by the independent radial-reduction oracle.
 """
@@ -129,9 +139,13 @@ class Jet:
     Instances are immutable; all operations return new jets.  Arithmetic
     requires matching ``dim`` and ``order`` (use :meth:`truncated` to move a
     jet to a lower order first).
+
+    The coefficient of the monomial packed as ``key`` in total degree ``d``
+    is ``_grades[d][key] / den``, an int over the jet's common denominator,
+    kept in the canonical form of the module docstring.
     """
 
-    __slots__ = ("dim", "order", "valid", "exact", "_grades")
+    __slots__ = ("dim", "order", "valid", "exact", "_grades", "den")
 
     def __init__(self, dim, order, terms: Iterable[tuple[BiIndex, object]] = ()):
         """Exact polynomial jet from (BiIndex, coefficient) terms.
@@ -167,13 +181,22 @@ class Jet:
                 del bucket[key]
             else:
                 bucket[key] = val
+        # the lcm of reduced denominators leaves no common factor: canonical
+        den = math.lcm(*{c.denominator for b in grades.values() for c in b.values()})
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "valid", order)
         object.__setattr__(self, "exact", True)
         object.__setattr__(
-            self, "_grades", {d: b for d, b in grades.items() if b}
+            self,
+            "_grades",
+            {
+                d: {k: int(c.numerator * (den // c.denominator)) for k, c in b.items()}
+                for d, b in grades.items()
+                if b
+            },
         )
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("Jet instances are immutable")
@@ -182,14 +205,37 @@ class Jet:
     # construction helpers
 
     @staticmethod
-    def _raw(dim, order, valid, exact, grades) -> "Jet":
+    def _raw(dim, order, valid, exact, grades, den=1) -> "Jet":
+        """Jet over numerators already in canonical form with ``den``."""
         jet = Jet.__new__(Jet)
         object.__setattr__(jet, "dim", dim)
         object.__setattr__(jet, "order", order)
         object.__setattr__(jet, "valid", min(valid, order) if not exact else order)
         object.__setattr__(jet, "exact", exact)
         object.__setattr__(jet, "_grades", grades)
+        object.__setattr__(jet, "den", den)
         return jet
+
+    @staticmethod
+    def _reduced(dim, order, valid, exact, grades, den) -> "Jet":
+        """Jet over nonzero numerators in nonempty degrees, divided first by
+        their common factor with ``den``."""
+        if den != 1:
+            g = den
+            for bucket in grades.values():
+                g = math.gcd(g, *bucket.values())
+                if g == 1:
+                    break
+            if g != 1:
+                den //= g
+                grades = {
+                    d: {k: c // g for k, c in b.items()} for d, b in grades.items()
+                }
+        return Jet._raw(dim, order, valid, exact, grades, den)
+
+    def _flagged(self, valid, exact) -> "Jet":
+        """The same coefficients under new validity flags."""
+        return Jet._raw(self.dim, self.order, valid, exact, self._grades, self.den)
 
     @classmethod
     def zero(cls, dim, order) -> "Jet":
@@ -243,16 +289,14 @@ class Jet:
 
     def coefficient(self, bi: BiIndex):
         bi = BiIndex(tuple(bi[0]), tuple(bi[1]))
-        bucket = self._grades.get(bi.degree)
-        if not bucket:
-            return ZERO
-        return bucket.get(_pack_bi(bi), ZERO)
+        c = self._grades.get(bi.degree, {}).get(_pack_bi(bi))
+        return ZERO if c is None else rat(c, self.den)
 
     def constant_term(self):
         bucket = self._grades.get(0)
         if not bucket:
             return ZERO
-        return next(iter(bucket.values()))
+        return rat(next(iter(bucket.values())), self.den)
 
     def terms(self) -> Iterator[tuple[BiIndex, object]]:
         """Deterministic (BiIndex, coefficient) iteration, graded z1-major."""
@@ -260,7 +304,8 @@ class Jet:
         for d in sorted(self._grades):
             for key, c in self._grades[d].items():
                 exps = _unpack(key, 2 * self.dim)
-                out.append((BiIndex(exps[: self.dim], exps[self.dim :]), c))
+                bi = BiIndex(exps[: self.dim], exps[self.dim :])
+                out.append((bi, rat(c, self.den)))
         out.sort(key=lambda item: _sort_key(item[0]))
         return iter(out)
 
@@ -289,20 +334,27 @@ class Jet:
         if not isinstance(other, Jet):
             return NotImplemented
         self._check_compat(other)
-        grades = {d: dict(b) for d, b in self._grades.items()}
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        if fa == 1:
+            grades = {d: dict(b) for d, b in self._grades.items()}
+        else:
+            grades = {
+                d: {k: c * fa for k, c in b.items()} for d, b in self._grades.items()
+            }
         for d, b in other._grades.items():
             tgt = grades.setdefault(d, {})
             for key, c in b.items():
                 prev = tgt.get(key)
-                val = c if prev is None else prev + c
+                val = c * fb if prev is None else prev + c * fb
                 if val == 0:
-                    tgt.pop(key, None)
+                    del tgt[key]
                 else:
                     tgt[key] = val
         grades = {d: b for d, b in grades.items() if b}
         exact = self.exact and other.exact
         valid = min(self._veff, other._veff)
-        return Jet._raw(self.dim, self.order, valid, exact, grades)
+        return Jet._reduced(self.dim, self.order, valid, exact, grades, den)
 
     def __sub__(self, other):
         if not isinstance(other, Jet):
@@ -311,14 +363,16 @@ class Jet:
 
     def __neg__(self):
         grades = {d: {k: -c for k, c in b.items()} for d, b in self._grades.items()}
-        return Jet._raw(self.dim, self.order, self.valid, self.exact, grades)
+        return Jet._raw(self.dim, self.order, self.valid, self.exact, grades, self.den)
 
     def scale(self, c) -> "Jet":
         c = rat(c)
         if c == 0:
             return Jet._raw(self.dim, self.order, self.valid, self.exact, {})
-        grades = {d: {k: c * v for k, v in b.items()} for d, b in self._grades.items()}
-        return Jet._raw(self.dim, self.order, self.valid, self.exact, grades)
+        p = int(c.numerator)
+        grades = {d: {k: p * v for k, v in b.items()} for d, b in self._grades.items()}
+        den = self.den * int(c.denominator)
+        return Jet._reduced(self.dim, self.order, self.valid, self.exact, grades, den)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
@@ -337,7 +391,7 @@ class Jet:
             raise IndexRangeError(f"variable index {i} outside 1..{self.dim}")
         pos = slot_offset + (i - 1)
         shift = _SHIFT * pos
-        grades: dict[int, dict[int, object]] = {}
+        grades: dict[int, dict[int, int]] = {}
         for d, bucket in self._grades.items():
             for key, c in bucket.items():
                 e = (key >> shift) & _MASK
@@ -345,7 +399,7 @@ class Jet:
                     continue
                 grades.setdefault(d - 1, {})[key - (1 << shift)] = c * e
         valid = self.valid if self.exact else max(self.valid - 1, -1)
-        return Jet._raw(self.dim, self.order, valid, self.exact, grades)
+        return Jet._reduced(self.dim, self.order, valid, self.exact, grades, self.den)
 
     def diff_hol(self, i: int) -> "Jet":
         """Formal d/dz_i; validity drops by one unless the jet is exact."""
@@ -381,9 +435,7 @@ class Jet:
         if u.is_zero:
             # constant jet: the inverse is exact
             out = Jet.constant(self.dim, self.order, rat(1) / c0)
-            return Jet._raw(
-                self.dim, self.order, self.valid, self.exact, out._grades
-            )
+            return out._flagged(self.valid, self.exact)
         geo = _entire_series(u, lambda m: rat((-1) ** m), self._veff)
         geo = geo + Jet.one(self.dim, self.order)
         return geo.scale(rat(1) / c0)
@@ -402,7 +454,7 @@ class Jet:
         kept_slots = [i - 1 for i in keep] + [self.dim + i - 1 for i in keep]
         all_slots = set(range(2 * self.dim))
         dropped = sorted(all_slots - set(kept_slots))
-        grades: dict[int, dict[int, object]] = {}
+        grades: dict[int, dict[int, int]] = {}
         for d, bucket in self._grades.items():
             for key, c in bucket.items():
                 if any((key >> (_SHIFT * pos)) & _MASK for pos in dropped):
@@ -411,12 +463,14 @@ class Jet:
                 for new_pos, pos in enumerate(kept_slots):
                     new_key |= ((key >> (_SHIFT * pos)) & _MASK) << (_SHIFT * new_pos)
                 grades.setdefault(d, {})[new_key] = c
-        return Jet._raw(new_dim, self.order, self.valid, self.exact, grades)
+        return Jet._reduced(
+            new_dim, self.order, self.valid, self.exact, grades, self.den
+        )
 
     def flip_anti_sign(self) -> "Jet":
         """Substitute zb -> -zb: each coefficient times (-1)^(anti degree)."""
         n = self.dim
-        grades: dict[int, dict[int, object]] = {}
+        grades: dict[int, dict[int, int]] = {}
         for d, bucket in self._grades.items():
             tgt = grades.setdefault(d, {})
             for key, c in bucket.items():
@@ -424,25 +478,27 @@ class Jet:
                     (key >> (_SHIFT * pos)) & _MASK for pos in range(n, 2 * n)
                 )
                 tgt[key] = -c if anti_deg % 2 else c
-        return Jet._raw(self.dim, self.order, self.valid, self.exact, grades)
+        return Jet._raw(self.dim, self.order, self.valid, self.exact, grades, self.den)
 
     def conj(self) -> "Jet":
         """Swap holomorphic and antiholomorphic exponents (coefficients are
         rational, hence fixed by conjugation)."""
         n = self.dim
-        grades: dict[int, dict[int, object]] = {}
+        grades: dict[int, dict[int, int]] = {}
         for d, bucket in self._grades.items():
             tgt = grades.setdefault(d, {})
             for key, c in bucket.items():
                 lo = key & ((1 << (_SHIFT * n)) - 1)
                 hi = key >> (_SHIFT * n)
                 tgt[hi | (lo << (_SHIFT * n))] = c
-        return Jet._raw(self.dim, self.order, self.valid, self.exact, grades)
+        return Jet._raw(self.dim, self.order, self.valid, self.exact, grades, self.den)
 
     def drop_constant(self) -> "Jet":
         """Remove the constant coefficient (potentials are defined mod constants)."""
         grades = {d: b for d, b in self._grades.items() if d != 0}
-        return Jet._raw(self.dim, self.order, self.valid, self.exact, grades)
+        return Jet._reduced(
+            self.dim, self.order, self.valid, self.exact, grades, self.den
+        )
 
     def truncated(self, new_order: int) -> "Jet":
         """Copy truncated to a lower order."""
@@ -452,7 +508,7 @@ class Jet:
         grades = {d: dict(b) for d, b in self._grades.items() if d <= new_order}
         exact = self.exact and not dropped
         valid = min(self._veff, new_order) if not exact else new_order
-        return Jet._raw(self.dim, new_order, valid, exact, grades)
+        return Jet._reduced(self.dim, new_order, valid, exact, grades, self.den)
 
     def lifted(self, new_order: int) -> "Jet":
         """Copy at a higher nominal order; validity is unchanged, so the new
@@ -462,7 +518,7 @@ class Jet:
         if new_order > MAX_ORDER:
             raise DegreeOverflowError(f"order must be <= {MAX_ORDER}")
         grades = {d: dict(b) for d, b in self._grades.items()}
-        return Jet._raw(self.dim, new_order, self.valid, self.exact, grades)
+        return Jet._raw(self.dim, new_order, self.valid, self.exact, grades, self.den)
 
     # ------------------------------------------------------------------
     # comparison and text form
@@ -476,8 +532,15 @@ class Jet:
         limit = min(self._veff, other._veff, self.order, other.order)
         if through is not None:
             limit = min(limit, through)
+        da, db = self.den, other.den
         for d in range(0, limit + 1):
-            if self._grades.get(d, {}) != other._grades.get(d, {}):
+            ga, gb = self._grades.get(d, {}), other._grades.get(d, {})
+            if da == db:
+                if ga != gb:
+                    return False
+            elif ga.keys() != gb.keys() or any(
+                c * db != gb[k] * da for k, c in ga.items()
+            ):
                 return False
         return True
 
@@ -487,6 +550,7 @@ class Jet:
         return (
             self.dim == other.dim
             and self.order == other.order
+            and self.den == other.den
             and self._grades == other._grades
         )
 
@@ -533,7 +597,7 @@ def _mul_capped(a: Jet, b: Jet, out_order: int) -> Jet:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
     out_order = min(out_order, MAX_ORDER)
-    grades: dict[int, dict[int, object]] = {}
+    grades: dict[int, dict[int, int]] = {}
     for da, bucket_a in a._grades.items():
         if da > out_order:
             continue
@@ -556,7 +620,7 @@ def _mul_capped(a: Jet, b: Jet, out_order: int) -> Jet:
     dropped = a.max_degree() + b.max_degree() > out_order
     exact = a.exact and b.exact and not dropped
     valid = min(a._veff, b._veff, out_order)
-    return Jet._raw(a.dim, out_order, valid, exact, grades)
+    return Jet._reduced(a.dim, out_order, valid, exact, grades, a.den * b.den)
 
 
 def _entire_series(u: Jet, coeff_of_m, veff_in: int) -> Jet:
@@ -576,7 +640,7 @@ def _entire_series(u: Jet, coeff_of_m, veff_in: int) -> Jet:
         power = _mul_capped(power, u, order)
         total = total + power.scale(coeff_of_m(m))
     # composition with an entire series preserves validity
-    return Jet._raw(u.dim, order, min(veff_in, order), False, total._grades)
+    return total._flagged(min(veff_in, order), False)
 
 
 def substitute(f: "UniSeries", arg: Jet) -> Jet:
@@ -612,7 +676,7 @@ def substitute(f: "UniSeries", arg: Jet) -> Jet:
     else:
         mindeg = max(arg.min_degree(), 1)
         valid = min(valid, (f.order + 1) * mindeg - 1)
-    return Jet._raw(arg.dim, order, valid, exact, out._grades)
+    return out._flagged(valid, exact)
 
 
 class UniSeries:

@@ -123,14 +123,14 @@ class _OriginValues:
         self.terms = [
             [
                 sorted(
-                    _bidegree(key, n) + (key, c)
-                    for d, bucket in m.g_inv[a][b]._grades.items()
+                    _bidegree(key, n) + (key, rat(c, x.den))
+                    for d, bucket in x._grades.items()
                     if d <= m.valid
                     for key, c in bucket.items()
                 )
-                for b in range(n)
+                for x in row
             ]
-            for a in range(n)
+            for row in m.g_inv
         ]
         # packed key of z_b zb_a, the monomial d_b dbar_a divides out
         self.units = [
@@ -203,8 +203,9 @@ def _memo(m: MetricJet, dim: int) -> _OriginValues:
 def powers_at_origin(m: MetricJet, phi: Jet, kmax: int) -> list:
     """[Lap^1 phi(0), ..., Lap^kmax phi(0)] for the Kahler Laplacian of m.
 
-    Sums the memoised monomial values over the terms of phi; the memo lives
-    on ``m`` and is shared by every call on it.
+    Sums the memoised monomial values against the numerators of phi, then
+    divides by its denominator once; the memo lives on ``m`` and is shared
+    by every call on it.
     """
     require_budget(m, phi, kmax)
     origin = _memo(m, phi.dim)
@@ -214,7 +215,7 @@ def powers_at_origin(m: MetricJet, phi: Jet, kmax: int) -> list:
             for s, v in enumerate(origin.powers(key, kmax)):
                 if v:
                     values[s] += c * v
-    return values
+    return values if phi.den == 1 else [v / phi.den for v in values]
 
 
 def monomial_powers_at_origin(
@@ -245,17 +246,21 @@ def monomial_moment(bi: BiIndex):
 
 def euclidean_moments(phi: Jet, kmax: int) -> list:
     """[Lapc^j phi(0)] for j = 1..kmax, summed in closed form over the
-    balanced terms of phi."""
+    numerators of the balanced terms of phi, then divided by its
+    denominator once."""
     if not phi.exact and phi.valid < 2 * kmax:
         raise InsufficientOrderError(
             "validity exhausted: the jet no longer determines its value at 0"
         )
+    n = phi.dim
     values = [ZERO] * kmax
-    for bi, c in phi.terms():
-        j = sum(bi.hol)
-        if 1 <= j <= kmax:
-            values[j - 1] += c * monomial_moment(bi)
-    return values
+    for j in range(1, kmax + 1):
+        for key, c in phi._grades.get(2 * j, {}).items():
+            exps = _unpack(key, 2 * n)
+            hol, anti = exps[:n], exps[n:]
+            if hol == anti:
+                values[j - 1] += c * monomial_moment(BiIndex(hol, anti))
+    return values if phi.den == 1 else [v / phi.den for v in values]
 
 
 # ----------------------------------------------------------------------
@@ -376,13 +381,13 @@ def third_power_rhs(m: MetricJet, phi: Jet):
     if weights is None:
         weights = m._third_power_weights = _third_power_weights(m)
     mom = euclidean_moments(phi, 3)
-    total = mom[2] + 3 * lam * mom[1] + lam * lam * mom[0]
+    acc = ZERO
     for bucket in phi._grades.values():
         for key, c in bucket.items():
             w = weights.get(key)
             if w is not None:
-                total += c * w
-    return total
+                acc += c * w
+    return mom[2] + 3 * lam * mom[1] + lam * lam * mom[0] + acc / phi.den
 
 
 def third_power_check(m: MetricJet, phi: Jet) -> PowerIdentity:

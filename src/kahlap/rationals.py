@@ -1,9 +1,10 @@
 """Exact rational coefficient type.
 
 All series coefficients in this package are arbitrary-precision rationals.
-gmpy2's mpq is used when available (it is several times faster than
-fractions.Fraction on the dense convolutions in :mod:`kahlap.jets`); the
-stdlib Fraction is a drop-in fallback.
+A :class:`kahlap.jets.Jet` keeps them as int numerators over one common
+denominator and builds rationals only at its boundary; those rationals,
+and the origin values built from them, are gmpy2's mpq when available and
+the stdlib Fraction otherwise.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from kahlap.geometry import (
     NormalizationError,
     einstein_data,
     in_normal_coordinates,
+    mat_mul,
     matrices_agree,
     metric_from_potential,
     normality_report,
@@ -25,10 +26,11 @@ from kahlap.geometry import (
     ricci,
     ricci_contracted,
     series_determinant,
+    series_matrix_inverse,
     to_normal_coordinates,
     trace_identity_check,
 )
-from kahlap.jets import BiIndex, Jet
+from kahlap.jets import BiIndex, Jet, _mul_capped
 from kahlap.rationals import rat
 
 
@@ -74,8 +76,30 @@ def test_degenerate_metric_rejected():
     z1 = Jet.variable(2, 4, 1)
     z2 = Jet.variable(2, 4, 2)
     s = z1 + z2
-    with pytest.raises(DegenerateMetricError):
+    with pytest.raises(DegenerateMetricError, match="^degenerate metric at origin$"):
         metric_from_potential(s * s.conj())
+    m = metric_from_potential(Jet.abs_square_sum(2, 4))
+    singular = ((m.g[0][0], m.g[0][0]), (m.g[0][0], m.g[0][0]))
+    with pytest.raises(DegenerateMetricError, match="^degenerate metric at origin$"):
+        series_matrix_inverse(singular, 2)
+
+
+@pytest.mark.parametrize(
+    "potential_jet",
+    [
+        # g(0) = -1
+        -Jet.abs_square_sum(1, 4),
+        # g(0) = diag(1, -1): pivots 1, -1
+        Jet(2, 4, [(bi((1, 0), (1, 0)), 1), (bi((0, 1), (0, 1)), -1)]),
+        # g(0) = [[0, 1], [1, 0]]: invertible only after a row swap
+        Jet(2, 4, [(bi((1, 0), (0, 1)), 1), (bi((0, 1), (1, 0)), 1)]),
+    ],
+)
+def test_indefinite_metric_rejected(potential_jet):
+    with pytest.raises(
+        DegenerateMetricError, match="^metric not positive definite at origin$"
+    ):
+        metric_from_potential(potential_jet)
 
 
 def test_metric_inverse_identity_property():
@@ -90,6 +114,30 @@ def test_metric_inverse_identity_property():
                     acc = p if acc is None else acc + p
                 target = Jet.constant(acc.dim, acc.order, 1 if i == j else 0)
                 assert acc.agrees(target)
+
+
+@pytest.mark.parametrize("spec", [Polydisc(3), Product(Flat(1), Hyperbolic(1))])
+def test_mat_mul_skips_zero_products_but_keeps_their_flags(spec):
+    m = metric_from_potential(potential(spec, 8))
+    n, order = m.dim, m.order
+    # exact entries: zeros, and a degree-6 diagonal that meets a zero
+    # factor above small caps
+    six = Jet.abs_square_sum(n, order) * Jet.abs_square_sum(n, order)
+    six = six * Jet.abs_square_sum(n, order)
+    e = tuple(
+        tuple(six if i == j else Jet.zero(n, order) for j in range(n)) for i in range(n)
+    )
+    for a, b in ((m.g, m.g_inv), (m.g_inv, m.g), (m.g, e), (e, m.g_inv), (e, e)):
+        for cap in range(order + 1):
+            got = mat_mul(a, b, cap)
+            for i in range(n):
+                for j in range(n):
+                    want = None
+                    for k in range(n):
+                        p = _mul_capped(a[i][k], b[k][j], cap).lifted(order)
+                        want = p if want is None else want + p
+                    assert got[i][j] == want
+                    assert (got[i][j].valid, got[i][j].exact) == (want.valid, want.exact)
 
 
 def test_metric_hermitian_symmetry(type1_metric_order8):

@@ -1,5 +1,8 @@
 """Jet ring arithmetic: documented examples plus randomized ring axioms."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
@@ -279,6 +282,143 @@ def test_flip_is_ring_homomorphism_and_involution(data):
     assert a.flip_anti_sign().flip_anti_sign() == a
     assert (a + b).flip_anti_sign() == a.flip_anti_sign() + b.flip_anti_sign()
     assert (a * b).flip_anti_sign() == a.flip_anti_sign() * b.flip_anti_sign()
+
+
+# ----------------------------------------------------------------------
+# the stored form: int numerators over one common denominator
+
+
+def assert_canonical(jet):
+    nums = [c for b in jet._grades.values() for c in b.values()]
+    assert all(jet._grades.values()), "empty degree stored"
+    assert all(type(c) is int and c != 0 for c in nums)
+    assert type(jet.den) is int and jet.den >= 1
+    assert math.gcd(jet.den, *nums) == 1
+    assert nums or jet.den == 1
+
+
+def ref(jet):
+    """{(hol, anti): Fraction} read through the public boundary."""
+    return {(b.hol, b.anti): Fraction(c) for b, c in jet.terms()}
+
+
+def ref_add(x, y, sign=1):
+    out = dict(x)
+    for k, c in y.items():
+        out[k] = out.get(k, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_mul(x, y, order):
+    out = {}
+    for (ha, aa), ca in x.items():
+        for (hb, ab), cb in y.items():
+            h = tuple(p + q for p, q in zip(ha, hb))
+            a = tuple(p + q for p, q in zip(aa, ab))
+            if sum(h) + sum(a) <= order:
+                out[(h, a)] = out.get((h, a), 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def ref_series(u, coeffs, order, dim):
+    """sum_m coeffs(m) * u^m for m = 0..order, u with zero constant term."""
+    total, power = {}, {((0,) * dim, (0,) * dim): Fraction(1)}
+    for m in range(order + 1):
+        total = ref_add(total, {k: coeffs(m) * c for k, c in power.items()})
+        power = ref_mul(power, u, order)
+    return total
+
+
+def ref_diff(x, i, anti):
+    out = {}
+    for (h, a), c in x.items():
+        v = list(a if anti else h)
+        e = v[i - 1]
+        if e:
+            v[i - 1] -= 1
+            out[(h, tuple(v)) if anti else (tuple(v), a)] = c * e
+    return out
+
+
+@st.composite
+def rational_jets(draw, dim, order, unit_constant=False):
+    """Exact jets with non-integer coefficients: a drawn jet times p/q."""
+    jet = draw(jets(dim=dim, order=order)).scale(
+        rat(draw(st.integers(-7, 7).filter(bool)), draw(st.integers(2, 12)))
+    )
+    if unit_constant:
+        jet = jet.drop_constant() + Jet.one(dim, order)
+    return jet
+
+
+@seed(20201030)
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kernels_match_fraction_reference_and_stay_canonical(data):
+    dim = data.draw(st.integers(1, 2))
+    order = data.draw(st.integers(3, 5))
+    a = data.draw(rational_jets(dim, order))
+    b = data.draw(rational_jets(dim, order))
+    c = rat(data.draw(st.integers(-9, 9)), data.draw(st.integers(1, 8)))
+    i = data.draw(st.integers(1, dim))
+    cut = data.draw(st.integers(0, order))
+    keep = data.draw(st.sets(st.integers(1, dim), min_size=1))
+    ra, rb = ref(a), ref(b)
+    kept = sorted(keep)
+    cases = [
+        (Jet(dim, order, a.terms()), ra),
+        (a + b, ref_add(ra, rb)),
+        (a - b, ref_add(ra, rb, -1)),
+        (a.scale(c), {k: c * v for k, v in ra.items() if c}),
+        (a * b, ref_mul(ra, rb, order)),
+        (a.diff_hol(i), ref_diff(ra, i, anti=False)),
+        (a.diff_anti(i), ref_diff(ra, i, anti=True)),
+        (a.truncated(cut), {(h, e): v for (h, e), v in ra.items() if sum(h + e) <= cut}),
+        (
+            a.restrict(keep),
+            {
+                (tuple(h[j - 1] for j in kept), tuple(e[j - 1] for j in kept)): v
+                for (h, e), v in ra.items()
+                if all(h[j] == e[j] == 0 for j in range(dim) if j + 1 not in keep)
+            },
+        ),
+        (a.conj(), {(e, h): v for (h, e), v in ra.items()}),
+        (a.flip_anti_sign(), {(h, e): (-1) ** sum(e) * v for (h, e), v in ra.items()}),
+        (a.drop_constant(), {(h, e): v for (h, e), v in ra.items() if sum(h + e)}),
+    ]
+    u = data.draw(rational_jets(dim, order, unit_constant=True))
+    ru = ref_add(ref(u), {((0,) * dim, (0,) * dim): Fraction(1)}, -1)  # u - 1
+    log = ref_series(ru, lambda m: Fraction((-1) ** (m + 1), m) if m else 0, order, dim)
+    cases.append((u.log1(), log))
+    # (c0 u)^-1 = (1/c0) * sum_m (-(u - 1))^m
+    c0 = c or rat(1, 3)
+    geo = ref_series(ru, lambda m: (-1) ** m, order, dim)
+    cases.append((u.scale(c0).inv1(), {k: v / c0 for k, v in geo.items()}))
+    for got, want in cases:
+        assert_canonical(got)
+        assert ref(got) == want
+
+
+def test_equal_coefficients_written_differently_are_equal():
+    t = bi((1,), (1,))
+    half = Jet(1, 4, [(t, rat(1, 2))])
+    assert Jet.from_text(1, 4, "2/4  1|1") == half
+    assert Jet(1, 4, [(t, rat(3, 2))]) - Jet(1, 4, [(t, 1)]) == half
+    assert t_power(1, 4).scale(rat(3, 6)) == half
+    assert (half.scale(4) - t_power(1, 4)).scale(rat(1, 2)) == half
+    assert half.scale(2) == t_power(1, 4) and half.scale(2).den == 1
+    assert half.agrees(t_power(1, 4).scale(rat(2, 4)))
+
+
+def test_agrees_across_denominators():
+    t, t2 = bi((1,), (1,)), bi((2,), (2,))
+    a = Jet(1, 4, [(t, rat(1, 2)), (t2, rat(1, 3))])
+    b = Jet(1, 4, [(t, rat(1, 2)), (t2, rat(1, 5))])
+    assert (a.den, b.den) == (6, 10)
+    assert a.agrees(b, 2) and b.agrees(a, 3)
+    assert not a.agrees(b) and not b.agrees(a, 4)
+    assert a != b and a.truncated(2) == b.truncated(2)
+    assert a.truncated(2).den == 2 and not a.agrees(b.scale(2), 2)
 
 
 def test_mul_validity_formula():
