@@ -44,7 +44,7 @@ from .laplacian import (
     second_power_check,
     third_power_check,
 )
-from .rationals import ZERO, rat_str
+from .rationals import ZERO, rat_pretty, rat_str
 
 
 class _UsageError(KahlapError):
@@ -169,7 +169,7 @@ def _render_check_text(doc: dict) -> str:
     )
     e = doc["einstein"]
     lines.append(
-        f"einstein: {e['is_einstein']} (lambda = {_pretty(e['lambda'])}, "
+        f"einstein: {e['is_einstein']} (lambda = {rat_pretty(e['lambda'])}, "
         f"checked through degree {e['checked_degree']})"
     )
     lines.append(f"note: {doc['family_note']}")
@@ -181,33 +181,24 @@ def _render_check_text(doc: dict) -> str:
             lines.append(
                 f"k={v['k']}: refuted by ({w['first']['monomial']}, "
                 f"{w['second']['monomial']}) with operator values "
-                f"{_pretty(w['first']['kahler_value'])} and "
-                f"{_pretty(w['second']['kahler_value'])}"
+                f"{rat_pretty(w['first']['kahler_value'])} and "
+                f"{rat_pretty(w['second']['kahler_value'])}"
             )
         else:
             lines.append(f"k={v['k']}: {v['status']} {v.get('note', '')}".rstrip())
     rep = doc.get("reproduction")
     if rep:
         lines.append(
-            f"k=3 reference values: lambda={_pretty(rep['lambda'])}, "
-            f"D^3(|z1|^4)(0)={_pretty(rep['d3_z1_4'])}"
+            f"k=3 reference values: lambda={rat_pretty(rep['lambda'])}, "
+            f"D^3(|z1|^4)(0)={rat_pretty(rep['d3_z1_4'])}"
             + (
-                f", D^3(|z1 z2|^2)(0)={_pretty(rep['d3_z1z2_sq'])}, "
+                f", D^3(|z1 z2|^2)(0)={rat_pretty(rep['d3_z1z2_sq'])}, "
                 f"doubling relation holds: {rep['relation_holds']}"
                 if rep["d3_z1z2_sq"] is not None
                 else ""
             )
         )
     return "\n".join(lines)
-
-
-def _pretty(ratstr: str | None) -> str:
-    if ratstr is None:
-        return "?"
-    head, sep, den = ratstr.partition("/")
-    if sep and den == "1":
-        return head
-    return ratstr
 
 
 def cmd_check(args) -> tuple[int, dict]:
@@ -507,19 +498,12 @@ def _render_reproduce_text(doc: dict) -> str:
     for inst in doc["instances"]:
         name = inst.get("spec") or inst.get("pair")
         status = "pass" if inst["passed"] else "FAIL"
-        detail = []
-        for key in (
-            "lambda",
-            "d3_z1_4",
-            "d3_z1z2_sq",
-            "six_lambda",
-            "magnitude",
-            "inferred_p2",
-            "pairs_checked",
-        ):
-            if key in inst and inst[key] is not None:
-                val = inst[key]
-                detail.append(f"{key}={_pretty(val) if isinstance(val, str) else val}")
+        rationals = ("lambda", "d3_z1_4", "d3_z1z2_sq", "six_lambda", "magnitude")
+        detail = [
+            f"{key}={rat_pretty(inst[key]) if key in rationals else inst[key]}"
+            for key in rationals + ("inferred_p2", "pairs_checked")
+            if inst.get(key) is not None
+        ]
         lines.append(f"  {name}: {status}" + (f" ({', '.join(detail)})" if detail else ""))
     lines.append("suite: " + ("pass" if doc["passed"] else "FAIL"))
     return "\n".join(lines)
@@ -557,7 +541,7 @@ def cmd_catalog(args) -> tuple[int, dict]:
 def _render_catalog_text(doc: dict) -> str:
     lines = [f"kahlap {doc['version']} catalog"]
     for e in doc["entries"]:
-        lam = _pretty(e["lambda"]) if e["lambda"] else "-"
+        lam = rat_pretty(e["lambda"]) if e["lambda"] else "-"
         flags = []
         if e["optional"]:
             flags.append("optional")

@@ -97,13 +97,13 @@ def mat_mul(a: Sequence[Sequence[Jet]], b: Sequence[Sequence[Jet]], cap: int) ->
         row = []
         for j in range(m):
             acc = None
-            # flags of the skipped products, as _mul_capped would set them
+            # flags of the skipped products, as _mul_capped would set them:
+            # a zero product drops no degree, so it is exact when both are
             veff, exact = _INF, True
             for k in range(inner):
                 x, y = a[i][k], b[k][j]
                 if x.is_zero or y.is_zero:
-                    dropped = x.max_degree() + y.max_degree() > cap
-                    if not (x.exact and y.exact) or dropped:
+                    if not (x.exact and y.exact):
                         veff, exact = min(veff, x._veff, y._veff, cap), False
                     continue
                 p = _mul_capped(x, y, cap).lifted(ambient)

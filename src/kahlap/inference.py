@@ -20,7 +20,9 @@ rhs / m_j.  Two rows are incompatible exactly when one of them is in the
 zero class with a nonzero right-hand side, or both are in the same class
 with different normalised right-hand sides; one pass over the family finds
 the first such pair in family order.  When there is none, each class fixes
-its coefficient and a class without rows leaves it free.  Witness pairs are
+its coefficient and a class without rows leaves it free.  Rows that read
+0 = 0 (value and every moment 0; most unbalanced rows) are compatible with
+every row and fix nothing, so the pass skips them.  Witness pairs are
 re-validated independently at emission time (proportional moment vectors,
 incompatible right-hand sides).
 """
@@ -124,26 +126,27 @@ def build_test_family(n: int, k: int) -> TestFamily:
     if n < 1 or k < 1:
         raise KahlapError("family needs n >= 1 and k >= 1")
     max_support = min(n, 3)
-    vecs = _exponent_vectors(n, k)
-    entries = []
-    for alpha in vecs:
-        for beta in vecs:
-            bi = BiIndex(alpha, beta)
-            if bi.degree == 0:
-                continue
-            if len(bi.support()) > max_support:
-                continue
-            moments = [ZERO] * k
-            if alpha == beta:
-                moments[sum(alpha) - 1] = monomial_moment(bi)
-            entries.append(FamilyEntry(index=bi, moments=tuple(moments)))
-    entries.sort(
-        key=lambda e: (
-            e.index.degree,
-            tuple(-x for x in e.index.hol),
-            tuple(-x for x in e.index.anti),
-        )
+    # per exponent vector: its sum, its support bitmask, its negated sort key
+    vecs = [
+        (v, sum(v), sum(1 << i for i, e in enumerate(v) if e), tuple(-e for e in v))
+        for v in _exponent_vectors(n, k)
+    ]
+    rows = sorted(
+        ((da + db, na, nb), alpha, beta)
+        for alpha, da, ma, na in vecs
+        for beta, db, mb, nb in vecs
+        if da + db and (ma | mb).bit_count() <= max_support
     )
+    unbalanced = (ZERO,) * k
+    entries = []
+    for _, alpha, beta in rows:
+        bi = BiIndex(alpha, beta)
+        moments = unbalanced
+        if alpha == beta:
+            moments = [ZERO] * k
+            moments[sum(alpha) - 1] = monomial_moment(bi)
+            moments = tuple(moments)
+        entries.append(FamilyEntry(index=bi, moments=moments))
     return TestFamily(dim=n, max_k=k, entries=tuple(entries))
 
 
@@ -225,8 +228,12 @@ def infer(
     if kahler_values is None:
         table = kahler_value_table(m, family, k)
         kahler_values = [row[k - 1] for row in table]
-    keys = []  # (class, normalised rhs) per row; class None is the zero class
-    for entry, value in zip(family.entries, kahler_values):
+    # (position, class, normalised rhs) per row that does not read 0 = 0;
+    # class None is the zero class
+    rows = []
+    for pos, (entry, value) in enumerate(zip(family.entries, kahler_values)):
+        if not value and not any(entry.moments):
+            continue
         rhs = value - entry.moments[k - 1]
         slots = [j for j in range(k - 1) if entry.moments[j] != 0]
         if len(slots) > 1:
@@ -234,10 +241,10 @@ def infer(
                 f"row {entry.index.text()} has more than one nonzero moment"
             )
         if slots:
-            keys.append((slots[0], rhs / entry.moments[slots[0]]))
+            rows.append((pos, slots[0], rhs / entry.moments[slots[0]]))
         else:
-            keys.append((None, rhs))
-    pair = _first_refuting_pair(keys)
+            rows.append((pos, None, rhs))
+    pair = _first_refuting_pair(rows, len(family))
     if pair is not None:
         ea, eb = (family.entries[i] for i in pair)
         witness = Witness(
@@ -253,7 +260,7 @@ def infer(
                 note="inconsistent system without a two-row proportionality certificate",
             )
         return Verdict(k=k, status=REFUTED, witness=witness)
-    solution = {cls: value for cls, value in keys if cls is not None}
+    solution = {cls: value for _, cls, value in rows if cls is not None}
     free = tuple(j + 1 for j in range(k - 1) if j not in solution)
     if free:
         return Verdict(k=k, status=UNDERDETERMINED, free_indices=free)
@@ -266,21 +273,24 @@ def infer(
     )
 
 
-def _first_refuting_pair(keys) -> tuple[int, int] | None:
+def _first_refuting_pair(rows, size: int) -> tuple[int, int] | None:
     """Lexicographically first pair (a, b), a < b, of incompatible rows.
 
-    A zero-class row with a nonzero right-hand side refutes with any other
-    row, so its first occurrence at b yields (0, b); a class pairs its first
-    row with its first row of a different value.  Every other refuting pair
-    comes later in family order than one of these.
+    ``rows`` holds (position, class, value) in family order for the rows
+    of a family of ``size`` rows that do not read 0 = 0; the others are
+    compatible with every row.  A zero-class row with a nonzero right-hand
+    side refutes with any other row, so its first occurrence at b yields
+    (0, b); a class pairs its first row with its first row of a different
+    value.  Every other refuting pair comes later in family order than one
+    of these.
     """
     candidates = []
     first = {}
-    for pos, (cls, value) in enumerate(keys):
+    for pos, cls, value in rows:
         if cls is None:
             if value != 0:
                 # row 0 pairs with row 1, or with itself in a one-row family
-                candidates.append((0, pos) if pos else (0, min(1, len(keys) - 1)))
+                candidates.append((0, pos) if pos else (0, min(1, size - 1)))
                 break
             continue
         start, base = first.setdefault(cls, (pos, value))

@@ -109,6 +109,13 @@ class BiIndex(NamedTuple):
         return "*".join(parts) if parts else "1"
 
 
+def _check_shape(dim: int, order: int) -> None:
+    if dim < 1:
+        raise DimensionMismatchError("dim must be >= 1")
+    if not 0 <= order <= MAX_ORDER:
+        raise DegreeOverflowError(f"order must be in 0..{MAX_ORDER}, got {order}")
+
+
 def _pack(exponents: Sequence[int]) -> int:
     key = 0
     for pos, e in enumerate(exponents):
@@ -152,10 +159,7 @@ class Jet:
 
         Raises DegreeOverflowError if any term degree exceeds ``order``.
         """
-        if dim < 1:
-            raise DimensionMismatchError("dim must be >= 1")
-        if not 0 <= order <= MAX_ORDER:
-            raise DegreeOverflowError(f"order must be in 0..{MAX_ORDER}, got {order}")
+        _check_shape(dim, order)
         grades: dict[int, dict[int, object]] = {}
         for bi, c in terms:
             bi = BiIndex(tuple(bi[0]), tuple(bi[1]))
@@ -239,12 +243,15 @@ class Jet:
 
     @classmethod
     def zero(cls, dim, order) -> "Jet":
-        return cls(dim, order)
+        _check_shape(dim, order)
+        return Jet._raw(dim, order, order, True, {})
 
     @classmethod
     def constant(cls, dim, order, c) -> "Jet":
-        zero_vec = (0,) * dim
-        return cls(dim, order, [(BiIndex(zero_vec, zero_vec), c)])
+        _check_shape(dim, order)
+        c = rat(c)
+        grades = {0: {0: c.numerator}} if c else {}
+        return Jet._raw(dim, order, order, True, grades, c.denominator)
 
     @classmethod
     def one(cls, dim, order) -> "Jet":
@@ -617,7 +624,11 @@ def _mul_capped(a: Jet, b: Jet, out_order: int) -> Jet:
         d: {k: c for k, c in b.items() if c != 0} for d, b in grades.items()
     }
     grades = {d: b for d, b in grades.items() if b}
-    dropped = a.max_degree() + b.max_degree() > out_order
+    # a product with a zero factor is exactly zero: it drops no degree
+    dropped = (
+        not (a.is_zero or b.is_zero)
+        and a.max_degree() + b.max_degree() > out_order
+    )
     exact = a.exact and b.exact and not dropped
     valid = min(a._veff, b._veff, out_order)
     return Jet._reduced(a.dim, out_order, valid, exact, grades, a.den * b.den)

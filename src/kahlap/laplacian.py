@@ -20,6 +20,23 @@ value a call with ``kmax = k`` reads, and a value does not depend on the
 ``(packed monomial, s)`` and kept on the :class:`MetricJet`, serves every
 later call on that metric.
 
+A weight rule prunes the rest, exactly.  Let w(mu) = beta - alpha.  One
+step of the recursion through the term t of g_inv[a][b] takes mu to
+t * mu / (z_b zb_a), so it subtracts the step (t_hol - t_anti) + e_a - e_b
+from w; the recursion ends at 1, of weight 0.  A call at level j reads only
+terms of bidegree at most (j-1, j-1), so ``val(mu, s)`` is 0 unless w(mu)
+is a sum d_1 + ... + d_s in which each d_j is the step of such a term.
+The steps are read from the same term lists the
+recursion reads, so these reachable sets over-approximate the weights the
+recursion can meet, on any metric, and a monomial whose weight lies
+outside them is skipped without losing a nonzero value.  Circle and torus
+symmetries make the sets tiny: the one step 0 on hyp, fs and polydisc,
+where every unbalanced monomial is skipped; three steps on type1:2,2.
+Weights and steps are packed like monomial keys, with signed digits
+(``_pack(beta) - _pack(alpha)``).  Packing is additive, so a sum of steps
+packs to the sum of their packed forms, and a weight whose packed form is
+in no packed reachable set is in no reachable set.
+
 Euclidean moments need no iteration: Lapc^j (z^a zb^b)(0) is j! a! when
 a = b and |a| = j, and 0 otherwise, so a monomial's moment vector has at
 most one nonzero entry and :func:`euclidean_moments` reads it off the
@@ -47,6 +64,7 @@ from .jets import (
     InsufficientOrderError,
     Jet,
     KahlapError,
+    _SHIFT,
     _mul_capped,
     _pack,
     _pack_bi,
@@ -111,41 +129,68 @@ def kahler_laplacian(m: MetricJet, phi: Jet) -> Jet:
 
 class _OriginValues:
     """val(mu, s) = [Lap^s mu](0) for one metric, memoised by (packed
-    monomial, s); see the module docstring for the recursion."""
+    monomial, s) and pruned by weight; see the module docstring for the
+    recursion and the weight rule."""
 
-    __slots__ = ("dim", "terms", "units", "memo")
+    __slots__ = ("dim", "terms", "units", "memo", "reach")
 
     def __init__(self, m: MetricJet):
         n = m.dim
         self.dim = n
-        # per (a, b): the terms of g_inv[a][b] through the metric's validity,
-        # as (hol degree, anti degree, packed key, coefficient) by hol degree
-        self.terms = [
-            [
-                sorted(
-                    _bidegree(key, n) + (key, rat(c, x.den))
-                    for d, bucket in x._grades.items()
-                    if d <= m.valid
-                    for key, c in bucket.items()
-                )
-                for x in row
-            ]
-            for row in m.g_inv
-        ]
         # packed key of z_b zb_a, the monomial d_b dbar_a divides out
         self.units = [
             [_pack_bi(BiIndex(_units(n, b), _units(n, a))) for b in range(n)]
             for a in range(n)
         ]
+        # per (a, b): the terms of g_inv[a][b] through the metric's validity,
+        # as (hol degree, anti degree, packed key, packed step, coefficient)
+        # by hol degree; the step is what one recursion step through the
+        # term subtracts from the weight
+        self.terms = [
+            [
+                sorted(
+                    _bidegree(key, n)
+                    + (key, _weight(unit, n) - _weight(key, n), rat(c, x.den))
+                    for d, bucket in x._grades.items()
+                    if d <= m.valid
+                    for key, c in bucket.items()
+                )
+                for x, unit in zip(row, units)
+            ]
+            for row, units in zip(m.g_inv, self.units)
+        ]
+        self.reach = [{0}]
         self.memo = {}
+
+    def steps(self, s: int) -> set:
+        """The packed steps of the terms that ``value(mu, s)`` can read,
+        those of bidegree at most (s-1, s-1)."""
+        return {
+            step
+            for row in self.terms
+            for terms in row
+            for th, ta, _, step, _ in terms
+            if th < s and ta < s
+        }
+
+    def reachable(self, s: int) -> set:
+        """The packed weights of the monomials mu that ``value(mu, s)`` can
+        find nonzero: sums of one step of each level 1..s."""
+        reach = self.reach
+        while len(reach) <= s:
+            steps = self.steps(len(reach))
+            reach.append({w + d for w in reach[-1] for d in steps})
+        return reach[s]
 
     def powers(self, key: int, kmax: int) -> list:
         """[val(mu, 1), ..., val(mu, kmax)] for the monomial mu packed as
         ``key``."""
         row = [ZERO] * kmax
+        w = _weight(key, self.dim)
         # Lap^s mu(0) vanishes while s is below either degree of mu
         for s in range(max(1, *_bidegree(key, self.dim)), kmax + 1):
-            row[s - 1] = self.value(key, s)
+            if w in self.reachable(s):
+                row[s - 1] = self.value(key, s)
         return row
 
     def value(self, key: int, s: int):
@@ -160,8 +205,11 @@ class _OriginValues:
         exps = _unpack(key, 2 * n)
         hol, anti = exps[:n], exps[n:]
         # only terms t that keep t * mu / (z_b zb_a) within bidegree
-        # (s-1, s-1) can reach the origin in s-1 more steps
+        # (s-1, s-1) can reach the origin in s-1 more steps, and only
+        # if the weight left is a sum of s-1 steps
         hmax, emax = s - sum(hol), s - sum(anti)
+        w = _weight(key, n)
+        reach = self.reachable(s - 1)
         total = ZERO
         for a in range(n):
             if not anti[a]:
@@ -171,10 +219,10 @@ class _OriginValues:
                     continue
                 nu = key - self.units[a][b]
                 acc = ZERO
-                for th, ta, tkey, c in self.terms[a][b]:
+                for th, ta, tkey, step, c in self.terms[a][b]:
                     if th > hmax:
                         break
-                    if ta <= emax:
+                    if ta <= emax and w - step in reach:
                         v = self.value(nu + tkey, s - 1)
                         if v:
                             acc += c * v
@@ -187,6 +235,13 @@ class _OriginValues:
 def _bidegree(key: int, n: int) -> tuple[int, int]:
     exps = _unpack(key, 2 * n)
     return sum(exps[:n]), sum(exps[n:])
+
+
+def _weight(key: int, n: int) -> int:
+    """beta - alpha for the monomial z^alpha zb^beta packed as ``key``,
+    packed as signed digits: ``_pack(beta) - _pack(alpha)``."""
+    shift = _SHIFT * n
+    return (key >> shift) - (key & ((1 << shift) - 1))
 
 
 def _memo(m: MetricJet, dim: int) -> _OriginValues:
@@ -228,7 +283,16 @@ def monomial_powers_at_origin(
     passes or fails them alike."""
     _require_metric_budget(m, kmax)
     origin = _memo(m, dim)
-    return [origin.powers(_pack_bi(bi), kmax) for bi in indices]
+    live = set().union(*(origin.reachable(s) for s in range(1, kmax + 1)))
+    shift = _SHIFT * dim
+    rows = []
+    for bi in indices:
+        hol, anti = _pack(bi.hol), _pack(bi.anti)
+        if anti - hol in live:
+            rows.append(origin.powers(hol | anti << shift, kmax))
+        else:
+            rows.append([ZERO] * kmax)
+    return rows
 
 
 def power_at_origin(m: MetricJet, phi: Jet, k: int):

@@ -46,8 +46,9 @@ def rat_str(x) -> str:
 
 
 def rat_pretty(x) -> str:
-    """Human form: integers without denominator, otherwise "p/q"."""
-    x = rat(x)
+    """Human form of a rational or of its "p/q" text: integers without
+    denominator, otherwise "p/q"."""
+    x = rat_from_str(x) if isinstance(x, str) else rat(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"

@@ -138,6 +138,14 @@ def test_mat_mul_skips_zero_products_but_keeps_their_flags(spec):
                         want = p if want is None else want + p
                     assert got[i][j] == want
                     assert (got[i][j].valid, got[i][j].exact) == (want.valid, want.exact)
+    # an exact zero product stays exact even where the other factor's degree
+    # exceeds the cap: e * e off the diagonal, and _mul_capped directly
+    for cap in range(order + 1):
+        assert mat_mul(e, e, cap)[0][1].exact
+        for x, y in ((Jet.zero(n, order), six), (six, Jet.zero(n, order))):
+            p = _mul_capped(x, y, cap)
+            assert p.is_zero and p.exact and p.valid == p.order == cap
+    assert not _mul_capped(six, six, 11).exact and _mul_capped(six, six, 12).exact
 
 
 def test_metric_hermitian_symmetry(type1_metric_order8):

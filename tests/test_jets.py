@@ -386,6 +386,14 @@ def test_kernels_match_fraction_reference_and_stay_canonical(data):
         (a.flip_anti_sign(), {(h, e): (-1) ** sum(e) * v for (h, e), v in ra.items()}),
         (a.drop_constant(), {(h, e): v for (h, e), v in ra.items() if sum(h + e)}),
     ]
+    one = ((0,) * dim, (0,) * dim)
+    cases += [
+        (Jet.zero(dim, order), {}),
+        (Jet.one(dim, order), {one: Fraction(1)}),
+        (Jet.constant(dim, order, c), {one: c} if c else {}),
+    ]
+    for got, _ in cases[-3:]:
+        assert (got.exact, got.valid) == (True, order)
     u = data.draw(rational_jets(dim, order, unit_constant=True))
     ru = ref_add(ref(u), {((0,) * dim, (0,) * dim): Fraction(1)}, -1)  # u - 1
     log = ref_series(ru, lambda m: Fraction((-1) ** (m + 1), m) if m else 0, order, dim)

@@ -14,10 +14,11 @@ from kahlap.catalog import (
     TypeI,
     potential,
 )
-from kahlap.geometry import metric_from_potential
+from kahlap.geometry import metric_from_potential, pullback
 from kahlap.jets import BiIndex, DimensionMismatchError, InsufficientOrderError, Jet
 from kahlap.laplacian import (
     NotEinsteinError,
+    _memo,
     euclidean_laplacian,
     euclidean_moments,
     inverse_metric_cross_hessian,
@@ -153,6 +154,17 @@ def _chain_at_origin(m, phi, kmax):
     return values
 
 
+def _bent(spec, order):
+    """The metric of spec pulled back under (w1 + w2^2, w2 + w1 w2 / 3),
+    the other variables fixed: tangent to the identity, so g(0) = I, but
+    with no torus symmetry left to make Lap^k of unbalanced monomials
+    vanish at the origin."""
+    n = spec.dim
+    w = [Jet.variable(n, order, i) for i in range(1, n + 1)]
+    comps = [w[0] + w[1] * w[1], w[1] + (w[0] * w[1]).scale(rat(1, 3))] + w[2:]
+    return metric_from_potential(pullback(potential(spec, order), comps))
+
+
 @pytest.fixture(scope="module")
 def reference_metrics(type1_metric_order8):
     metrics = {
@@ -160,6 +172,8 @@ def reference_metrics(type1_metric_order8):
         for spec in (Hyperbolic(2), FubiniStudy(2), Polydisc(2))
     }
     metrics["type1:2,2"] = type1_metric_order8
+    for spec in (Hyperbolic(2), TypeI(2, 2)):
+        metrics["bent " + spec.label()] = _bent(spec, 8)
     return metrics
 
 
@@ -194,7 +208,9 @@ def polynomials(draw, n, k):
     return terms
 
 
-@pytest.mark.parametrize("name", ["hyp:2", "fs:2", "polydisc:2", "type1:2,2"])
+@pytest.mark.parametrize(
+    "name", ["hyp:2", "fs:2", "polydisc:2", "type1:2,2", "bent hyp:2", "bent type1:2,2"]
+)
 @seed(20201030)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -205,6 +221,16 @@ def test_powers_match_iterated_jet_laplacian(reference_metrics, name, data):
     for k in data.draw(st.permutations([1, 2, 3])):
         phi = Jet(m.dim, m.order, data.draw(polynomials(m.dim, k)))
         assert powers_at_origin(m, phi, k) == _chain_at_origin(m, phi, k), (k, phi)
+
+
+def test_weight_steps_come_from_the_inverse_metric(reference_metrics):
+    # a U(2)-invariant metric only has steps that keep beta - alpha: the
+    # weight rule then skips every unbalanced monomial
+    steps = _memo(reference_metrics["hyp:2"], 2).steps(3)
+    assert steps == {0}
+    # the bent metric has steps that move it, which the pruning must follow
+    bent = _memo(reference_metrics["bent hyp:2"], 2)
+    assert bent.steps(1) == {0} and any(bent.steps(3))
 
 
 def test_budget_enforced():

@@ -42,6 +42,7 @@ def test_backend_parity(monkeypatch, backend):
     for expr, text, pretty in TABLE:
         x = expr(r)
         assert (r.rat_str(x), r.rat_pretty(x)) == (text, pretty)
+        assert r.rat_pretty(text) == pretty  # the text form renders alike
     with pytest.raises(ZeroDivisionError):
         r.rat(1, 0)
     with pytest.raises(ValueError):
