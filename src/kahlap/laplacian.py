@@ -26,10 +26,10 @@ t * mu / (z_b zb_a), so it subtracts the step (t_hol - t_anti) + e_a - e_b
 from w; the recursion ends at 1, of weight 0.  A call at level j reads only
 terms of bidegree at most (j-1, j-1), so ``val(mu, s)`` is 0 unless w(mu)
 is a sum d_1 + ... + d_s in which each d_j is the step of such a term.
-The steps are read from the same term lists the
-recursion reads, so these reachable sets over-approximate the weights the
-recursion can meet, on any metric, and a monomial whose weight lies
-outside them is skipped without losing a nonzero value.  Circle and torus
+The steps are read from the same term lists the recursion reads, so these
+reachable sets over-approximate the weights the recursion can meet, on any
+metric, and a monomial whose weight lies outside them is skipped without
+losing a nonzero value.  Circle and torus
 symmetries make the sets tiny: the one step 0 on hyp, fs and polydisc,
 where every unbalanced monomial is skipped; three steps on type1:2,2.
 Weights and steps are packed like monomial keys, with signed digits
