@@ -65,7 +65,13 @@ def _build_parser() -> _Parser:
     p_check.add_argument("spec", help="catalog spec, e.g. hyp:2 or product(flat:1,hyp:1)")
     p_check.add_argument("--max-k", type=int, default=3, dest="max_k")
     p_check.add_argument("--order", type=int, default=None)
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="picks the random combinations that re-check each consistent "
+        "p_k; changes no verdict",
+    )
     p_check.add_argument("--format", choices=("text", "json"), default="text")
     p_check.add_argument(
         "--expect",

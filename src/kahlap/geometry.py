@@ -220,9 +220,9 @@ class MetricJet:
 
     The inverse is computed lazily (Newton) and cached; ``valid`` bounds the
     degree through which g * g_inv equals the identity.  The Einstein data,
-    the origin values of Laplacian powers of monomials (filled by
-    :func:`kahlap.laplacian.powers_at_origin`) and the weights of the
-    expanded third-power formula (filled by
+    the origin values of Laplacian powers of monomials (filled by the
+    ``*_at_origin`` functions of :mod:`kahlap.laplacian`) and the weights
+    of the expanded third-power formula (filled by
     :func:`kahlap.laplacian.third_power_rhs`) are cached the same way; each
     fill is deterministic.
     """

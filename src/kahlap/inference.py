@@ -40,7 +40,7 @@ from .geometry import (
     metric_from_potential,
     EinsteinData,
 )
-from .jets import BiIndex, InsufficientOrderError, Jet, KahlapError
+from .jets import BiIndex, InsufficientOrderError, Jet, KahlapError, _pack_bi
 from .laplacian import (
     NotEinsteinError,
     euclidean_moments,
@@ -422,10 +422,15 @@ def verify_property(
 ) -> PropertyReport:
     """Run inference for k = 1..max_k, stopping at the first refutation.
 
-    When every order is consistent, each inferred polynomial is re-verified
-    on seeded random rational combinations of the family monomials; a
-    failure there (an engine-linearity canary, not a mathematical
-    possibility) downgrades the verdict to refuted.
+    When every order is consistent, each inferred p_k is re-verified on
+    ``extended_polys`` seeded random rational combinations of the family
+    monomials (``seed`` picks them; no verdict depends on it).  For each
+    combination phi, ``Lap^k phi(0)`` from :func:`power_at_origin`, the
+    one-level sum over the multi-term jet, must equal ``p_k`` applied to
+    the closed-form moments of :func:`euclidean_moments`, exactly.  That
+    path reads the memo apart from the value table that :func:`infer`
+    solved from, so a failure there -- a fault of the engine, not a
+    mathematical possibility -- downgrades the verdict to refuted.
     """
     if max_k < 1:
         raise KahlapError("max_k must be >= 1")
@@ -449,8 +454,10 @@ def verify_property(
             break
     if all(v.status == CONSISTENT for v in verdicts):
         rng = random.Random(seed)
+        monomials = _packed_monomials(family)
         for v in verdicts:
-            bad = _extended_reverify(m, family, v, rng, extended_polys)
+            combinations = _random_combinations(m, monomials, rng, extended_polys)
+            bad = _extended_reverify(m, v, combinations)
             if bad is not None:
                 verdicts[v.k - 1] = bad
                 break
@@ -473,21 +480,37 @@ def verify_property(
     )
 
 
-def _extended_reverify(m, family, verdict, rng, count) -> Verdict | None:
-    """Check p_k on random rational combinations of family monomials."""
-    k = verdict.k
-    poly = verdict.polynomial
+def _packed_monomials(family: TestFamily) -> list:
+    """(total degree, packed key) of every family monomial, in family order."""
+    return [(entry.index.degree, _pack_bi(entry.index)) for entry in family.entries]
+
+
+def _random_combinations(m: MetricJet, monomials, rng, count: int):
+    """Yield up to ``count`` random combinations of the family monomials
+    ``monomials`` (from :func:`_packed_monomials`) as exact jets at the
+    shape of ``m``.  Each monomial is skipped with probability 1/2, else it
+    gets the coefficient p/q with p drawn from -9..9 and then q from 1..4;
+    an empty draw yields nothing.  The coefficient is built as the
+    numerator ``p * (12 // q)`` over the common denominator 12."""
     for _ in range(count):
-        terms = []
-        for entry in family.entries:
+        grades = {}
+        for degree, key in monomials:
             if rng.random() < 0.5:
                 continue
-            c = rat(rng.randint(-9, 9), rng.randint(1, 4))
-            if c != 0:
-                terms.append((entry.index, c))
-        if not terms:
-            continue
-        phi = Jet(m.dim, m.order, terms)
+            p = rng.randint(-9, 9)
+            q = rng.randint(1, 4)
+            if p:
+                grades.setdefault(degree, {})[key] = p * (12 // q)
+        if grades:
+            yield Jet._reduced(m.dim, m.order, m.order, True, grades, 12)
+
+
+def _extended_reverify(m, verdict, combinations) -> Verdict | None:
+    """Check p_k on the jets ``combinations``: Lap^k phi(0) must equal
+    p_k applied to the Euclidean moments of phi."""
+    k = verdict.k
+    poly = verdict.polynomial
+    for phi in combinations:
         lhs = power_at_origin(m, phi, k)
         mom = euclidean_moments(phi, k)
         if lhs != poly.apply_to_moments(mom):

@@ -2,8 +2,10 @@
 
 :func:`kahler_laplacian` applies the operator to a whole jet.  Powers at the
 origin do not iterate it: ``Lap^s phi(0)`` is linear in the terms of phi, so
-:func:`powers_at_origin` sums ``c * val(mu, s)`` over the terms ``c * mu``
-of phi, where ``val(mu, s) = [Lap^s mu](0)`` obeys
+:func:`power_at_origin` sums ``c * val(mu, s)`` over the terms ``c * mu``
+of phi at the one level ``s = k`` it is asked for, and
+:func:`powers_at_origin` runs the same sum once per level.  Here
+``val(mu, s) = [Lap^s mu](0)`` obeys
 
     val(1, 0) = 1,  val(mu, 0) = 0 for mu != 1,
     val(mu, s) = sum over a, b and the terms c_t * t of g_inv[a][b] of
@@ -19,6 +21,14 @@ value a call with ``kmax = k`` reads, and a value does not depend on the
 ``kmax`` of the call that computed it: one memo per metric, keyed by
 ``(packed monomial, s)`` and kept on the :class:`MetricJet`, serves every
 later call on that metric.
+
+The recursion runs on Python ints.  Let D be the lcm of the denominators
+of the g_inv entries (1 on every catalog metric), so that every g_inv
+coefficient is an int ``C_t`` over D.  The memo keeps the int numerator
+``N(mu, s) = val(mu, s) * D^s``, which obeys the recursion above with
+``C_t`` for ``c_t`` and ``N(1, 0) = 1``.  A power of phi sums ``c * N(mu, s)``
+over the int numerators c of phi and builds one rational per level,
+``total / (phi.den * D^s)``.
 
 A weight rule prunes the rest, exactly.  Let w(mu) = beta - alpha.  One
 step of the recursion through the term t of g_inv[a][b] takes mu to
@@ -40,7 +50,7 @@ in no packed reachable set is in no reachable set.
 Euclidean moments need no iteration: Lapc^j (z^a zb^b)(0) is j! a! when
 a = b and |a| = j, and 0 otherwise, so a monomial's moment vector has at
 most one nonzero entry and :func:`euclidean_moments` reads it off the
-balanced terms.
+balanced terms, as ints over the denominator of phi.
 
 The expanded origin formulas for the second and third powers on an Einstein
 metric in normal coordinates are implemented as independent cross-checks of
@@ -70,7 +80,7 @@ from .jets import (
     _pack_bi,
     _unpack,
 )
-from .rationals import ONE, ZERO, rat
+from .rationals import ZERO, rat
 
 
 def require_budget(m: MetricJet, phi: Jet, k: int) -> None:
@@ -128,29 +138,32 @@ def kahler_laplacian(m: MetricJet, phi: Jet) -> Jet:
 
 
 class _OriginValues:
-    """val(mu, s) = [Lap^s mu](0) for one metric, memoised by (packed
-    monomial, s) and pruned by weight; see the module docstring for the
-    recursion and the weight rule."""
+    """val(mu, s) = [Lap^s mu](0) for one metric, kept as the int numerator
+    N(mu, s) = val(mu, s) * D^s, memoised by (packed monomial, s) and pruned
+    by weight; see the module docstring for the recursion, the denominator
+    D and the weight rule."""
 
-    __slots__ = ("dim", "terms", "units", "memo", "reach")
+    __slots__ = ("dim", "den", "terms", "units", "memo", "reach")
 
     def __init__(self, m: MetricJet):
         n = m.dim
         self.dim = n
+        # D: every coefficient of g_inv is an int over it
+        self.den = den = math.lcm(*(x.den for row in m.g_inv for x in row))
         # packed key of z_b zb_a, the monomial d_b dbar_a divides out
         self.units = [
             [_pack_bi(BiIndex(_units(n, b), _units(n, a))) for b in range(n)]
             for a in range(n)
         ]
         # per (a, b): the terms of g_inv[a][b] through the metric's validity,
-        # as (hol degree, anti degree, packed key, packed step, coefficient)
-        # by hol degree; the step is what one recursion step through the
+        # as (hol degree, anti degree, packed key, packed step, numerator over
+        # D) by hol degree; the step is what one recursion step through the
         # term subtracts from the weight
         self.terms = [
             [
                 sorted(
                     _bidegree(key, n)
-                    + (key, _weight(unit, n) - _weight(key, n), rat(c, x.den))
+                    + (key, _weight(unit, n) - _weight(key, n), c * (den // x.den))
                     for d, bucket in x._grades.items()
                     if d <= m.valid
                     for key, c in bucket.items()
@@ -183,9 +196,9 @@ class _OriginValues:
         return reach[s]
 
     def powers(self, key: int, kmax: int) -> list:
-        """[val(mu, 1), ..., val(mu, kmax)] for the monomial mu packed as
+        """[N(mu, 1), ..., N(mu, kmax)] for the monomial mu packed as
         ``key``."""
-        row = [ZERO] * kmax
+        row = [0] * kmax
         w = _weight(key, self.dim)
         # Lap^s mu(0) vanishes while s is below either degree of mu
         for s in range(max(1, *_bidegree(key, self.dim)), kmax + 1):
@@ -193,11 +206,29 @@ class _OriginValues:
                 row[s - 1] = self.value(key, s)
         return row
 
-    def value(self, key: int, s: int):
-        """val(mu, s) for the monomial mu packed as ``key``, of bidegree at
+    def power(self, phi: Jet, s: int):
+        """Lap^s phi(0): the int sum of c * N(mu, s) over the terms c * mu
+        of the numerators of phi, over ``phi.den * D^s``."""
+        n = self.dim
+        reach = self.reachable(s)
+        total = 0
+        for d, bucket in phi._grades.items():
+            if d > 2 * s:
+                continue
+            for key, c in bucket.items():
+                if _weight(key, n) not in reach:
+                    continue
+                # Lap^s mu(0) vanishes when either degree of mu exceeds s
+                if d > s and max(_bidegree(key, n)) > s:
+                    continue
+                total += c * self.value(key, s)
+        return rat(total, phi.den * self.den**s)
+
+    def value(self, key: int, s: int) -> int:
+        """N(mu, s) for the monomial mu packed as ``key``, of bidegree at
         most (s, s)."""
         if s == 0:
-            return ONE if key == 0 else ZERO
+            return 1 if key == 0 else 0
         hit = self.memo.get((key, s))
         if hit is not None:
             return hit
@@ -210,7 +241,7 @@ class _OriginValues:
         hmax, emax = s - sum(hol), s - sum(anti)
         w = _weight(key, n)
         reach = self.reachable(s - 1)
-        total = ZERO
+        total = 0
         for a in range(n):
             if not anti[a]:
                 continue
@@ -218,7 +249,7 @@ class _OriginValues:
                 if not hol[b]:
                     continue
                 nu = key - self.units[a][b]
-                acc = ZERO
+                acc = 0
                 for th, ta, tkey, step, c in self.terms[a][b]:
                     if th > hmax:
                         break
@@ -256,21 +287,11 @@ def _memo(m: MetricJet, dim: int) -> _OriginValues:
 
 
 def powers_at_origin(m: MetricJet, phi: Jet, kmax: int) -> list:
-    """[Lap^1 phi(0), ..., Lap^kmax phi(0)] for the Kahler Laplacian of m.
-
-    Sums the memoised monomial values against the numerators of phi, then
-    divides by its denominator once; the memo lives on ``m`` and is shared
-    by every call on it.
-    """
+    """[Lap^1 phi(0), ..., Lap^kmax phi(0)] for the Kahler Laplacian of m:
+    the one-level sum of :func:`power_at_origin` at each level."""
     require_budget(m, phi, kmax)
     origin = _memo(m, phi.dim)
-    values = [ZERO] * kmax
-    for bucket in phi._grades.values():
-        for key, c in bucket.items():
-            for s, v in enumerate(origin.powers(key, kmax)):
-                if v:
-                    values[s] += c * v
-    return values if phi.den == 1 else [v / phi.den for v in values]
+    return [origin.power(phi, s) for s in range(1, kmax + 1)]
 
 
 def monomial_powers_at_origin(
@@ -280,24 +301,28 @@ def monomial_powers_at_origin(
     ``indices``, each in ``dim`` variables, read off the memo by its packed
     key.  No jet is built, and the budget and dimension checks run once for
     the whole list: every monomial is an exact test function, so each one
-    passes or fails them alike."""
+    passes or fails them alike.  A rational is built only for a nonzero
+    value."""
     _require_metric_budget(m, kmax)
     origin = _memo(m, dim)
     live = set().union(*(origin.reachable(s) for s in range(1, kmax + 1)))
+    scale = [origin.den**s for s in range(1, kmax + 1)]
     shift = _SHIFT * dim
     rows = []
     for bi in indices:
         hol, anti = _pack(bi.hol), _pack(bi.anti)
         if anti - hol in live:
-            rows.append(origin.powers(hol | anti << shift, kmax))
+            row = origin.powers(hol | anti << shift, kmax)
+            rows.append([rat(v, q) if v else ZERO for v, q in zip(row, scale)])
         else:
             rows.append([ZERO] * kmax)
     return rows
 
 
 def power_at_origin(m: MetricJet, phi: Jet, k: int):
-    """Lap^k phi(0) exactly."""
-    return powers_at_origin(m, phi, k)[k - 1]
+    """Lap^k phi(0) exactly, from level k of the memo alone."""
+    require_budget(m, phi, k)
+    return _memo(m, phi.dim).power(phi, k)
 
 
 def monomial_moment(bi: BiIndex):
@@ -305,26 +330,31 @@ def monomial_moment(bi: BiIndex):
     j! a! when a = b, else 0."""
     if bi.hol != bi.anti:
         return ZERO
-    return rat(math.factorial(sum(bi.hol)) * math.prod(map(math.factorial, bi.hol)))
+    return rat(_balanced_moment(bi.hol))
+
+
+def _balanced_moment(a) -> int:
+    """j! a!, with j = |a|: Lapc^j (z^a zb^a)(0)."""
+    return math.factorial(sum(a)) * math.prod(map(math.factorial, a))
 
 
 def euclidean_moments(phi: Jet, kmax: int) -> list:
-    """[Lapc^j phi(0)] for j = 1..kmax, summed in closed form over the
-    numerators of the balanced terms of phi, then divided by its
+    """[Lapc^j phi(0)] for j = 1..kmax, summed as ints in closed form over
+    the numerators of the balanced terms of phi, then divided by its
     denominator once."""
     if not phi.exact and phi.valid < 2 * kmax:
         raise InsufficientOrderError(
             "validity exhausted: the jet no longer determines its value at 0"
         )
     n = phi.dim
-    values = [ZERO] * kmax
+    values = []
     for j in range(1, kmax + 1):
+        total = 0
         for key, c in phi._grades.get(2 * j, {}).items():
-            exps = _unpack(key, 2 * n)
-            hol, anti = exps[:n], exps[n:]
-            if hol == anti:
-                values[j - 1] += c * monomial_moment(BiIndex(hol, anti))
-    return values if phi.den == 1 else [v / phi.den for v in values]
+            if _weight(key, n) == 0:
+                total += c * _balanced_moment(_unpack(key, n))
+        values.append(rat(total, phi.den))
+    return values
 
 
 # ----------------------------------------------------------------------

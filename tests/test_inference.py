@@ -1,6 +1,8 @@
 """Power-polynomial inference: families, verdicts, witnesses, duality and
 the k = 3 reference values."""
 
+import random
+
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
@@ -15,6 +17,7 @@ from kahlap.catalog import (
     potential,
 )
 from kahlap.geometry import metric_from_potential
+from kahlap import inference
 from kahlap.inference import (
     CONSISTENT,
     REFUTED,
@@ -320,6 +323,56 @@ def test_consistency_stable_under_extension_seeds():
     pa = [v.polynomial.lower for v in a.verdicts]
     pb = [v.polynomial.lower for v in b.verdicts]
     assert pa == pb and a.all_consistent and b.all_consistent
+
+
+def test_reverify_failure_downgrades_that_order(monkeypatch):
+    # an engine fault at k = 2 on the re-verification path alone: the value
+    # table never calls power_at_origin, so inference stays consistent
+    real = inference.power_at_origin
+
+    def off_by_one_at_2(m, phi, k):
+        value = real(m, phi, k)
+        return value + 1 if k == 2 else value
+
+    monkeypatch.setattr(inference, "power_at_origin", off_by_one_at_2)
+    rep = verify_property(Hyperbolic(2), 3)
+    assert rep.refuted_at == 2
+    bad = rep.verdicts[1]
+    assert bad.status == REFUTED and bad.witness is None
+    assert bad.note == "random-combination re-verification failed"
+    assert rep.verdicts[0].status == CONSISTENT
+
+
+def _draw_terms(family, rng):
+    """The draw of one random combination as the re-verification first
+    wrote it: (BiIndex, Fraction) terms for ``Jet.__init__``."""
+    terms = []
+    for entry in family.entries:
+        if rng.random() < 0.5:
+            continue
+        c = rat(rng.randint(-9, 9), rng.randint(1, 4))
+        if c != 0:
+            terms.append((entry.index, c))
+    return terms
+
+
+@pytest.mark.parametrize("spec, max_k", [(Hyperbolic(2), 4), (FubiniStudy(3), 3)])
+@pytest.mark.parametrize("draw_seed", [0, 5, 7])
+def test_random_combinations_are_the_terms_drawn(spec, max_k, draw_seed):
+    # the int-built jets must be the ones Jet(dim, order, terms) builds from
+    # the same draws, and the generator must leave the RNG where the term
+    # draw leaves it: the same calls, so the same combinations are checked
+    m = metric_from_potential(potential(spec, 2 * max_k + 2))
+    family = build_test_family(spec.dim, max_k)
+    monomials = inference._packed_monomials(family)
+    ours, theirs = random.Random(draw_seed), random.Random(draw_seed)
+    for _ in range(max_k):
+        jets = list(inference._random_combinations(m, monomials, ours, 3))
+        want = [Jet(m.dim, m.order, terms) for terms in
+                (_draw_terms(family, theirs) for _ in range(3)) if terms]
+        assert len(jets) == 3 and jets == want
+        assert all(jet.exact for jet in jets)
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_radial_profiles_consistent_sample():

@@ -1,6 +1,8 @@
 """Laplacian application, operator powers, budgets, expanded identities,
 and the univariate radial-reduction oracle."""
 
+import itertools
+
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
@@ -23,6 +25,7 @@ from kahlap.laplacian import (
     euclidean_moments,
     inverse_metric_cross_hessian,
     kahler_laplacian,
+    monomial_powers_at_origin,
     power_at_origin,
     powers_at_origin,
     second_power_check,
@@ -221,6 +224,43 @@ def test_powers_match_iterated_jet_laplacian(reference_metrics, name, data):
     for k in data.draw(st.permutations([1, 2, 3])):
         phi = Jet(m.dim, m.order, data.draw(polynomials(m.dim, k)))
         assert powers_at_origin(m, phi, k) == _chain_at_origin(m, phi, k), (k, phi)
+
+
+@pytest.mark.parametrize(
+    "name", ["hyp:2", "fs:2", "polydisc:2", "type1:2,2", "bent hyp:2", "bent type1:2,2"]
+)
+@seed(20201030)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_one_level_power_matches_iterated_jet_laplacian(reference_metrics, name, data):
+    # power_at_origin reads level k alone; the bent metrics have g_inv
+    # denominator D = 729, so a wrong power of D or a dropped denominator
+    # of phi shows there, where the catalog metrics (D = 1) cannot see it
+    m = reference_metrics[name]
+    for k in data.draw(st.permutations([1, 2, 3])):
+        phi = Jet(m.dim, m.order, data.draw(polynomials(m.dim, k)))
+        want = _chain_at_origin(m, phi, k)[k - 1]
+        assert power_at_origin(m, phi, k) == want, (k, phi)
+
+
+def test_origin_denominator_is_the_lcm_of_the_inverse_metric(reference_metrics):
+    assert _memo(reference_metrics["hyp:2"], 2).den == 1
+    assert _memo(reference_metrics["bent hyp:2"], 2).den == 729
+
+
+def test_monomial_rows_scale_by_the_origin_denominator(reference_metrics):
+    # the value table's own path from the int memo to rationals, on a
+    # metric with D = 729, against the one-level sums pinned above
+    m = reference_metrics["bent hyp:2"]
+    monomials = [bi(h, a) for h in _exps(2, 3) for a in _exps(2, 3)]
+    rows = monomial_powers_at_origin(m, 2, monomials, 3)
+    assert any(v.denominator > 1 for row in rows for v in row)
+    for index, row in zip(monomials, rows):
+        assert row == powers_at_origin(m, Jet(2, m.order, [(index, 1)]), 3), index
+
+
+def _exps(n, k):
+    return [v for v in itertools.product(range(k + 1), repeat=n) if sum(v) <= k]
 
 
 def test_weight_steps_come_from_the_inverse_metric(reference_metrics):
