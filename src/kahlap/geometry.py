@@ -21,6 +21,7 @@ standing cross-check of the series machinery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -118,36 +119,91 @@ def mat_mul(a: Sequence[Sequence[Jet]], b: Sequence[Sequence[Jet]], cap: int) ->
 
 
 def series_matrix_inverse(g: Matrix, target_valid: int) -> Matrix:
-    """Inverse of a jet matrix with invertible constant term.
+    """Inverse of a jet matrix with invertible constant term, through
+    degree ``target_valid``.
 
-    Newton iteration X <- X(2I - GX): each step doubles the guaranteed
-    correct degree, with all products capped at the current step's target.
+    Graded recurrence: split g = sum_e G_e and the inverse X = sum_d X_d into
+    homogeneous parts; then X_0 = g(0)^{-1} and
+    X_d = -g(0)^{-1} sum_{e=1..d} G_e X_{d-e}, so each degree is computed
+    once, from the lower ones.  It runs on ints: with q the lcm of the
+    denominators of g(0)^{-1} and Gd that of the entry denominators of g,
+    X_d is an int matrix N_d over q^{d+1} Gd^d, where N_0 = q g(0)^{-1} and
+    N_d = -N_0 sum_e (q Gd)^{e-1} (Gd G_e) N_{d-e}.  Entries of g with no
+    term of degree e take no part in that degree's products.
+
+    The entries hold the degrees 0..``target_valid`` of the inverse (none
+    above the order of g) and are flagged inexact, valid through
+    ``target_valid`` or the validity of g, whichever is lower.
     """
     n = len(g)
     dim = g[0][0].dim
     order = g[0][0].order
-    g0 = [[entry.constant_term() for entry in row] for row in g]
-    g0inv, _ = _eliminate(g0)
+    g0inv, _ = _eliminate([[entry.constant_term() for entry in row] for row in g])
     if g0inv is None:
         raise DegenerateMetricError("degenerate metric at origin")
-    x: Matrix = tuple(
-        tuple(Jet.constant(dim, order, g0inv[i][j]) for j in range(n)) for i in range(n)
-    )
-    v = 0
-    two_i = tuple(
-        tuple(Jet.constant(dim, order, 2 if i == j else 0) for j in range(n))
-        for i in range(n)
-    )
-    while v < target_valid:
-        v = min(2 * v + 1, target_valid)
-        gx = mat_mul(g, x, v)
-        corr = tuple(
-            tuple(two_i[i][j] - gx[i][j] for j in range(n)) for i in range(n)
-        )
-        x = mat_mul(x, corr, v)
-    # Newton's convergence degree, not the muls' bookkeeping, bounds validity
+    top = min(target_valid, order)
+    q = math.lcm(*(c.denominator for row in g0inv for c in row))
+    gd = math.lcm(*(entry.den for row in g for entry in row))
+    s = q * gd
+    n0 = [[int(c.numerator) * (q // int(c.denominator)) for c in row] for row in g0inv]
+    # parts[e]: (k, l, numerators of (q Gd)^(e-1) Gd G_e[k][l]) where nonzero
+    parts = [[] for _ in range(top + 1)]
+    for k in range(n):
+        for l in range(n):
+            entry = g[k][l]
+            f = gd // entry.den
+            for e, bucket in entry._grades.items():
+                if 1 <= e <= top:
+                    sc = f * s ** (e - 1)
+                    parts[e].append((k, l, {key: c * sc for key, c in bucket.items()}))
+    # xs[d][i][j]: the numerators of N_d[i][j] by packed key
+    xs = [[[{0: c} if c else {} for c in row] for row in n0]]
+    for d in range(1, top + 1):
+        # acc = sum_e (scaled G_e) N_{d-e}
+        acc = [[{} for _ in range(n)] for _ in range(n)]
+        for e in range(1, d + 1):
+            lower = xs[d - e]
+            for k, l, gpart in parts[e]:
+                for j, xpart in enumerate(lower[l]):
+                    if not xpart:
+                        continue
+                    tgt = acc[k][j]
+                    get = tgt.get
+                    for kg, cg in gpart.items():
+                        for kx, cx in xpart.items():
+                            key = kg + kx
+                            tgt[key] = get(key, 0) + cg * cx
+        xd = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                tgt = {}
+                for k in range(n):
+                    a = n0[i][k]
+                    if not a:
+                        continue
+                    get = tgt.get
+                    for key, c in acc[k][j].items():
+                        tgt[key] = get(key, 0) - a * c
+                row.append({key: c for key, c in tgt.items() if c})
+            xd.append(row)
+        xs.append(xd)
+    # every degree over the common denominator q^(top+1) Gd^top
     valid = min(target_valid, min(e._veff for row in g for e in row))
-    return tuple(tuple(e._flagged(valid, False) for e in row) for row in x)
+    den = q ** (top + 1) * gd**top
+    lift = [s ** (top - d) for d in range(top + 1)]
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            grades = {
+                d: {key: c * lift[d] for key, c in xd[i][j].items()}
+                for d, xd in enumerate(xs)
+                if xd[i][j]
+            }
+            row.append(Jet._reduced(dim, order, valid, False, grades, den))
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def series_determinant(mat: Matrix) -> Jet:
@@ -218,8 +274,9 @@ class NormalityReport:
 class MetricJet:
     """Metric matrix of jets together with its series inverse.
 
-    The inverse is computed lazily (Newton) and cached; ``valid`` bounds the
-    degree through which g * g_inv equals the identity.  The Einstein data,
+    The inverse is computed lazily (graded recurrence) and cached;
+    ``valid`` bounds the degree through which g * g_inv equals the
+    identity.  The Einstein data,
     the origin values of Laplacian powers of monomials (filled by the
     ``*_at_origin`` functions of :mod:`kahlap.laplacian`) and the weights
     of the expanded third-power formula (filled by

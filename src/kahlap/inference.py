@@ -430,7 +430,8 @@ def verify_property(
     the closed-form moments of :func:`euclidean_moments`, exactly.  That
     path reads the memo apart from the value table that :func:`infer`
     solved from, so a failure there -- a fault of the engine, not a
-    mathematical possibility -- downgrades the verdict to refuted.
+    mathematical possibility -- downgrades the verdict to refuted and
+    drops the later ones, so the report ends there.
     """
     if max_k < 1:
         raise KahlapError("max_k must be >= 1")
@@ -459,7 +460,7 @@ def verify_property(
             combinations = _random_combinations(m, monomials, rng, extended_polys)
             bad = _extended_reverify(m, v, combinations)
             if bad is not None:
-                verdicts[v.k - 1] = bad
+                verdicts[v.k - 1 :] = [bad]
                 break
     summary = None
     if (

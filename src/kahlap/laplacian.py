@@ -57,9 +57,10 @@ metric in normal coordinates are implemented as independent cross-checks of
 the recursion (they use only origin derivatives of g_inv and of the test
 function, no operator iteration).  The expanded third power is a linear
 functional of the Taylor coefficients of the test function: its g_inv sums
-are built once per metric as one weight per coefficient, kept on the
-:class:`MetricJet` beside the memo, and each call sums the weights against
-the terms of the test function.
+are built once per metric, in one pass over the terms of degree 2 and 4 of
+g_inv, as one weight per coefficient, kept on the :class:`MetricJet`
+beside the memo, and each call sums the weights against the terms of the
+test function.
 """
 
 from __future__ import annotations
@@ -415,35 +416,52 @@ def _units(n, *indices):
 def _third_power_weights(m: MetricJet) -> dict:
     """The g_inv part of :func:`third_power_rhs` as a linear functional on
     the Taylor coefficients of the test function: packed key of
-    z^alpha zb^beta -> mult * c * alpha! beta!, where c is the origin
-    derivative of g_inv that multiplies d^alpha dbar^beta phi(0) in the
-    expansion and mult is 2 for the mixed term, 1 for the other three.
-    Zero weights are dropped."""
+    z^alpha zb^beta -> the sum of mult * c * alpha! beta! over the terms of
+    the expansion that read d^alpha dbar^beta phi(0), where c is the origin
+    derivative of g_inv that multiplies it and mult is 2 for the mixed term,
+    1 for the other three.  Those derivatives are the terms of degree 2 and
+    4 of the g_inv entries, so one pass over those terms builds the map:
+    each term adds to the key of every ordered (l, h) it matches (see
+    :func:`_third_power_matches`).  Summed as ints over the lcm of the
+    entry denominators; zero weights are dropped."""
     n = m.dim
-    x = m.g_inv
-    zero = (0,) * n
+    den = math.lcm(*(x.den for row in m.g_inv for x in row))
     weights = {}
-    for i in range(n):
-        for j in range(n):
-            xij = x[i][j]
-            for l in range(n):
-                for h in range(n):
-                    for mult, c, alpha, beta in (
-                        (2, deriv_at0(xij, _units(n, l), _units(n, h)),
-                         _units(n, j, h), _units(n, l, i)),
-                        (1, deriv_at0(xij, _units(n, l, h), zero),
-                         _units(n, j), _units(n, h, l, i)),
-                        (1, deriv_at0(xij, zero, _units(n, l, h)),
-                         _units(n, j, h, l), _units(n, i)),
-                        (1, deriv_at0(xij, _units(n, l, h), _units(n, l, h)),
-                         _units(n, j), _units(n, i)),
-                    ):
-                        if c != 0:
-                            exps = alpha + beta
-                            f = math.prod(map(math.factorial, exps))
-                            key = _pack(exps)
-                            weights[key] = weights.get(key, ZERO) + mult * c * f
-    return {key: w for key, w in weights.items() if w != 0}
+    for i, row in enumerate(m.g_inv):
+        for j, x in enumerate(row):
+            scale = den // x.den
+            for d in (2, 4):
+                for key, c in x._grades.get(d, {}).items():
+                    exps = _unpack(key, 2 * n)
+                    # d^hol dbar^anti X[i][j] at 0, as an int over den
+                    deriv = c * scale * math.prod(map(math.factorial, exps))
+                    for mult, alpha, beta in _third_power_matches(n, i, j, exps):
+                        read = alpha + beta
+                        w = mult * deriv * math.prod(map(math.factorial, read))
+                        at = _pack(read)
+                        weights[at] = weights.get(at, 0) + w
+    return {key: rat(w, den) for key, w in weights.items() if w}
+
+
+def _third_power_matches(n, i, j, exps):
+    """(mult, alpha, beta) for each ordered (l, h) at which a sum of
+    :func:`third_power_rhs` reads the term z^hol zb^anti of X[i][j]
+    (``exps = hol + anti``): d_l dbar_h X (mixed), d_l d_h X and
+    dbar_l dbar_h X (pure), d_l d_h dbar_l dbar_h X (balanced)."""
+    hol = [p for p in range(n) for _ in range(exps[p])]
+    anti = [p for p in range(n) for _ in range(exps[n + p])]
+    if len(hol) == len(anti) == 1:
+        (l,), (h,) = hol, anti
+        return [(2, _units(n, j, h), _units(n, l, i))]
+    if len(hol) + len(anti) == 2:
+        pairs = {tuple(hol or anti), tuple(reversed(hol or anti))}
+        if hol:
+            return [(1, _units(n, j), _units(n, h, l, i)) for l, h in pairs]
+        return [(1, _units(n, j, h, l), _units(n, i)) for l, h in pairs]
+    if len(hol) == 2 and hol == anti:
+        pairs = {tuple(hol), tuple(reversed(hol))}
+        return [(1, _units(n, j), _units(n, i)) for _ in pairs]
+    return []
 
 
 def third_power_rhs(m: MetricJet, phi: Jet):

@@ -15,6 +15,7 @@ from kahlap.catalog import (
 )
 from kahlap.geometry import (
     DegenerateMetricError,
+    _eliminate,
     NormalizationError,
     einstein_data,
     in_normal_coordinates,
@@ -32,6 +33,7 @@ from kahlap.geometry import (
 )
 from kahlap.jets import BiIndex, Jet, _mul_capped
 from kahlap.rationals import rat
+from test_laplacian import _bent, _sheared
 
 
 def bi(hol, anti):
@@ -100,6 +102,55 @@ def test_indefinite_metric_rejected(potential_jet):
         DegenerateMetricError, match="^metric not positive definite at origin$"
     ):
         metric_from_potential(potential_jet)
+
+
+def _newton_inverse(g, target_valid):
+    """The series inverse by Newton iteration X <- X(2I - GX), each step
+    doubling the correct degree with all products capped at its target:
+    the route the graded recurrence replaced, kept here as its oracle."""
+    n, dim, order = len(g), g[0][0].dim, g[0][0].order
+    g0 = [[e.constant_term() for e in row] for row in g]
+    g0inv, _ = _eliminate(g0)
+    x = tuple(tuple(Jet.constant(dim, order, c) for c in row) for row in g0inv)
+    two_i = tuple(
+        tuple(Jet.constant(dim, order, 2 if i == j else 0) for j in range(n))
+        for i in range(n)
+    )
+    v = 0
+    while v < target_valid:
+        v = min(2 * v + 1, target_valid)
+        gx = mat_mul(g, x, v)
+        corr = tuple(tuple(two_i[i][j] - gx[i][j] for j in range(n)) for i in range(n))
+        x = mat_mul(x, corr, v)
+    valid = min(target_valid, min(e._veff for row in g for e in row))
+    return tuple(tuple(e._flagged(valid, False) for e in row) for row in x)
+
+
+_INVERSE_CASES = {
+    "hyp:2": lambda: metric_from_potential(potential(Hyperbolic(2), 8)),
+    "fs:3": lambda: metric_from_potential(potential(FubiniStudy(3), 8)),
+    "polydisc:3": lambda: metric_from_potential(potential(Polydisc(3), 8)),
+    "type1:2,2": lambda: metric_from_potential(potential(TypeI(2, 2), 8)),
+    "bent hyp:2": lambda: _bent(Hyperbolic(2), 8),
+    "sheared hyp:2": lambda: _sheared(Hyperbolic(2), 8),
+    "sheared type1:2,2": lambda: _sheared(TypeI(2, 2), 8),
+}
+
+
+@pytest.mark.parametrize("name", list(_INVERSE_CASES))
+def test_series_inverse_matches_newton(name):
+    m = _INVERSE_CASES[name]()
+    if name.startswith("sheared"):
+        # g(0) off the diagonal, and g(0)^{-1} with denominators
+        assert m.g[0][1].constant_term() != 0
+        assert any(e.den > 1 for row in m.g_inv for e in row)
+    for target in sorted({0, 1, m.valid}):
+        got = series_matrix_inverse(m.g, target)
+        want = _newton_inverse(m.g, target)
+        for row_got, row_want in zip(got, want):
+            for a, b in zip(row_got, row_want):
+                assert a == b, (target, a, b)
+                assert (a.order, a.valid, a.exact) == (b.order, b.valid, b.exact)
 
 
 def test_metric_inverse_identity_property():

@@ -341,6 +341,8 @@ def test_reverify_failure_downgrades_that_order(monkeypatch):
     assert bad.status == REFUTED and bad.witness is None
     assert bad.note == "random-combination re-verification failed"
     assert rep.verdicts[0].status == CONSISTENT
+    # no verdict after the refuted order
+    assert len(rep.verdicts) == 2
 
 
 def _draw_terms(family, rng):

@@ -2,6 +2,7 @@
 and the univariate radial-reduction oracle."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -17,10 +18,19 @@ from kahlap.catalog import (
     potential,
 )
 from kahlap.geometry import metric_from_potential, pullback
-from kahlap.jets import BiIndex, DimensionMismatchError, InsufficientOrderError, Jet
+from kahlap.jets import (
+    BiIndex,
+    DimensionMismatchError,
+    InsufficientOrderError,
+    Jet,
+    _pack,
+)
 from kahlap.laplacian import (
     NotEinsteinError,
     _memo,
+    _third_power_weights,
+    _units,
+    deriv_at0,
     euclidean_laplacian,
     euclidean_moments,
     inverse_metric_cross_hessian,
@@ -165,6 +175,16 @@ def _bent(spec, order):
     n = spec.dim
     w = [Jet.variable(n, order, i) for i in range(1, n + 1)]
     comps = [w[0] + w[1] * w[1], w[1] + (w[0] * w[1]).scale(rat(1, 3))] + w[2:]
+    return metric_from_potential(pullback(potential(spec, order), comps))
+
+
+def _sheared(spec, order):
+    """The metric of spec pulled back under the linear map
+    (w1 + w2 / 2, w2 / 3), the other variables fixed: g(0) is not diagonal
+    and its inverse has denominators."""
+    n = spec.dim
+    w = [Jet.variable(n, order, i) for i in range(1, n + 1)]
+    comps = [w[0] + w[1].scale(rat(1, 2)), w[1].scale(rat(1, 3))] + w[2:]
     return metric_from_potential(pullback(potential(spec, order), comps))
 
 
@@ -315,6 +335,56 @@ def test_third_power_rhs_matches_direct_engine(reference_metrics, name, data):
     m = reference_metrics[name]
     phi = Jet(m.dim, m.order, data.draw(polynomials(m.dim, 3)))
     assert third_power_rhs(m, phi) == power_at_origin(m, phi, 3), phi
+
+
+def _dense_third_power_weights(m):
+    """The g_inv part of third_power_rhs by the n^4 sum over (i, j, l, h)
+    of origin-derivative lookups, as written before the per-term pass."""
+    n = m.dim
+    x = m.g_inv
+    zero = (0,) * n
+    weights = {}
+    for i, j, l, h in itertools.product(range(n), repeat=4):
+        xij = x[i][j]
+        for mult, c, alpha, beta in (
+            (2, deriv_at0(xij, _units(n, l), _units(n, h)),
+             _units(n, j, h), _units(n, l, i)),
+            (1, deriv_at0(xij, _units(n, l, h), zero),
+             _units(n, j), _units(n, h, l, i)),
+            (1, deriv_at0(xij, zero, _units(n, l, h)),
+             _units(n, j, h, l), _units(n, i)),
+            (1, deriv_at0(xij, _units(n, l, h), _units(n, l, h)),
+             _units(n, j), _units(n, i)),
+        ):
+            if c != 0:
+                exps = alpha + beta
+                f = math.prod(map(math.factorial, exps))
+                key = _pack(exps)
+                weights[key] = weights.get(key, 0) + mult * c * f
+    return {key: w for key, w in weights.items() if w != 0}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: metric_from_potential(potential(Hyperbolic(3), 8)),
+        lambda: metric_from_potential(potential(FubiniStudy(2), 8)),
+        lambda: metric_from_potential(potential(TypeI(2, 2), 8)),
+        lambda: metric_from_potential(potential(Polydisc(2), 8)),
+        lambda: _bent(Hyperbolic(2), 8),
+        lambda: _bent(TypeI(2, 2), 8),
+        lambda: _sheared(Hyperbolic(2), 8),
+    ],
+    ids=[
+        "hyp:3", "fs:2", "type1:2,2", "polydisc:2",
+        "bent hyp:2", "bent type1:2,2", "sheared hyp:2",
+    ],
+)
+def test_third_power_weights_match_dense_sum(build):
+    # the bent and sheared metrics have degree-2 terms of bidegree (2, 0)
+    # and (0, 2) in g_inv, the pure branches the catalog metrics never reach
+    m = build()
+    assert _third_power_weights(m) == _dense_third_power_weights(m)
 
 
 def test_third_power_rhs_guards_hold_on_every_call(hyp1):
