@@ -15,8 +15,8 @@ from kahlap.catalog import (
 )
 from kahlap.geometry import (
     DegenerateMetricError,
-    _eliminate,
     NormalizationError,
+    _eliminate,
     einstein_data,
     in_normal_coordinates,
     mat_mul,
