@@ -31,7 +31,6 @@ from .geometry import (
     pullback,
     ricci,
     ricci_contracted,
-    series_determinant,
     to_normal_coordinates,
     trace_identity_check,
 )

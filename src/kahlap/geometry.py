@@ -1,4 +1,4 @@
-"""Kahler metric jets: inverse, determinant, Ricci and Einstein data.
+"""Kahler metric jets: inverse, log determinant, Ricci and Einstein data.
 
 The metric of a potential jet F is its mixed Hessian g[i][j] = d^2 F /
 dz_i dzb_j (both indices 0-based here, rows holomorphic).  The Laplacian
@@ -13,10 +13,10 @@ constant.  Under this convention the Einstein constants of the standard
 catalog come out as lambda(hyperbolic n) = -(n+1), lambda(Fubini-Study n)
 = n+1 with g(0) = I.
 
-Ricci is computed two independent ways: from -d dbar log det(g) (series
-determinant, then log), and from the curvature-style contraction of metric
-derivatives; the agreement of the two routes on every catalog metric is a
-standing cross-check of the series machinery.
+Ricci is computed two ways: from -d dbar log det(g), with log det(g) read
+off the series inverse by Jacobi's formula, and from the curvature-style
+contraction of metric derivatives.  Tests check the inverse against Newton
+iteration and log det(g) against a pivoted series determinant.
 """
 
 from __future__ import annotations
@@ -27,10 +27,13 @@ from typing import Sequence
 
 from .jets import (
     _INF,
+    _MASK,
+    _SHIFT,
     InsufficientOrderError,
     Jet,
     KahlapError,
     _mul_capped,
+    _unpack,
 )
 from .rationals import ZERO, rat
 
@@ -206,39 +209,6 @@ def series_matrix_inverse(g: Matrix, target_valid: int) -> Matrix:
     return tuple(out)
 
 
-def series_determinant(mat: Matrix) -> Jet:
-    """Determinant by pivoted elimination with exact series division.
-
-    Pivots need a nonzero constant coefficient; for metric matrices g(0) is
-    invertible, so a suitable pivot always exists after row swaps.
-    """
-    n = len(mat)
-    dim = mat[0][0].dim
-    order = mat[0][0].order
-    work = [list(row) for row in mat]
-    sign = 1
-    det = Jet.one(dim, order)
-    for k in range(n):
-        piv = next(
-            (r for r in range(k, n) if work[r][k].constant_term() != 0), None
-        )
-        if piv is None:
-            return Jet.zero(dim, order)
-        if piv != k:
-            work[k], work[piv] = work[piv], work[k]
-            sign = -sign
-        pivot = work[k][k]
-        det = _mul_capped(det, pivot, order)
-        pinv = pivot.inv1()
-        for i in range(k + 1, n):
-            if work[i][k].is_zero:
-                continue
-            factor = _mul_capped(work[i][k], pinv, order)
-            for j in range(k, n):
-                work[i][j] = work[i][j] - _mul_capped(factor, work[k][j], order)
-    return det if sign == 1 else -det
-
-
 # ----------------------------------------------------------------------
 # the metric object
 
@@ -342,22 +312,66 @@ def metric_from_potential(phi: Jet) -> MetricJet:
 # Ricci, two routes
 
 
+def _log_det(m: MetricJet) -> Jet:
+    """L = log det(g) - log det(g(0)) through degree ``m.valid``, from g_inv.
+
+    Jacobi's formula with the Euler (total-degree) operator E reads
+    E log det(g) = tr(g_inv E g); on homogeneous parts, with X = g_inv,
+    L_d = (1/d) sum_{e=1..d} e tr(X_{d-e} G_e).  It runs on ints, graded as
+    in :func:`series_matrix_inverse`: with Dx and Gd the lcms of the entry
+    denominators of X and g and M = lcm(1..m.valid), every L_d is an int
+    numerator over M Dx Gd.  L lives at order ``m.valid``, valid there, and
+    is flagged exact only when zero, as ``log1`` flags the log of a constant.
+    """
+    n, top = m.dim, m.valid
+    x = m.g_inv
+    dx = math.lcm(*(e.den for row in x for e in row))
+    gd = math.lcm(*(e.den for row in m.g for e in row))
+    big = math.lcm(*range(1, top + 1))
+    # parts[e]: (X[i][k] numerators by degree, numerators of Dx Gd G_e[k][i])
+    parts = [[] for _ in range(top + 1)]
+    for i in range(n):
+        for k in range(n):
+            xe, ge = x[i][k], m.g[k][i]
+            if xe.is_zero:
+                continue
+            f = (dx // xe.den) * (gd // ge.den)
+            for e, bucket in ge._grades.items():
+                if 1 <= e <= top:
+                    parts[e].append((xe._grades, {key: c * f for key, c in bucket.items()}))
+    grades = {}
+    for d in range(1, top + 1):
+        tgt = {}
+        get = tgt.get
+        for e in range(1, d + 1):
+            w = e * (big // d)
+            for xgrades, gpart in parts[e]:
+                xpart = xgrades.get(d - e)
+                if not xpart:
+                    continue
+                for kg, cg in gpart.items():
+                    cg *= w
+                    for kx, cx in xpart.items():
+                        key = kg + kx
+                        tgt[key] = get(key, 0) + cg * cx
+        tgt = {key: c for key, c in tgt.items() if c}
+        if tgt:
+            grades[d] = tgt
+    return Jet._reduced(m.g[0][0].dim, top, top, not grades, grades, big * dx * gd)
+
+
 def ricci(m: MetricJet) -> Matrix:
     """Ric[i][j] = -d_i dbar_j log det(g), valid through ``m.valid - 2``.
 
-    The series work stops at ``m.valid``: g is truncated there before the
-    determinant, so no product, pivot inverse or logarithm computes a
-    higher degree.  That is exact: truncation commutes with sums, products,
-    ``inv1`` and ``log1``, and pivots are chosen by constant terms alone,
-    so log det(g) through ``m.valid`` is what the full-order route gives.
-    The entries come back at order ``m.valid``.
+    log det(g) comes from the cached inverse by Jacobi's formula
+    (:func:`_log_det`), only through ``m.valid``, and the entries come back
+    at order ``m.valid``.  Trade-off: this route and
+    :func:`ricci_contracted` both read ``m.g_inv``, so inside the engine the
+    Einstein data is no longer independent of the series inverse.  That
+    independence lives in the test oracles instead: Newton iteration for
+    ``g_inv`` and the pivoted series determinant for log det(g).
     """
-    det = series_determinant(
-        tuple(tuple(e.truncated(m.valid) for e in row) for row in m.g)
-    )
-    c0 = det.constant_term()
-    det_unit = det.scale(rat(1) / c0)  # log of the positive constant drops out
-    logdet = det_unit.log1()
+    logdet = _log_det(m)
     n = m.dim
     rows = (logdet.diff_hol(i + 1) for i in range(n))
     return tuple(tuple(-(d.diff_anti(j + 1)) for j in range(n)) for d in rows)
@@ -369,9 +383,9 @@ def ricci_contracted(m: MetricJet, cap: int | None = None) -> Matrix:
         Ric[i][j] = sum_{a,b} X[a][b] * ( -d_b dbar_a g[i][j]
                     + sum_{c,d} X[c][d] * d_b g[i][c] * dbar_a g[d][j] )
 
-    with X = g_inv.  Independent of the determinant route; products are
-    capped at ``cap`` when given (the comparison degree), which keeps the
-    n^2 matrix products cheap.
+    with X = g_inv.  It takes no logarithm, so it cross-checks Jacobi's
+    formula in :func:`ricci`; products are capped at ``cap`` when given
+    (the comparison degree), which keeps the n^2 matrix products cheap.
     """
     n = m.dim
     cap = m.order if cap is None else cap
@@ -413,7 +427,7 @@ def einstein_data(m: MetricJet) -> EinsteinData:
     """Proportionality test Ric = lam*g through the common valid degree.
 
     The checked degree ``m.valid - 2`` needs log det(g) only through
-    ``m.valid``, where :func:`ricci` stops its series work, exactly.  Ricci
+    ``m.valid``, where :func:`ricci` stops its series work.  Ricci
     entries live at order ``m.valid``, not ``m.order``, so they are compared
     with lam*g coefficient by coefficient instead of subtracted.
     """
@@ -467,7 +481,9 @@ def pullback(phi: Jet, components: Sequence[Jet]) -> Jet:
     ``components[i]`` is the jet (over the source variables) substituted for
     z_{i+1}; conjugate components are substituted for zb_{i+1}.  All
     components must have zero constant term so the composition is again a
-    jet around the origin.
+    jet around the origin.  Each term of phi is the capped product of cached
+    component powers, added as ints into one sum; when every component is
+    exact, a term with a zero component adds nothing and is not multiplied.
     """
     from .jets import ConstantTermError, DimensionMismatchError
 
@@ -482,40 +498,60 @@ def pullback(phi: Jet, components: Sequence[Jet]) -> Jet:
             raise DimensionMismatchError("components must share dim and order")
         if comp.constant_term() != 0:
             raise ConstantTermError("embedding components must vanish at 0")
-    conj_components = [c.conj() for c in components]
-    pow_cache: dict[tuple[int, int, bool], Jet] = {}
+    bases = list(components) + [c.conj() for c in components]
+    pow_cache: dict[tuple[int, int], Jet] = {}
 
-    def power(idx: int, e: int, anti: bool) -> Jet:
-        if e == 0:
-            return Jet.one(src_dim, order)
-        key = (idx, e, anti)
-        got = pow_cache.get(key)
+    def power(slot: int, e: int) -> Jet:
+        got = pow_cache.get((slot, e))
         if got is None:
-            base = conj_components[idx] if anti else components[idx]
-            got = _mul_capped(power(idx, e - 1, anti), base, order)
-            pow_cache[key] = got
+            prev = Jet.one(src_dim, order) if e == 1 else power(slot, e - 1)
+            got = _mul_capped(prev, bases[slot], order)
+            pow_cache[(slot, e)] = got
         return got
 
-    total = Jet.zero(src_dim, order)
+    # the sum of the term products as numerators over den * phi.den; its flags
+    acc: dict[int, dict[int, int]] = {}
+    den, veff, exact = 1, _INF, phi.exact
+    # packed-key mask of the slots of zero components, when all are exact
+    zeros = 0
+    if all(c.exact for c in components):
+        zeros = sum(_MASK << (_SHIFT * s) for s, b in enumerate(bases) if b.is_zero)
     limit = min(phi._veff, phi.order)
-    for bi, c in phi.terms():
-        if bi.degree > limit:
+    for d, bucket in phi._grades.items():
+        if d > limit:
             continue
-        prod = None
-        for idx, e in enumerate(bi.hol):
-            if e:
-                p = power(idx, e, False)
-                prod = p if prod is None else _mul_capped(prod, p, order)
-        for idx, e in enumerate(bi.anti):
-            if e:
-                p = power(idx, e, True)
-                prod = p if prod is None else _mul_capped(prod, p, order)
-        if prod is None:
-            prod = Jet.one(src_dim, order)
-        total = total + prod.scale(c)
-    valid = min(limit, total._veff, order)
-    exact = total.exact and phi.exact
-    return total._flagged(valid, exact)
+        for key, c in bucket.items():
+            if key & zeros and not exact:
+                continue
+            factors = [power(slot, e) for slot, e in enumerate(_unpack(key, 2 * phi.dim)) if e]
+            if key & zeros:
+                # an exact zero product, valid at least through ``order``: only
+                # its exactness counts, and that needs the factors before the
+                # zero to multiply without truncation
+                head = next(i for i, p in enumerate(factors) if p.is_zero)
+                exact = all(p.exact for p in factors) and (
+                    sum(p.max_degree() for p in factors[:head]) <= order
+                )
+                continue
+            prod = factors[0] if factors else Jet.one(src_dim, order)
+            for p in factors[1:]:
+                prod = _mul_capped(prod, p, order)
+            veff, exact = min(veff, prod._veff), exact and prod.exact
+            new_den = math.lcm(den, prod.den)
+            if new_den != den:
+                lift = new_den // den
+                acc = {g: {k: v * lift for k, v in b.items()} for g, b in acc.items()}
+                den = new_den
+            f = c * (den // prod.den)
+            for g, b in prod._grades.items():
+                tgt = acc.setdefault(g, {})
+                get = tgt.get
+                for k, v in b.items():
+                    tgt[k] = get(k, 0) + f * v
+    grades = {g: {k: v for k, v in b.items() if v} for g, b in acc.items()}
+    grades = {g: b for g, b in grades.items() if b}
+    valid = min(limit, veff, order)
+    return Jet._reduced(src_dim, order, valid, exact, grades, den * phi.den)
 
 
 def to_normal_coordinates(phi: Jet) -> Jet:

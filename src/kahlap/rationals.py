@@ -35,6 +35,8 @@ def rat_from_str(text: str):
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
+        if int(den) == 0:
+            raise ZeroDivisionError("zero denominator")
         return rat(int(num), int(den))
     return rat(int(text))
 

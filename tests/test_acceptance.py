@@ -101,14 +101,15 @@ def test_criterion_02_einstein_constants(type1_metric_order10):
         e = m.einstein
         assert e.is_einstein and e.lam == lam, spec.label()
         assert e.checked_degree >= 6  # Ric - lam*g vanishes as jets through 6
-        # the two independent Ricci routes agree through their common validity
+        # the log-determinant and contraction Ricci routes agree through
+        # their common validity
         r1 = ricci(m)
         r2 = ricci_contracted(m, cap=4)
         assert matrices_agree(r1, r2, 4), spec.label()
     print(
         "ACCEPTANCE 02 PASS: Einstein constants fs:n=n+1, hyp:n=-(n+1), "
         "polydisc:2=-2, type1:2,2=-4; Ric-lambda*g = 0 through degree 6; "
-        "determinant and contraction Ricci routes agree exactly"
+        "log-determinant (Jacobi) and contraction Ricci routes agree exactly"
     )
 
 

@@ -51,6 +51,19 @@ def test_check_nonpositive_matrix_dimensions_are_usage_errors(capsys, spec):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "spec,atom",
+    [
+        ("radial:1,1/0:1", "radial:1,1/0:1"),
+        ("product(hyp:1,radial:1/0:1)", "radial:1/0:1"),
+    ],
+)
+def test_check_zero_denominator_is_usage_error(capsys, spec, atom):
+    code, _, err = run(capsys, "check", spec)
+    assert code == 1
+    assert err == f"error: bad spec {atom!r}: zero denominator\n"
+
+
 def test_bad_expect_value(capsys):
     code, _, err = run(capsys, "check", "hyp:1", "--expect", "perhaps")
     assert code == 1

@@ -1,6 +1,8 @@
 """Metric construction, Ricci (two routes), Einstein data, normal
 coordinates, and pullbacks."""
 
+import random
+
 import pytest
 
 from kahlap.catalog import (
@@ -9,7 +11,12 @@ from kahlap.catalog import (
     Hyperbolic,
     Polydisc,
     Product,
+    Radial,
     TypeI,
+    TypeIDual,
+    TypeIII,
+    TypeIV,
+    _raw_potential,
     diagonal_embedding,
     potential,
 )
@@ -17,6 +24,7 @@ from kahlap.geometry import (
     DegenerateMetricError,
     NormalizationError,
     _eliminate,
+    _log_det,
     einstein_data,
     in_normal_coordinates,
     mat_mul,
@@ -26,7 +34,6 @@ from kahlap.geometry import (
     pullback,
     ricci,
     ricci_contracted,
-    series_determinant,
     series_matrix_inverse,
     to_normal_coordinates,
     trace_identity_check,
@@ -283,6 +290,88 @@ def test_ricci_two_routes_agree_on_catalog():
         assert matrices_agree(ricci(m), ricci_contracted(m, cap=4), 4), spec.label()
 
 
+def series_determinant(mat):
+    """Determinant by pivoted elimination with exact series division: the
+    route Jacobi's formula replaced in the engine, kept here as its oracle.
+
+    Pivots need a nonzero constant coefficient; for metric matrices g(0) is
+    invertible, so a suitable pivot always exists after row swaps.
+    """
+    n = len(mat)
+    dim = mat[0][0].dim
+    order = mat[0][0].order
+    work = [list(row) for row in mat]
+    sign = 1
+    det = Jet.one(dim, order)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if work[r][k].constant_term() != 0), None)
+        if piv is None:
+            return Jet.zero(dim, order)
+        if piv != k:
+            work[k], work[piv] = work[piv], work[k]
+            sign = -sign
+        pivot = work[k][k]
+        det = _mul_capped(det, pivot, order)
+        pinv = pivot.inv1()
+        for i in range(k + 1, n):
+            if work[i][k].is_zero:
+                continue
+            factor = _mul_capped(work[i][k], pinv, order)
+            for j in range(k, n):
+                work[i][j] = work[i][j] - _mul_capped(factor, work[k][j], order)
+    return det if sign == 1 else -det
+
+
+def _determinant_log_det(m):
+    """log det(g) - log det(g(0)) through m.valid by the determinant route:
+    g truncated at m.valid, pivoted determinant, scaled to constant 1, log1."""
+    det = series_determinant(tuple(tuple(e.truncated(m.valid) for e in row) for row in m.g))
+    return det.scale(rat(1) / det.constant_term()).log1()
+
+
+def _jacobi_cases():
+    cases = {}
+    for spec in (
+        Flat(1), Flat(2), FubiniStudy(1), FubiniStudy(3), Hyperbolic(1), Hyperbolic(3),
+        Polydisc(3), TypeI(2, 2), TypeIDual(2, 2), TypeIV(3),
+        Product(Hyperbolic(2), FubiniStudy(2)), Radial((rat(1), rat(1, 2)), 2),
+    ):
+        for order in (4, 6, 8):
+            cases[f"{spec.label()} order {order}"] = (spec, order, None)
+    # rejected by the catalog gate, so built raw: a metric that is not Einstein
+    cases["type3:2 order 8"] = (TypeIII(2), 8, None)
+    for spec in (Hyperbolic(2), TypeI(2, 2)):
+        for order in (6, 8):
+            cases[f"bent {spec.label()} order {order}"] = (spec, order, _bent)
+            cases[f"sheared {spec.label()} order {order}"] = (spec, order, _sheared)
+    return cases
+
+
+_JACOBI_CASES = _jacobi_cases()
+
+
+@pytest.mark.parametrize("name", list(_JACOBI_CASES))
+def test_log_det_matches_determinant_route(name):
+    spec, order, build = _JACOBI_CASES[name]
+    if build is not None:
+        m = build(spec, order)
+    else:
+        m = metric_from_potential(_raw_potential(spec, order))
+    got, want = _log_det(m), _determinant_log_det(m)
+    assert got == want
+    assert (got.order, got.valid, got.exact, got.den) == (
+        want.order, want.valid, want.exact, want.den
+    )
+    assert got.order == m.valid
+    if name.startswith("sheared"):
+        # g(0) is not the identity, and log det(g(0)) drops out of L
+        assert m.g[0][1].constant_term() != 0 and m.g[1][1].constant_term() != 1
+        assert got.constant_term() == 0 and not got.is_zero
+    if name.startswith("flat"):
+        # the log of a constant determinant is an exact zero on both routes
+        assert got.is_zero and got.exact
+
+
 def _full_order_ricci(m):
     """-d dbar log det(g) with every series product at the ambient order."""
     det = series_determinant(m.g)
@@ -445,3 +534,130 @@ def test_metric_commutes_with_diagonal_pullback():
         for b in range(2):
             restricted = pullback(big.g[a][b], comps)
             assert restricted.agrees(pulled_metric.g[a][b])
+
+
+def _pullback_per_term(phi, components):
+    """Composition with one jet sum per term of phi, in graded order: the
+    loop the integer accumulator replaced, kept here as its oracle."""
+    order, src_dim = components[0].order, components[0].dim
+    conj_components = [c.conj() for c in components]
+
+    def power(idx, e, anti):
+        out = Jet.one(src_dim, order)
+        for _ in range(e):
+            out = _mul_capped(out, conj_components[idx] if anti else components[idx], order)
+        return out
+
+    total = Jet.zero(src_dim, order)
+    limit = min(phi._veff, phi.order)
+    for term, c in phi.terms():
+        if term.degree > limit:
+            continue
+        prod = None
+        for anti, exps in ((False, term.hol), (True, term.anti)):
+            for idx, e in enumerate(exps):
+                if e:
+                    p = power(idx, e, anti)
+                    prod = p if prod is None else _mul_capped(prod, p, order)
+        if prod is None:
+            prod = Jet.one(src_dim, order)
+        total = total + prod.scale(c)
+    valid = min(limit, total._veff, order)
+    return total._flagged(valid, total.exact and phi.exact)
+
+
+def _bent_map(n, order):
+    w = [Jet.variable(n, order, i) for i in range(1, n + 1)]
+    return [w[0] + w[1] * w[1], w[1] + (w[0] * w[1]).scale(rat(1, 3))] + w[2:]
+
+
+def _fraction_map(n, order):
+    """Coefficients over 2, 3, 5 and 7, so the common denominator grows."""
+    w = [Jet.variable(n, order, i) for i in range(1, n + 1)]
+    return [
+        w[0].scale(rat(1, 2)) + (w[1] * w[1]).scale(rat(1, 5)),
+        w[1].scale(rat(1, 3)) + (w[0] * w[1]).scale(rat(2, 7)),
+    ] + w[2:]
+
+
+def _poly(n, order, terms):
+    return Jet(n, order, [(bi(h, a), c) for h, a, c in terms])
+
+
+def _random_pullback(seed):
+    """A random polynomial phi (exact or not) and a random polynomial map
+    with rational coefficients, some components zero, some inexact."""
+    rng = random.Random(seed)
+    n, src, order = rng.randint(1, 3), rng.randint(1, 2), rng.randint(6, 8)
+
+    def exps(dim, top):
+        out = [0] * dim
+        for _ in range(rng.randint(0, top)):
+            out[rng.randrange(dim)] += 1
+        return tuple(out)
+
+    phi = Jet(n, order, [
+        (bi(h, a), rat(rng.randint(-5, 5), rng.randint(1, 4)))
+        for h, a in ((exps(n, 3), exps(n, 3)) for _ in range(rng.randint(1, 6)))
+    ])
+    if rng.random() < 0.3:
+        phi = phi._flagged(rng.randint(2, order), False)
+    comps = []
+    for _ in range(n):
+        if rng.random() < 0.3:
+            comp = Jet.zero(src, order)
+        else:
+            comp = Jet(src, order, [
+                (bi(h, (0,) * src), rat(rng.randint(-4, 4), rng.randint(1, 6)))
+                for h in (exps(src, 3) for _ in range(rng.randint(1, 3)))
+                if sum(h)
+            ])
+        if rng.random() < 0.2:
+            comp = comp._flagged(rng.randint(1, order), False)
+        comps.append(comp)
+    return phi, comps
+
+
+def _pullback_cases():
+    cases = {}
+    for spec in (Hyperbolic(2), TypeI(2, 2)):
+        phi = potential(spec, 8)
+        cases[f"bent {spec.label()}"] = (phi, _bent_map(spec.dim, 8))
+        cases[f"fractions {spec.label()}"] = (phi, _fraction_map(spec.dim, 8))
+        inexact = [c._flagged(6, False) for c in _bent_map(spec.dim, 8)]
+        cases[f"inexact bent {spec.label()}"] = (phi, inexact)
+    for p, q in ((2, 2), (2, 3)):
+        phi = potential(TypeI(p, q), 8)
+        comps = diagonal_embedding(p, q, 8).component_jets(8)
+        cases[f"diagonal type1:{p},{q}"] = (phi, comps)
+        cases[f"inexact diagonal type1:{p},{q}"] = (phi, [c._flagged(7, False) for c in comps])
+    # exact phi, a zero component, and a product that overflows order 6 before
+    # it meets the zero: (w1 + w1^3)^2 w2^2, then z3 -> 0
+    w1, w2 = Jet.variable(2, 6, 1), Jet.variable(2, 6, 2)
+    overflow = [w1 + w1 * w1 * w1, w2, Jet.zero(2, 6)]
+    phi = _poly(3, 6, [((0, 1, 0), (0, 1, 0), 1), ((2, 2, 1), (0, 0, 0), 1)])
+    cases["zero after an overflow"] = (phi, overflow)
+    phi = _poly(3, 6, [((0, 1, 0), (0, 1, 0), 1), ((0, 0, 1), (2, 2, 0), 1)])
+    cases["zero before an overflow"] = (phi, overflow)
+    phi = _poly(3, 6, [((0, 1, 0), (0, 1, 0), 1), ((1, 1, 1), (0, 0, 0), 1)])
+    cases["zero with no overflow"] = (phi, overflow)
+    for seed in range(60):
+        cases[f"random {seed}"] = _random_pullback(seed)
+    return cases
+
+
+_PULLBACK_CASES = _pullback_cases()
+
+
+@pytest.mark.parametrize("name", list(_PULLBACK_CASES))
+def test_pullback_matches_per_term_oracle(name):
+    phi, comps = _PULLBACK_CASES[name]
+    got, want = pullback(phi, comps), _pullback_per_term(phi, comps)
+    assert got == want
+    assert (got.order, got.valid, got.exact, got.den) == (
+        want.order, want.valid, want.exact, want.den
+    )
+    if name == "zero after an overflow":
+        assert not got.exact
+    if name in ("zero before an overflow", "zero with no overflow"):
+        assert got.exact
