@@ -482,8 +482,9 @@ def pullback(phi: Jet, components: Sequence[Jet]) -> Jet:
     z_{i+1}; conjugate components are substituted for zb_{i+1}.  All
     components must have zero constant term so the composition is again a
     jet around the origin.  Each term of phi is the capped product of cached
-    component powers, added as ints into one sum; when every component is
-    exact, a term with a zero component adds nothing and is not multiplied.
+    component powers, added as ints into one sum.  A term with a zero
+    component adds nothing, so when every component is exact it is skipped
+    once the sum is already inexact: its flags could change nothing then.
     """
     from .jets import ConstantTermError, DimensionMismatchError
 
@@ -524,15 +525,6 @@ def pullback(phi: Jet, components: Sequence[Jet]) -> Jet:
             if key & zeros and not exact:
                 continue
             factors = [power(slot, e) for slot, e in enumerate(_unpack(key, 2 * phi.dim)) if e]
-            if key & zeros:
-                # an exact zero product, valid at least through ``order``: only
-                # its exactness counts, and that needs the factors before the
-                # zero to multiply without truncation
-                head = next(i for i, p in enumerate(factors) if p.is_zero)
-                exact = all(p.exact for p in factors) and (
-                    sum(p.max_degree() for p in factors[:head]) <= order
-                )
-                continue
             prod = factors[0] if factors else Jet.one(src_dim, order)
             for p in factors[1:]:
                 prod = _mul_capped(prod, p, order)
