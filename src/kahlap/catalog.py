@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 
 from .geometry import metric_from_potential, normality_report, einstein_data, pullback
-from .jets import Jet, KahlapError, UniSeries, substitute, _mul_capped
+from .jets import Jet, KahlapError, UniSeries, substitute, _mul_capped, _SHIFT
 from .rationals import rat, rat_from_str, rat_pretty
 
 
@@ -384,21 +384,23 @@ def dual_potential(phi: Jet) -> Jet:
 def potential(spec: PotentialSpec, order: int) -> Jet:
     """Build a catalog potential at the given truncation order, gated.
 
-    Gate: zero constant term, g(0) = I and vanishing first metric
-    derivatives; optional entries must additionally be Einstein at the
-    self-check order.
+    Gate: g(0) = I and vanishing first metric derivatives, read off the
+    potential's terms by :func:`_reads_normal`; only a potential that read
+    rejects has the metric of its degree-4 truncation built, whose checks
+    name the offence.  Optional entries must additionally be Einstein at
+    the self-check order.
     """
     phi = _raw_potential(spec, order)
-    gate_order = min(order, 4)
-    report = normality_report(metric_from_potential(phi.truncated(gate_order)))
-    if not report.ok:
-        raise CatalogGateError(
-            f"catalog entry rejected by self-check: {spec.label()} is not "
-            f"normalized at the origin ({'; '.join(report.offenders)})"
-        )
+    if not _reads_normal(phi):
+        report = normality_report(metric_from_potential(phi.truncated(min(order, 4))))
+        if not report.ok:
+            raise CatalogGateError(
+                f"catalog entry rejected by self-check: {spec.label()} is not "
+                f"normalized at the origin ({'; '.join(report.offenders)})"
+            )
     if spec.optional:
         # Einstein self-check at a fixed depth (Ricci valid through degree 4)
-        probe = _raw_potential(spec, 8)
+        probe = phi.truncated(8) if order >= 8 else _raw_potential(spec, 8)
         e = einstein_data(metric_from_potential(probe))
         if not e.is_einstein:
             raise CatalogGateError(
@@ -406,6 +408,33 @@ def potential(spec: PotentialSpec, order: int) -> Jet:
                 f"the Einstein gate through degree {e.checked_degree}"
             )
     return phi
+
+
+def _reads_normal(phi: Jet) -> bool:
+    """Whether the metric of ``phi`` is Hermitian through degree 2 with
+    g(0) = I and no degree-1 terms, read off the numerators of ``phi``: each
+    z_i zb_i holds ``den`` and no other mixed term has degree 2, no mixed
+    term has degree 3, and every mixed term of degree <= 4 has its
+    conjugate at the same numerator.  A potential valid below degree 2
+    reads False."""
+    n = phi.dim
+    shift = _SHIFT * n
+    low = (1 << shift) - 1
+    diagonal = {b | b << shift for b in (1 << _SHIFT * i for i in range(n))}
+    quad = phi._grades.get(2, {})
+    if phi._veff < 2 or any(quad.get(key) != phi.den for key in diagonal):
+        return False
+    for d in (2, 3, 4):
+        bucket = phi._grades.get(d, {})
+        for key, c in bucket.items():
+            hol, anti = key & low, key >> shift
+            if hol and anti and (
+                d == 3
+                or (d == 2 and key not in diagonal)
+                or bucket.get(anti | hol << shift) != c
+            ):
+                return False
+    return True
 
 
 def gate_status(spec: PotentialSpec, order: int = 6) -> tuple[bool, str]:

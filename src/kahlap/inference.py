@@ -48,6 +48,7 @@ from .laplacian import (
     monomial_moment,
     monomial_powers_at_origin,
     power_at_origin,
+    powers_at_origin,
 )
 from .rationals import ZERO, rat, rat_pretty
 
@@ -422,16 +423,17 @@ def verify_property(
 ) -> PropertyReport:
     """Run inference for k = 1..max_k, stopping at the first refutation.
 
-    When every order is consistent, each inferred p_k is re-verified on
+    When every order is consistent, the inferred p_k are re-verified on
     ``extended_polys`` seeded random rational combinations of the family
-    monomials (``seed`` picks them; no verdict depends on it).  For each
-    combination phi, ``Lap^k phi(0)`` from :func:`power_at_origin`, the
-    one-level sum over the multi-term jet, must equal ``p_k`` applied to
+    monomials (``seed`` picks them; no verdict depends on it), drawn once
+    per run and shared by every order.  For each combination phi and each
+    k, ``Lap^k phi(0)`` from :func:`powers_at_origin`, the one-level sum
+    over the multi-term jet at every level, must equal ``p_k`` applied to
     the closed-form moments of :func:`euclidean_moments`, exactly.  That
     path reads the memo apart from the value table that :func:`infer`
     solved from, so a failure there -- a fault of the engine, not a
-    mathematical possibility -- downgrades the verdict to refuted and
-    drops the later ones, so the report ends there.
+    mathematical possibility -- downgrades the lowest failing order to
+    refuted and drops the later ones, so the report ends there.
     """
     if max_k < 1:
         raise KahlapError("max_k must be >= 1")
@@ -455,13 +457,12 @@ def verify_property(
             break
     if all(v.status == CONSISTENT for v in verdicts):
         rng = random.Random(seed)
-        monomials = _packed_monomials(family)
-        for v in verdicts:
-            combinations = _random_combinations(m, monomials, rng, extended_polys)
-            bad = _extended_reverify(m, v, combinations)
-            if bad is not None:
-                verdicts[v.k - 1 :] = [bad]
-                break
+        combinations = _random_combinations(
+            m, _packed_monomials(family), rng, extended_polys
+        )
+        bad = _extended_reverify(m, verdicts, combinations)
+        if bad is not None:
+            verdicts[bad.k - 1 :] = [bad]
     summary = None
     if (
         m.einstein.is_einstein
@@ -486,37 +487,48 @@ def _packed_monomials(family: TestFamily) -> list:
     return [(entry.index.degree, _pack_bi(entry.index)) for entry in family.entries]
 
 
+# numerator over 12 of p/q at draw cell i = 4 * (p + 9) + (q - 1)
+_DRAW_NUMERATORS = [p * (12 // q) for p in range(-9, 10) for q in range(1, 5)]
+
+
 def _random_combinations(m: MetricJet, monomials, rng, count: int):
     """Yield up to ``count`` random combinations of the family monomials
     ``monomials`` (from :func:`_packed_monomials`) as exact jets at the
-    shape of ``m``.  Each monomial is skipped with probability 1/2, else it
-    gets the coefficient p/q with p drawn from -9..9 and then q from 1..4;
-    an empty draw yields nothing.  The coefficient is built as the
-    numerator ``p * (12 // q)`` over the common denominator 12."""
+    shape of ``m``.  One ``rng.random()`` u per monomial: u < 1/2 skips it,
+    else cell i = floor((u - 1/2) * 152) gives it the coefficient p/q with
+    p = i // 4 - 9 in -9..9 and q = i % 4 + 1 in 1..4, each of the 76
+    cells equally likely up to float granularity; an empty draw yields
+    nothing.  The coefficient is the numerator ``p * (12 // q)`` over the
+    common denominator 12."""
     for _ in range(count):
         grades = {}
         for degree, key in monomials:
-            if rng.random() < 0.5:
+            u = rng.random()
+            if u < 0.5:
                 continue
-            p = rng.randint(-9, 9)
-            q = rng.randint(1, 4)
-            if p:
-                grades.setdefault(degree, {})[key] = p * (12 // q)
+            c = _DRAW_NUMERATORS[int((u - 0.5) * 152)]
+            if c:
+                grades.setdefault(degree, {})[key] = c
         if grades:
             yield Jet._reduced(m.dim, m.order, m.order, True, grades, 12)
 
 
-def _extended_reverify(m, verdict, combinations) -> Verdict | None:
-    """Check p_k on the jets ``combinations``: Lap^k phi(0) must equal
-    p_k applied to the Euclidean moments of phi."""
-    k = verdict.k
-    poly = verdict.polynomial
-    for phi in combinations:
-        lhs = power_at_origin(m, phi, k)
-        mom = euclidean_moments(phi, k)
-        if lhs != poly.apply_to_moments(mom):
+def _extended_reverify(m, verdicts, combinations) -> Verdict | None:
+    """Check every p_k of ``verdicts`` (k = 1..len(verdicts)) on the jets
+    ``combinations``: Lap^k phi(0) must equal p_k applied to the Euclidean
+    moments of phi.  Returns the refuted verdict of the lowest failing
+    order, or None."""
+    max_k = len(verdicts)
+    checks = [
+        (powers_at_origin(m, phi, max_k), euclidean_moments(phi, max_k))
+        for phi in combinations
+    ]
+    for v in verdicts:
+        if any(
+            lhs[v.k - 1] != v.polynomial.apply_to_moments(mom) for lhs, mom in checks
+        ):
             return Verdict(
-                k=k,
+                k=v.k,
                 status=REFUTED,
                 witness=None,
                 note="random-combination re-verification failed",

@@ -3,6 +3,7 @@ spec-string grammar."""
 
 import pytest
 
+from kahlap import catalog
 from kahlap.catalog import (
     CatalogGateError,
     Custom,
@@ -18,6 +19,7 @@ from kahlap.catalog import (
     TypeIDual,
     TypeIII,
     TypeIV,
+    _raw_potential,
     diagonal_embedding,
     diagonal_restriction_check,
     dual_potential,
@@ -27,8 +29,14 @@ from kahlap.catalog import (
     potential,
     standard_entries,
 )
-from kahlap.geometry import einstein_data, in_normal_coordinates, metric_from_potential
-from kahlap.jets import BiIndex, Jet
+from kahlap.geometry import (
+    DegenerateMetricError,
+    einstein_data,
+    in_normal_coordinates,
+    metric_from_potential,
+    normality_report,
+)
+from kahlap.jets import BiIndex, InsufficientOrderError, Jet, KahlapError
 from kahlap.rationals import rat
 
 
@@ -152,6 +160,72 @@ def test_custom_gate_rejects_non_normal():
 def test_custom_accepts_normal_potential():
     phi = potential(Hyperbolic(2), 6)
     assert potential(Custom(phi, name="h2"), 6) == phi
+
+
+def _crooked(order):
+    z1 = Jet.variable(2, order, 1)
+    z2 = Jet.variable(2, order, 2)
+    f2 = z2 + z1 * z1
+    return z1 * z1.conj() + f2 * f2.conj()
+
+
+def _gate_by_metric(phi, order):
+    """The normal-coordinate gate through the metric of the degree-4
+    truncation: True when it accepts ``phi``."""
+    try:
+        return normality_report(metric_from_potential(phi.truncated(min(order, 4)))).ok
+    except KahlapError:
+        return False
+
+
+def _gate_cases():
+    for spec in standard_entries():
+        for order in (4, 6, 8):
+            yield pytest.param(_raw_potential(spec, order), order, id=f"{spec}@{order}")
+    yield pytest.param(_crooked(6), 6, id="crooked")
+    # g(0) = I plus a lone z1^2*zb1*zb2: no conjugate term, not Hermitian
+    lone = Jet.abs_square_sum(2, 6) + Jet(2, 6, [(bi((2, 0), (1, 1)), rat(1, 3))])
+    yield pytest.param(lone, 6, id="lone")
+    yield pytest.param(Jet.abs_square_sum(2, 6)._flagged(1, False), 6, id="degree-1")
+
+
+@pytest.mark.parametrize("phi, order", list(_gate_cases()))
+def test_gate_read_off_terms_matches_metric_gate(phi, order):
+    assert catalog._reads_normal(phi) == _gate_by_metric(phi, order)
+
+
+def test_gate_rejections_keep_their_errors():
+    with pytest.raises(CatalogGateError, match=r"g\[1\]\[2\] has degree-1 terms"):
+        potential(Custom(_crooked(6)), 6)
+    lone = Jet.abs_square_sum(2, 6) + Jet(2, 6, [(bi((2, 0), (1, 1)), rat(1, 3))])
+    with pytest.raises(DegenerateMetricError, match=r"^metric not Hermitian: entry \(1,1\)$"):
+        potential(Custom(lone), 6)
+    with pytest.raises(InsufficientOrderError):
+        potential(Custom(Jet.abs_square_sum(2, 6)._flagged(1, False)), 6)
+
+
+@pytest.mark.parametrize("spec", [TypeIV(2), TypeIV(3), TypeIII(1), TypeIII(2)])
+@pytest.mark.parametrize("order", [8, 10, 12])
+def test_optional_gate_probe_is_the_truncated_potential(spec, order):
+    a = _raw_potential(spec, order).truncated(8)
+    b = _raw_potential(spec, 8)
+    assert (a.order, a.valid, a.exact, a.den, a._grades) == (
+        b.order, b.valid, b.exact, b.den, b._grades
+    )
+
+
+@pytest.mark.parametrize("order, builds", [(6, 2), (8, 1)])
+def test_optional_entry_builds_its_potential_once_from_order_8(monkeypatch, order, builds):
+    calls = []
+    real = catalog._raw_potential
+
+    def counted(spec, order):
+        calls.append(order)
+        return real(spec, order)
+
+    monkeypatch.setattr(catalog, "_raw_potential", counted)
+    potential(TypeIV(2), order)
+    assert len(calls) == builds
 
 
 # ----------------------------------------------------------------------

@@ -64,6 +64,24 @@ def test_check_zero_denominator_is_usage_error(capsys, spec, atom):
     assert err == f"error: bad spec {atom!r}: zero denominator\n"
 
 
+@pytest.mark.parametrize(
+    "spec,line",
+    [
+        ("radial:0,1:1", "degenerate metric at origin"),
+        ("radial:-1:1", "metric not positive definite at origin"),
+        (
+            "radial:2:1",
+            "catalog entry rejected by self-check: radial:2:1 is not "
+            "normalized at the origin (g[1][1](0) != 1)",
+        ),
+    ],
+)
+def test_check_non_normal_radial_is_construction_error(capsys, spec, line):
+    code, _, err = run(capsys, "check", spec)
+    assert code == 1
+    assert err == f"error: {line}\n"
+
+
 def test_bad_expect_value(capsys):
     code, _, err = run(capsys, "check", "hyp:1", "--expect", "perhaps")
     assert code == 1

@@ -1,6 +1,7 @@
 """Power-polynomial inference: families, verdicts, witnesses, duality and
 the k = 3 reference values."""
 
+import math
 import random
 
 import pytest
@@ -325,34 +326,42 @@ def test_consistency_stable_under_extension_seeds():
     assert pa == pb and a.all_consistent and b.all_consistent
 
 
-def test_reverify_failure_downgrades_that_order(monkeypatch):
-    # an engine fault at k = 2 on the re-verification path alone: the value
-    # table never calls power_at_origin, so inference stays consistent
-    real = inference.power_at_origin
+@pytest.mark.parametrize("bad_k", [1, 2, 3])
+def test_reverify_failure_downgrades_that_order(monkeypatch, bad_k):
+    # an engine fault at one order on the re-verification path alone: the
+    # value table never calls powers_at_origin, so inference stays
+    # consistent; every order, max_k = 3 included, is checked on the shared
+    # combinations, so the fault is caught wherever it sits
+    real = inference.powers_at_origin
 
-    def off_by_one_at_2(m, phi, k):
-        value = real(m, phi, k)
-        return value + 1 if k == 2 else value
+    def off_by_one_at(m, phi, kmax):
+        values = real(m, phi, kmax)
+        values[bad_k - 1] += 1
+        return values
 
-    monkeypatch.setattr(inference, "power_at_origin", off_by_one_at_2)
+    monkeypatch.setattr(inference, "powers_at_origin", off_by_one_at)
     rep = verify_property(Hyperbolic(2), 3)
-    assert rep.refuted_at == 2
-    bad = rep.verdicts[1]
+    assert rep.refuted_at == bad_k
+    bad = rep.verdicts[bad_k - 1]
     assert bad.status == REFUTED and bad.witness is None
     assert bad.note == "random-combination re-verification failed"
-    assert rep.verdicts[0].status == CONSISTENT
+    assert all(v.status == CONSISTENT for v in rep.verdicts[: bad_k - 1])
     # no verdict after the refuted order
-    assert len(rep.verdicts) == 2
+    assert len(rep.verdicts) == bad_k
 
 
 def _draw_terms(family, rng):
-    """The draw of one random combination as the re-verification first
-    wrote it: (BiIndex, Fraction) terms for ``Jet.__init__``."""
+    """The draw of one random combination, written plainly as
+    (BiIndex, Fraction) terms for ``Jet.__init__``: one random() u per
+    monomial, skipped when u < 1/2, else p/q read from the cell
+    floor((u - 1/2) * 152) of the grid p in -9..9 by q in 1..4."""
     terms = []
     for entry in family.entries:
-        if rng.random() < 0.5:
+        u = rng.random()
+        if u < 0.5:
             continue
-        c = rat(rng.randint(-9, 9), rng.randint(1, 4))
+        cell = math.floor((u - 0.5) * 152)
+        c = rat(cell // 4 - 9, cell % 4 + 1)
         if c != 0:
             terms.append((entry.index, c))
     return terms
@@ -368,13 +377,44 @@ def test_random_combinations_are_the_terms_drawn(spec, max_k, draw_seed):
     family = build_test_family(spec.dim, max_k)
     monomials = inference._packed_monomials(family)
     ours, theirs = random.Random(draw_seed), random.Random(draw_seed)
-    for _ in range(max_k):
-        jets = list(inference._random_combinations(m, monomials, ours, 3))
-        want = [Jet(m.dim, m.order, terms) for terms in
-                (_draw_terms(family, theirs) for _ in range(3)) if terms]
-        assert len(jets) == 3 and jets == want
-        assert all(jet.exact for jet in jets)
-        assert ours.getstate() == theirs.getstate()
+    jets = list(inference._random_combinations(m, monomials, ours, 3))
+    want = [Jet(m.dim, m.order, terms) for terms in
+            (_draw_terms(family, theirs) for _ in range(3)) if terms]
+    assert len(jets) == 3 and jets == want
+    assert all(jet.exact for jet in jets)
+    assert ours.getstate() == theirs.getstate()
+
+
+class _Replay:
+    """Stands in for random.Random, returning the given values of random()."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+def test_random_draw_maps_u_to_every_cell():
+    # u in [1/2, 1) splits into 76 slices of width 1/152, one per cell i of
+    # the 19 x 4 grid; each slice, read at its low end, middle and high end,
+    # gives p/q = (i // 4 - 9) / (i % 4 + 1), and a zero p drops the term
+    m = metric_from_potential(potential(Hyperbolic(1), 4))
+    bi = BiIndex((1,), (1,))
+    monomials = [(2, inference._pack_bi(bi))]
+
+    def drawn(u):
+        return list(inference._random_combinations(m, monomials, _Replay([u]), 1))
+
+    for cell in range(76):
+        p, q = cell // 4 - 9, cell % 4 + 1
+        want = [Jet(1, 4, [(bi, rat(p, q))])] if p else []
+        for t in (1e-9, 0.5, 1 - 1e-9):
+            assert drawn(0.5 + (cell + t) / 152) == want, (cell, t)
+    assert drawn(0.5) == [Jet(1, 4, [(bi, rat(-9))])]
+    assert drawn(math.nextafter(1.0, 0.0)) == [Jet(1, 4, [(bi, rat(9, 4))])]
+    for u in (0.0, 0.25, math.nextafter(0.5, 0.0)):
+        assert drawn(u) == []
 
 
 def test_radial_profiles_consistent_sample():
