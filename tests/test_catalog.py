@@ -169,6 +169,11 @@ def _crooked(order):
     return z1 * z1.conj() + f2 * f2.conj()
 
 
+def _lone(order):
+    """g(0) = I plus a lone z1^2*zb1*zb2: no conjugate term, not Hermitian."""
+    return Jet.abs_square_sum(2, order) + Jet(2, order, [(bi((2, 0), (1, 1)), rat(1, 3))])
+
+
 def _gate_by_metric(phi, order):
     """The normal-coordinate gate through the metric of the degree-4
     truncation: True when it accepts ``phi``."""
@@ -183,9 +188,7 @@ def _gate_cases():
         for order in (4, 6, 8):
             yield pytest.param(_raw_potential(spec, order), order, id=f"{spec}@{order}")
     yield pytest.param(_crooked(6), 6, id="crooked")
-    # g(0) = I plus a lone z1^2*zb1*zb2: no conjugate term, not Hermitian
-    lone = Jet.abs_square_sum(2, 6) + Jet(2, 6, [(bi((2, 0), (1, 1)), rat(1, 3))])
-    yield pytest.param(lone, 6, id="lone")
+    yield pytest.param(_lone(6), 6, id="lone")
     yield pytest.param(Jet.abs_square_sum(2, 6)._flagged(1, False), 6, id="degree-1")
 
 
@@ -197,9 +200,8 @@ def test_gate_read_off_terms_matches_metric_gate(phi, order):
 def test_gate_rejections_keep_their_errors():
     with pytest.raises(CatalogGateError, match=r"g\[1\]\[2\] has degree-1 terms"):
         potential(Custom(_crooked(6)), 6)
-    lone = Jet.abs_square_sum(2, 6) + Jet(2, 6, [(bi((2, 0), (1, 1)), rat(1, 3))])
     with pytest.raises(DegenerateMetricError, match=r"^metric not Hermitian: entry \(1,1\)$"):
-        potential(Custom(lone), 6)
+        potential(Custom(_lone(6)), 6)
     with pytest.raises(InsufficientOrderError):
         potential(Custom(Jet.abs_square_sum(2, 6)._flagged(1, False)), 6)
 
@@ -219,9 +221,9 @@ def test_optional_entry_builds_its_potential_once_from_order_8(monkeypatch, orde
     calls = []
     real = catalog._raw_potential
 
-    def counted(spec, order):
-        calls.append(order)
-        return real(spec, order)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(catalog, "_raw_potential", counted)
     potential(TypeIV(2), order)
