@@ -13,25 +13,27 @@ contrast, exhibits two test functions whose equations admit no common
 solution, which is a proof that no polynomial works.
 
 A monomial's Euclidean moment vector has at most one nonzero entry
-(Lapc^j (z^a zb^b)(0) = j! a! when a = b and |a| = j), so every row falls
-in one class: the zero class, or the slot j < k of its single nonzero
-unknown moment.  A class-j row fixes a_j to its normalised right-hand side
-rhs / m_j.  Two rows are incompatible exactly when one of them is in the
-zero class with a nonzero right-hand side, or both are in the same class
-with different normalised right-hand sides; one pass over the family finds
-the first such pair in family order.  When there is none, each class fixes
-its coefficient and a class without rows leaves it free.  Rows that read
-0 = 0 (value and every moment 0; most unbalanced rows) are compatible with
-every row and fix nothing, so the pass skips them.  Witness pairs are
-re-validated independently at emission time (proportional moment vectors,
-incompatible right-hand sides).
+(Lapc^j (z^a zb^b)(0) = j! a! when a = b and |a| = j), so the family keeps
+each row as its packed key and its moment class on ints: (j, j! a!) for a
+balanced row, none for any other.  At order k a row with j < k fixes a_j
+to Lap^k phi(0) / (j! a!); every other row is in the zero class, whose
+right-hand side Lap^k phi(0) - Lapc^k phi(0) must vanish.  Two rows are
+incompatible exactly when one is in the zero class with a nonzero
+right-hand side, or both fix the same a_j to different values; one pass
+over the int numerators of the value table finds the first such pair in
+family order.  When there is none, each class fixes its coefficient and a
+class without rows leaves it free; rows that read 0 = 0 fix nothing and
+are skipped.  Rationals are built only for a witness pair, which is
+re-validated independently (proportional moment vectors, incompatible
+right-hand sides), and for the solved p_k.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 from . import catalog as cat
 from .geometry import (
@@ -40,15 +42,24 @@ from .geometry import (
     metric_from_potential,
     EinsteinData,
 )
-from .jets import BiIndex, InsufficientOrderError, Jet, KahlapError, _pack_bi
+from .jets import (
+    BiIndex,
+    InsufficientOrderError,
+    Jet,
+    KahlapError,
+    _SHIFT,
+    _pack,
+    _unpack,
+)
 from .laplacian import (
     NotEinsteinError,
     euclidean_moments,
     inverse_metric_cross_hessian,
-    monomial_moment,
     monomial_powers_at_origin,
     power_at_origin,
     powers_at_origin,
+    _balanced_moment,
+    _units,
 )
 from .rationals import ZERO, rat, rat_pretty
 
@@ -98,57 +109,69 @@ class PowerPolynomial:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class FamilyEntry:
+class FamilyRow(NamedTuple):
     index: BiIndex
-    moments: tuple  # Lapc^j phi(0), j = 1..max_k
-
-    @property
-    def balanced(self) -> bool:
-        a, b = self.index.bidegree
-        return a == b
+    moment_class: tuple | None  # (j, j! a!) for z^a zb^a, j = |a|
 
 
 @dataclass(frozen=True)
 class TestFamily:
+    """Rows of the test family in family order: ``keys[i]`` packs the
+    monomial z^alpha zb^beta as ``_pack(alpha) | _pack(beta) << _SHIFT *
+    dim``, and ``classes[i]`` is its moment class, ``(j, j! a!)`` for a
+    balanced row z^a zb^a with j = |a| (Lapc^j at its one nonzero slot),
+    None for any other row."""
+
     dim: int
     max_k: int
-    entries: tuple
+    keys: tuple
+    classes: tuple
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.keys)
+
+    def index(self, pos: int) -> BiIndex:
+        exps = _unpack(self.keys[pos], 2 * self.dim)
+        return BiIndex(exps[: self.dim], exps[self.dim :])
+
+    @cached_property
+    def entries(self) -> tuple:
+        """The rows as :class:`FamilyRow`, built on first read, for readers
+        outside the engine; the engine reads ``keys`` and ``classes``."""
+        return tuple(map(FamilyRow, map(self.index, range(len(self))), self.classes))
 
 
 def build_test_family(n: int, k: int) -> TestFamily:
     """All monomials z^alpha zb^beta with |alpha|, |beta| <= k supported on
-    at most min(n, 3) variables, in graded z1-major order.  Unbalanced
+    at most min(n, 3) variables, in graded z1-major order: by total degree,
+    then by alpha and by beta in descending lexicographic order.  Unbalanced
     monomials are kept: their equations must read 0 = 0 and catch degree
     bookkeeping bugs."""
     if n < 1 or k < 1:
         raise KahlapError("family needs n >= 1 and k >= 1")
-    max_support = min(n, 3)
-    # per exponent vector: its sum, its support bitmask, its negated sort key
-    vecs = [
-        (v, sum(v), sum(1 << i for i, e in enumerate(v) if e), tuple(-e for e in v))
-        for v in _exponent_vectors(n, k)
-    ]
-    rows = sorted(
-        ((da + db, na, nb), alpha, beta)
-        for alpha, da, ma, na in vecs
-        for beta, db, mb, nb in vecs
-        if da + db and (ma | mb).bit_count() <= max_support
-    )
-    unbalanced = (ZERO,) * k
-    entries = []
-    for _, alpha, beta in rows:
-        bi = BiIndex(alpha, beta)
-        moments = unbalanced
-        if alpha == beta:
-            moments = [ZERO] * k
-            moments[sum(alpha) - 1] = monomial_moment(bi)
-            moments = tuple(moments)
-        entries.append(FamilyEntry(index=bi, moments=moments))
-    return TestFamily(dim=n, max_k=k, entries=tuple(entries))
+    shift = _SHIFT * n
+    # per exponent vector v, z1-major: v as holomorphic and as
+    # antiholomorphic half of a key, its support bitmask, |v| and j! v!
+    # (j = |v|); by_sum[j] holds the antiholomorphic halves of sum j
+    vecs = []
+    by_sum = [[] for _ in range(k + 1)]
+    for v in reversed(_exponent_vectors(n, k)):
+        hol = _pack(v)
+        mask = sum(1 << i for i, e in enumerate(v) if e)
+        vecs.append((hol, hol << shift, mask, sum(v), _balanced_moment(v)))
+        by_sum[sum(v)].append((hol << shift, mask))
+    keys, classes = [], []
+    for d in range(1, 2 * k + 1):
+        for hol, balanced, mask, j, moment in vecs:
+            if not 0 <= d - j <= k:
+                continue
+            antis = by_sum[d - j]
+            if n > 3:
+                antis = [a for a in antis if (mask | a[1]).bit_count() <= 3]
+            for anti, _ in antis:
+                keys.append(hol | anti)
+                classes.append((j, moment) if anti == balanced else None)
+    return TestFamily(dim=n, max_k=k, keys=tuple(keys), classes=tuple(classes))
 
 
 def _exponent_vectors(n: int, k: int) -> list[tuple[int, ...]]:
@@ -216,42 +239,42 @@ def infer(
     k: int,
     family: TestFamily,
     kahler_values: Sequence | None = None,
+    *,
+    den=1,
 ) -> Verdict:
     """Solve the order-k inference problem over the family, exactly.
 
-    ``kahler_values`` optionally supplies Lap^k phi(0) per family entry
-    (as produced by :func:`kahler_value_table`); otherwise they are
-    computed here.  Raises KahlapError for a row with more than one
-    nonzero unknown moment, which the grouping rule cannot handle.
+    ``kahler_values`` optionally supplies Lap^k phi(0) per family row as a
+    value over ``den`` (the level-k numerators of
+    :func:`kahler_value_table` over D^k); otherwise they are computed here.
+    Raises KahlapError unless there is one value per row.
     """
     if not in_normal_coordinates(m):
         raise KahlapError("inference requires normal coordinates at the origin")
     if kahler_values is None:
-        table = kahler_value_table(m, family, k)
-        kahler_values = [row[k - 1] for row in table]
-    # (position, class, normalised rhs) per row that does not read 0 = 0;
-    # class None is the zero class
+        d, levels = kahler_value_table(m, family, k)
+        kahler_values, den = levels[k - 1], d**k
+    if len(kahler_values) != len(family):
+        raise KahlapError(
+            f"{len(kahler_values)} Kahler values for {len(family)} family rows"
+        )
+    # (position, class, value, moment) per row that does not read 0 = 0: a
+    # class-j row (j < k) fixes a_j = value / (moment * den); class None is
+    # the zero class, whose value is its right-hand side times den
     rows = []
-    for pos, (entry, value) in enumerate(zip(family.entries, kahler_values)):
-        if not value and not any(entry.moments):
-            continue
-        rhs = value - entry.moments[k - 1]
-        slots = [j for j in range(k - 1) if entry.moments[j] != 0]
-        if len(slots) > 1:
-            raise KahlapError(
-                f"row {entry.index.text()} has more than one nonzero moment"
-            )
-        if slots:
-            rows.append((pos, slots[0], rhs / entry.moments[slots[0]]))
-        else:
-            rows.append((pos, None, rhs))
+    for pos, (value, cls) in enumerate(zip(kahler_values, family.classes)):
+        if cls is not None and cls[0] <= k:
+            j, moment = cls
+            if j < k:
+                rows.append((pos, j, value, moment))
+                continue
+            value -= moment * den
+        if value:
+            rows.append((pos, None, value, 1))
     pair = _first_refuting_pair(rows, len(family))
     if pair is not None:
-        ea, eb = (family.entries[i] for i in pair)
         witness = Witness(
-            k=k,
-            first=WitnessRow(ea.index, kahler_values[pair[0]], ea.moments[:k]),
-            second=WitnessRow(eb.index, kahler_values[pair[1]], eb.moments[:k]),
+            k, *(_witness_row(family, pos, kahler_values[pos], den, k) for pos in pair)
         )
         if not witness.validated():
             return Verdict(
@@ -261,50 +284,52 @@ def infer(
                 note="inconsistent system without a two-row proportionality certificate",
             )
         return Verdict(k=k, status=REFUTED, witness=witness)
-    solution = {cls: value for _, cls, value in rows if cls is not None}
-    free = tuple(j + 1 for j in range(k - 1) if j not in solution)
+    solution = {j: (value, moment) for _, j, value, moment in rows if j is not None}
+    free = tuple(j for j in range(1, k) if j not in solution)
     if free:
         return Verdict(k=k, status=UNDERDETERMINED, free_indices=free)
+    lower = tuple(rat(v, moment * den) for v, moment in map(solution.get, range(1, k)))
     return Verdict(
-        k=k,
-        status=CONSISTENT,
-        polynomial=PowerPolynomial(
-            degree=k, lower=tuple(solution[j] for j in range(k - 1))
-        ),
+        k=k, status=CONSISTENT, polynomial=PowerPolynomial(degree=k, lower=lower)
     )
+
+
+def _witness_row(family: TestFamily, pos: int, value, den, k: int) -> WitnessRow:
+    """The row ``pos`` of ``family`` at order k with Lap^k phi(0) =
+    value / den, as rationals."""
+    j, moment = family.classes[pos] or (0, 0)
+    moments = tuple(rat(moment) if i == j else ZERO for i in range(1, k + 1))
+    return WitnessRow(family.index(pos), rat(value, den), moments)
 
 
 def _first_refuting_pair(rows, size: int) -> tuple[int, int] | None:
     """Lexicographically first pair (a, b), a < b, of incompatible rows.
 
-    ``rows`` holds (position, class, value) in family order for the rows
-    of a family of ``size`` rows that do not read 0 = 0; the others are
-    compatible with every row.  A zero-class row with a nonzero right-hand
-    side refutes with any other row, so its first occurrence at b yields
-    (0, b); a class pairs its first row with its first row of a different
-    value.  Every other refuting pair comes later in family order than one
-    of these.
+    ``rows`` holds (position, class, value, moment) in family order for the
+    rows of a family of ``size`` rows that do not read 0 = 0; the others
+    are compatible with every row.  A zero-class row refutes with any other
+    row, so its first occurrence at b yields (0, b); a class pairs its first
+    row with its first row of a different value / moment.  Every other
+    refuting pair comes later in family order than one of these.
     """
     candidates = []
     first = {}
-    for pos, cls, value in rows:
+    for pos, cls, value, moment in rows:
         if cls is None:
-            if value != 0:
-                # row 0 pairs with row 1, or with itself in a one-row family
-                candidates.append((0, pos) if pos else (0, min(1, size - 1)))
-                break
-            continue
-        start, base = first.setdefault(cls, (pos, value))
-        if value != base:
+            # row 0 pairs with row 1, or with itself in a one-row family
+            candidates.append((0, pos) if pos else (0, min(1, size - 1)))
+            break
+        start, base, base_moment = first.setdefault(cls, (pos, value, moment))
+        if value * base_moment != base * moment:
             candidates.append((start, pos))
     return min(candidates, default=None)
 
 
 def kahler_value_table(m: MetricJet, family: TestFamily, kmax: int):
-    """Per family entry, the vector [Lap^1 phi(0), ..., Lap^kmax phi(0)]."""
-    return monomial_powers_at_origin(
-        m, family.dim, [entry.index for entry in family.entries], kmax
-    )
+    """``(D, levels)`` with ``levels[s-1][i] / D^s`` = Lap^s phi(0) for the
+    family row i, s = 1..kmax: :func:`monomial_powers_at_origin` of the
+    family's packed keys."""
+    return monomial_powers_at_origin(m, family.dim, family.keys, kmax)
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +367,7 @@ def third_power_summary(m: MetricJet) -> ThirdPowerSummary:
     if not e.is_einstein:
         raise NotEinsteinError("reference values need an Einstein metric")
     n = m.dim
-    phi1 = Jet(n, m.order, [(BiIndex(_vec(n, 1, 2), _vec(n, 1, 2)), 1)])
+    phi1 = Jet(n, m.order, [(BiIndex(_units(n, 0, 0), _units(n, 0, 0)), 1)])
     d3a = power_at_origin(m, phi1, 3)
     dev = d3a - 12 * e.lam
     mag = dev if dev >= 0 else -dev
@@ -351,8 +376,7 @@ def third_power_summary(m: MetricJet) -> ThirdPowerSummary:
     relation = None
     cross = None
     if n >= 2:
-        bi = BiIndex(_vec2(n, 0, 1), _vec2(n, 0, 1))
-        phi2 = Jet(n, m.order, [(bi, 1)])
+        phi2 = Jet(n, m.order, [(BiIndex(_units(n, 0, 1), _units(n, 0, 1)), 1)])
         d3b = power_at_origin(m, phi2, 3)
         relation = d3a == 2 * d3b
         values = inverse_metric_cross_hessian(m, 1, 2)
@@ -369,14 +393,6 @@ def third_power_summary(m: MetricJet) -> ThirdPowerSummary:
         comp_sign=sign,
         cross_terms=cross,
     )
-
-
-def _vec(n, i, e):
-    return tuple(e if k == i - 1 else 0 for k in range(n))
-
-
-def _vec2(n, i, j):
-    return tuple(1 if k in (i, j) else 0 for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -448,18 +464,16 @@ def verify_property(
     phi = cat.potential(spec, order)
     m = metric_from_potential(phi)
     family = build_test_family(spec.dim, max_k)
-    table = kahler_value_table(m, family, max_k)
+    den, levels = kahler_value_table(m, family, max_k)
     verdicts = []
     for k in range(1, max_k + 1):
-        verdict = infer(m, k, family, kahler_values=[row[k - 1] for row in table])
+        verdict = infer(m, k, family, kahler_values=levels[k - 1], den=den**k)
         verdicts.append(verdict)
         if verdict.status == REFUTED:
             break
     if all(v.status == CONSISTENT for v in verdicts):
         rng = random.Random(seed)
-        combinations = _random_combinations(
-            m, _packed_monomials(family), rng, extended_polys
-        )
+        combinations = _random_combinations(m, family.keys, rng, extended_polys)
         bad = _extended_reverify(m, verdicts, combinations)
         if bad is not None:
             verdicts[bad.k - 1 :] = [bad]
@@ -482,24 +496,20 @@ def verify_property(
     )
 
 
-def _packed_monomials(family: TestFamily) -> list:
-    """(total degree, packed key) of every family monomial, in family order."""
-    return [(entry.index.degree, _pack_bi(entry.index)) for entry in family.entries]
-
-
 # numerator over 12 of p/q at draw cell i = 4 * (p + 9) + (q - 1)
 _DRAW_NUMERATORS = [p * (12 // q) for p in range(-9, 10) for q in range(1, 5)]
 
 
-def _random_combinations(m: MetricJet, monomials, rng, count: int):
-    """Yield up to ``count`` random combinations of the family monomials
-    ``monomials`` (from :func:`_packed_monomials`) as exact jets at the
-    shape of ``m``.  One ``rng.random()`` u per monomial: u < 1/2 skips it,
+def _random_combinations(m: MetricJet, keys, rng, count: int):
+    """Yield up to ``count`` random combinations of the monomials packed as
+    ``keys`` (those of a :class:`TestFamily`) as exact jets at the shape of
+    ``m``.  One ``rng.random()`` u per monomial: u < 1/2 skips it,
     else cell i = floor((u - 1/2) * 152) gives it the coefficient p/q with
     p = i // 4 - 9 in -9..9 and q = i % 4 + 1 in 1..4, each of the 76
     cells equally likely up to float granularity; an empty draw yields
     nothing.  The coefficient is the numerator ``p * (12 // q)`` over the
     common denominator 12."""
+    monomials = [(sum(_unpack(key, 2 * m.dim)), key) for key in keys]
     for _ in range(count):
         grades = {}
         for degree, key in monomials:

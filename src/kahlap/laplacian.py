@@ -295,43 +295,32 @@ def powers_at_origin(m: MetricJet, phi: Jet, kmax: int) -> list:
     return [origin.power(phi, s) for s in range(1, kmax + 1)]
 
 
-def monomial_powers_at_origin(
-    m: MetricJet, dim: int, indices, kmax: int
-) -> list:
-    """:func:`powers_at_origin` of every monomial z^alpha zb^beta of
-    ``indices``, each in ``dim`` variables, read off the memo by its packed
-    key.  No jet is built, and the budget and dimension checks run once for
-    the whole list: every monomial is an exact test function, so each one
-    passes or fails them alike.  A rational is built only for a nonzero
-    value."""
+def monomial_powers_at_origin(m: MetricJet, dim: int, keys, kmax: int):
+    """:func:`powers_at_origin` of every monomial of ``keys``, each packed
+    as ``_pack(alpha) | _pack(beta) << _SHIFT * dim`` for z^alpha zb^beta,
+    read off the memo as int numerators.  Returns ``(D, levels)``:
+    ``levels[s-1][i]`` is N(mu, s) = Lap^s mu(0) * D^s for the monomial mu
+    of ``keys[i]``, 0 for a monomial whose weight no level reaches.  No jet
+    and no rational is built, and the budget and dimension checks run once
+    for the whole list: every monomial is an exact test function, so each
+    one passes or fails them alike."""
     _require_metric_budget(m, kmax)
     origin = _memo(m, dim)
     live = set().union(*(origin.reachable(s) for s in range(1, kmax + 1)))
-    scale = [origin.den**s for s in range(1, kmax + 1)]
     shift = _SHIFT * dim
-    rows = []
-    for bi in indices:
-        hol, anti = _pack(bi.hol), _pack(bi.anti)
-        if anti - hol in live:
-            row = origin.powers(hol | anti << shift, kmax)
-            rows.append([rat(v, q) if v else ZERO for v, q in zip(row, scale)])
-        else:
-            rows.append([ZERO] * kmax)
-    return rows
+    low = (1 << shift) - 1
+    levels = [[0] * len(keys) for _ in range(kmax)]
+    for i, key in enumerate(keys):
+        if (key >> shift) - (key & low) in live:
+            for level, v in zip(levels, origin.powers(key, kmax)):
+                level[i] = v
+    return origin.den, levels
 
 
 def power_at_origin(m: MetricJet, phi: Jet, k: int):
     """Lap^k phi(0) exactly, from level k of the memo alone."""
     require_budget(m, phi, k)
     return _memo(m, phi.dim).power(phi, k)
-
-
-def monomial_moment(bi: BiIndex):
-    """Lapc^j (z^a zb^b)(0) at its one possibly nonzero slot j = |a|:
-    j! a! when a = b, else 0."""
-    if bi.hol != bi.anti:
-        return ZERO
-    return rat(_balanced_moment(bi.hol))
 
 
 def _balanced_moment(a) -> int:

@@ -1,6 +1,7 @@
 """Power-polynomial inference: families, verdicts, witnesses, duality and
 the k = 3 reference values."""
 
+import itertools
 import math
 import random
 
@@ -22,7 +23,6 @@ from kahlap import inference
 from kahlap.inference import (
     CONSISTENT,
     REFUTED,
-    FamilyEntry,
     PowerPolynomial,
     TestFamily as Family,
     Witness,
@@ -40,8 +40,10 @@ from kahlap.jets import (
     InsufficientOrderError,
     Jet,
     KahlapError,
+    _pack_bi,
+    _unpack,
 )
-from kahlap.laplacian import powers_at_origin
+from kahlap.laplacian import _balanced_moment, euclidean_moments, powers_at_origin
 from kahlap.rationals import rat
 
 
@@ -53,9 +55,56 @@ def bi(hol, anti):
 # families
 
 
+def _indices(fam):
+    return [fam.index(pos) for pos in range(len(fam))]
+
+
+def _sorted_family(n, k):
+    """The family as (BiIndex, moment class) rows, sorted by (degree,
+    negated alpha, negated beta) over every pair of exponent vectors with
+    support at most min(n, 3): the order the family is pinned to."""
+    vecs = [v for v in itertools.product(range(k + 1), repeat=n) if sum(v) <= k]
+    rows = sorted(
+        ((sum(a) + sum(b), tuple(-e for e in a), tuple(-e for e in b)), a, b)
+        for a in vecs
+        for b in vecs
+        if sum(a) + sum(b) and sum(1 for x, y in zip(a, b) if x or y) <= min(n, 3)
+    )
+    return [
+        (bi(a, b), (sum(a), _balanced_moment(a)) if a == b else None)
+        for _, a, b in rows
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_family_keys_and_classes_match_the_sorted_oracle(n, k):
+    fam = build_test_family(n, k)
+    want = _sorted_family(n, k)
+    assert fam.keys == tuple(_pack_bi(index) for index, _ in want)
+    assert fam.classes == tuple(cls for _, cls in want)
+    assert _indices(fam) == [index for index, _ in want]
+    assert any(index.bidegree[0] != index.bidegree[1] for index, _ in want)
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (2, 3), (3, 2), (4, 2)])
+def test_family_classes_are_the_euclidean_moments(n, k):
+    # each row's moment vector through order k, from its monomial jet, has
+    # j! a! at slot j = |a| for a balanced row z^a zb^a and is 0 otherwise
+    fam = build_test_family(n, k)
+    for pos, cls in enumerate(fam.classes):
+        index = fam.index(pos)
+        moments = euclidean_moments(Jet(n, 2 * k, [(index, 1)]), k)
+        want = [0] * k
+        if cls is not None:
+            j, moment = cls
+            assert index.hol == index.anti and j == sum(index.hol)
+            want[j - 1] = moment
+        assert moments == want, index.text()
+
+
 def test_family_one_variable_contents():
-    fam = build_test_family(1, 3)
-    indices = {e.index for e in fam.entries}
+    indices = set(_indices(build_test_family(1, 3)))
     for m in (1, 2, 3):
         assert bi((m,), (m,)) in indices  # t, t^2, t^3
     assert bi((2,), (1,)) in indices  # unbalanced sanity row
@@ -63,27 +112,39 @@ def test_family_one_variable_contents():
 
 def test_family_two_variables_has_paper_witnesses():
     fam = build_test_family(2, 3)
-    indices = {e.index for e in fam.entries}
-    assert bi((2, 0), (2, 0)) in indices
-    assert bi((1, 1), (1, 1)) in indices
+    rows = dict(zip(fam.keys, fam.classes))
+    assert rows[_pack_bi(bi((2, 0), (2, 0)))] == (2, 4)  # |z1|^4: 2! 2!
+    assert rows[_pack_bi(bi((1, 1), (1, 1)))] == (2, 2)  # |z1 z2|^2: 2!
 
 
 def test_family_support_is_capped_at_three_variables():
     fam = build_test_family(4, 3)
-    assert all(len(e.index.support()) <= 3 for e in fam.entries)
+    for key in fam.keys:
+        exps = _unpack(key, 8)
+        assert sum(1 for i in range(4) if exps[i] or exps[4 + i]) <= 3
+    # every support-3 pair is present: |z1 z2 z3|^2 and z1 z2 * zb3
+    assert {_pack_bi(bi((1, 1, 1, 0), (1, 1, 1, 0))), _pack_bi(bi((1, 1, 0, 0), (0, 0, 1, 0)))} <= set(fam.keys)
+    assert _pack_bi(bi((1, 1, 0, 0), (0, 0, 1, 1))) not in fam.keys
 
 
 def test_family_order_is_graded_z1_major():
-    fam = build_test_family(2, 3)
-    degs = [e.index.degree for e in fam.entries]
+    indices = _indices(build_test_family(2, 3))
+    degs = [index.degree for index in indices]
     assert degs == sorted(degs)
-    quartics = [e.index for e in fam.entries if e.index.degree == 4]
+    quartics = [index for index in indices if index.degree == 4]
     assert quartics.index(bi((2, 0), (2, 0))) < quartics.index(bi((1, 1), (1, 1)))
 
 
-def test_exponent_vectors_enumerate_bounded_sums_directly():
-    import itertools
+def test_family_entries_view_is_built_once_from_the_rows():
+    fam = build_test_family(2, 2)
+    assert "entries" not in vars(fam)  # nothing reads the view on the way
+    entries = fam.entries
+    assert fam.entries is entries and len(entries) == len(fam)
+    assert [e.index for e in entries] == _indices(fam)
+    assert tuple(e.moment_class for e in entries) == fam.classes
 
+
+def test_exponent_vectors_enumerate_bounded_sums_directly():
     from kahlap.inference import _exponent_vectors
 
     for n in range(1, 5):
@@ -97,37 +158,48 @@ def test_exponent_vectors_enumerate_bounded_sums_directly():
 
 def test_family_moments_match_direct_computation():
     fam = build_test_family(1, 3)
-    entry = next(e for e in fam.entries if e.index == bi((2,), (2,)))
-    assert list(entry.moments) == [0, 4, 0]
+    pos = fam.keys.index(_pack_bi(bi((2,), (2,))))
+    assert fam.classes[pos] == (2, 4)
+    # the moment vector of the row at k = 3, as a witness row carries it
+    row = inference._witness_row(fam, pos, 0, 1, 3)
+    assert list(row.moments) == [0, 4, 0]
+    assert list(inference._witness_row(fam, pos, 0, 1, 1).moments) == [0]
+
+
+def _table_rows(m, fam, kmax):
+    """Per family row, [Lap^1 phi(0), ..., Lap^kmax phi(0)] as rationals."""
+    den, levels = kahler_value_table(m, fam, kmax)
+    assert all(len(level) == len(fam) for level in levels)
+    return [
+        [rat(level[pos], den**s) for s, level in enumerate(levels, start=1)]
+        for pos in range(len(fam))
+    ]
 
 
 def test_unbalanced_family_rows_are_trivial():
-    """Unbalanced monomials contribute 0 = 0 rows: zero Euclidean moments
-    and zero operator powers (the bidegree-balance canary)."""
+    """Unbalanced monomials contribute 0 = 0 rows: no moment class and zero
+    operator powers (the bidegree-balance canary)."""
     m = metric_from_potential(potential(Hyperbolic(2), 8))
     fam = build_test_family(2, 3)
-    table = kahler_value_table(m, fam, 3)
     saw_unbalanced = 0
-    for entry, values in zip(fam.entries, table):
-        a, b = entry.index.bidegree
+    for pos, values in enumerate(_table_rows(m, fam, 3)):
+        a, b = fam.index(pos).bidegree
         if a != b:
             saw_unbalanced += 1
-            assert all(v == 0 for v in entry.moments)
+            assert fam.classes[pos] is None
             assert all(v == 0 for v in values)
     assert saw_unbalanced > 0
 
 
 def test_value_table_matches_powers_at_origin_per_entry(type1_metric_order8):
-    """The table reads the memo by each entry's packed key; every row must
-    equal powers_at_origin on the entry's monomial jet, and the checks the
+    """The table reads the memo by each row's packed key; every row must
+    equal powers_at_origin on the row's monomial jet, and the checks the
     jet path runs per call fire once for the table."""
     m = type1_metric_order8
     fam = build_test_family(4, 3)
-    table = kahler_value_table(m, fam, 3)
-    assert len(table) == len(fam.entries)
-    for entry, values in zip(fam.entries, table):
-        phi = Jet(4, m.order, [(entry.index, 1)])
-        assert values == powers_at_origin(m, phi, 3), entry.index.text()
+    for pos, values in enumerate(_table_rows(m, fam, 3)):
+        phi = Jet(4, m.order, [(fam.index(pos), 1)])
+        assert values == powers_at_origin(m, phi, 3), fam.index(pos).text()
     with pytest.raises(InsufficientOrderError) as err:
         kahler_value_table(m, fam, 5)  # metric valid 6 < 2*5-2
     assert err.value.required_order == 12
@@ -236,16 +308,13 @@ def test_no_underdetermined_verdicts_at_desk_scale():
 def test_family_moment_matrix_has_full_rank():
     """The unknown coefficients are always determined by the shipped
     families, independent of the metric: every row has at most one nonzero
-    unknown moment, and each slot 1..k-1 has a row (the t^j rows)."""
+    moment, by construction of its class, and each slot 1..k-1 has a row
+    (the t^j rows)."""
     cases = [(n, k) for n in (1, 2, 3) for k in (2, 3, 4)] + [(4, 2), (4, 3)]
     for n, k in cases:
         fam = build_test_family(n, k)
-        classes = set()
-        for e in fam.entries:
-            slots = [j for j, x in enumerate(e.moments[: k - 1]) if x != 0]
-            assert len(slots) <= 1, (n, k, e.index)
-            classes.update(slots)
-        assert classes == set(range(k - 1)), (n, k)
+        slots = {cls[0] for cls in fam.classes if cls is not None and cls[0] < k}
+        assert slots == set(range(1, k)), (n, k)
 
 
 # ----------------------------------------------------------------------
@@ -273,11 +342,12 @@ def _brute_first_pair(rows):
 def _synthetic_family(k, rows):
     """Rows (moments on the k-1 unknowns, rhs) as a family with Lapc^k = 0,
     so the supplied Kahler values are the right-hand sides."""
-    entries = tuple(
-        FamilyEntry(index=bi((i + 1,), (0,)), moments=mom + (rat(0),))
-        for i, (mom, _) in enumerate(rows)
+    classes = tuple(
+        next(((j + 1, int(x)) for j, x in enumerate(mom) if x), None)
+        for mom, _ in rows
     )
-    return Family(dim=1, max_k=k, entries=entries), [y for _, y in rows]
+    keys = tuple(_pack_bi(bi((i + 1,), (0,))) for i in range(len(rows)))
+    return Family(dim=1, max_k=k, keys=keys, classes=classes), [y for _, y in rows]
 
 
 @st.composite
@@ -307,15 +377,43 @@ def test_grouped_pass_matches_brute_force_pair_scan(case):
                 assert sum(m * a for m, a in zip(mom, verdict.polynomial.lower)) == y
     else:
         w = verdict.witness
-        assert (w.first.index, w.second.index) == tuple(family.entries[i].index for i in want)
+        assert (w.first.index, w.second.index) == tuple(family.index(i) for i in want)
         assert w.validated()
 
 
-def test_infer_rejects_row_with_two_unknown_moments():
-    rows = [((rat(1), rat(0)), rat(0)), ((rat(2), rat(3)), rat(1))]
-    family, values = _synthetic_family(3, rows)
-    with pytest.raises(KahlapError, match="more than one nonzero moment"):
-        infer(FLAT1, 3, family, kahler_values=values)
+@pytest.fixture(scope="module")
+def polydisc2_k3():
+    m = metric_from_potential(potential(Polydisc(2), 8))
+    fam = build_test_family(2, 3)
+    den, levels = kahler_value_table(m, fam, 3)
+    return m, fam, levels[2], den**3
+
+
+def test_infer_needs_one_value_per_family_row(polydisc2_k3):
+    m, fam, values, den = polydisc2_k3
+    assert len(fam) == len(values) == 99
+    assert infer(m, 3, fam, values, den=den).status == REFUTED
+    # a short list must not leave the later rows out of the system
+    for short in (values[:30], [], values + [0]):
+        with pytest.raises(KahlapError, match=f"{len(short)} Kahler values for 99"):
+            infer(m, 3, fam, short, den=den)
+
+
+def test_infer_reads_values_over_their_denominator(polydisc2_k3):
+    # the same values as numerators over 7^3 and as rationals over 1 give
+    # the verdict the level-k column gives, witness values included
+    m, fam, values, den = polydisc2_k3
+    want = infer(m, 3, fam, values, den=den)
+    scaled = infer(m, 3, fam, [v * 343 for v in values], den=den * 343)
+    rational = infer(m, 3, fam, [rat(v, den) for v in values])
+    assert scaled == want == rational
+    assert want.witness.first.kahler_value == -40
+    for k in (1, 2):
+        den_k, levels = kahler_value_table(m, fam, k)
+        values_k = levels[k - 1]
+        want = infer(m, k, fam)
+        assert want.status == CONSISTENT
+        assert infer(m, k, fam, [v * 5 for v in values_k], den=5 * den_k**k) == want
 
 
 def test_consistency_stable_under_extension_seeds():
@@ -356,14 +454,14 @@ def _draw_terms(family, rng):
     monomial, skipped when u < 1/2, else p/q read from the cell
     floor((u - 1/2) * 152) of the grid p in -9..9 by q in 1..4."""
     terms = []
-    for entry in family.entries:
+    for pos in range(len(family)):
         u = rng.random()
         if u < 0.5:
             continue
         cell = math.floor((u - 0.5) * 152)
         c = rat(cell // 4 - 9, cell % 4 + 1)
         if c != 0:
-            terms.append((entry.index, c))
+            terms.append((family.index(pos), c))
     return terms
 
 
@@ -375,9 +473,8 @@ def test_random_combinations_are_the_terms_drawn(spec, max_k, draw_seed):
     # draw leaves it: the same calls, so the same combinations are checked
     m = metric_from_potential(potential(spec, 2 * max_k + 2))
     family = build_test_family(spec.dim, max_k)
-    monomials = inference._packed_monomials(family)
     ours, theirs = random.Random(draw_seed), random.Random(draw_seed)
-    jets = list(inference._random_combinations(m, monomials, ours, 3))
+    jets = list(inference._random_combinations(m, family.keys, ours, 3))
     want = [Jet(m.dim, m.order, terms) for terms in
             (_draw_terms(family, theirs) for _ in range(3)) if terms]
     assert len(jets) == 3 and jets == want
@@ -401,10 +498,8 @@ def test_random_draw_maps_u_to_every_cell():
     # gives p/q = (i // 4 - 9) / (i % 4 + 1), and a zero p drops the term
     m = metric_from_potential(potential(Hyperbolic(1), 4))
     bi = BiIndex((1,), (1,))
-    monomials = [(2, inference._pack_bi(bi))]
-
     def drawn(u):
-        return list(inference._random_combinations(m, monomials, _Replay([u]), 1))
+        return list(inference._random_combinations(m, [_pack_bi(bi)], _Replay([u]), 1))
 
     for cell in range(76):
         p, q = cell // 4 - 9, cell % 4 + 1

@@ -24,6 +24,7 @@ from kahlap.jets import (
     InsufficientOrderError,
     Jet,
     _pack,
+    _pack_bi,
 )
 from kahlap.laplacian import (
     NotEinsteinError,
@@ -257,11 +258,16 @@ def test_origin_denominator_is_the_lcm_of_the_inverse_metric(reference_metrics):
 
 
 def test_monomial_rows_scale_by_the_origin_denominator(reference_metrics):
-    # the value table's own path from the int memo to rationals, on a
-    # metric with D = 729, against the one-level sums pinned above
+    # the value table's int numerators over D^s, on a metric with
+    # D = 729, against the one-level sums pinned above
     m = reference_metrics["bent hyp:2"]
     monomials = [bi(h, a) for h in _exps(2, 3) for a in _exps(2, 3)]
-    rows = monomial_powers_at_origin(m, 2, monomials, 3)
+    den, levels = monomial_powers_at_origin(m, 2, [_pack_bi(i) for i in monomials], 3)
+    assert den == 729 and all(len(level) == len(monomials) for level in levels)
+    rows = [
+        [rat(level[i], den**s) for s, level in enumerate(levels, start=1)]
+        for i in range(len(monomials))
+    ]
     assert any(v.denominator > 1 for row in rows for v in row)
     for index, row in zip(monomials, rows):
         assert row == powers_at_origin(m, Jet(2, m.order, [(index, 1)]), 3), index
