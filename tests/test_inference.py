@@ -122,9 +122,11 @@ def test_family_support_is_capped_at_three_variables():
     for key in fam.keys:
         exps = _unpack(key, 8)
         assert sum(1 for i in range(4) if exps[i] or exps[4 + i]) <= 3
-    # every support-3 pair is present: |z1 z2 z3|^2 and z1 z2 * zb3
-    assert {_pack_bi(bi((1, 1, 1, 0), (1, 1, 1, 0))), _pack_bi(bi((1, 1, 0, 0), (0, 0, 1, 0)))} <= set(fam.keys)
-    assert _pack_bi(bi((1, 1, 0, 0), (0, 0, 1, 1))) not in fam.keys
+    # rows on three variables stay (|z1 z2 z3|^2, z1 z2 * zb3); four do not
+    keys = set(fam.keys)
+    assert _pack_bi(bi((1, 1, 1, 0), (1, 1, 1, 0))) in keys
+    assert _pack_bi(bi((1, 1, 0, 0), (0, 0, 1, 0))) in keys
+    assert _pack_bi(bi((1, 1, 0, 0), (0, 0, 1, 1))) not in keys
 
 
 def test_family_order_is_graded_z1_major():
@@ -414,6 +416,21 @@ def test_infer_reads_values_over_their_denominator(polydisc2_k3):
         want = infer(m, k, fam)
         assert want.status == CONSISTENT
         assert infer(m, k, fam, [v * 5 for v in values_k], den=5 * den_k**k) == want
+
+
+def test_rows_at_slot_k_and_above_are_in_the_zero_class():
+    # at order k a row with j = k reads Lap^k phi(0) = j! a! and a row with
+    # j > k reads Lap^k phi(0) = 0; neither fixes a coefficient
+    keys = tuple(_pack_bi(bi((i + 1,), (0,))) for i in range(3))
+    family = Family(dim=1, max_k=3, keys=keys, classes=((1, 1), (2, 2), (3, 6)))
+    ok = infer(FLAT1, 2, family, [rat(3), rat(2), rat(0)])
+    assert ok.status == CONSISTENT and ok.polynomial.lower == (3,)
+    for values, pair in (([3, 5, 0], (0, 1)), ([3, 2, 7], (0, 2))):
+        v = infer(FLAT1, 2, family, [rat(x) for x in values])
+        w = v.witness
+        assert v.status == REFUTED and w.validated()
+        assert (w.first.index, w.second.index) == tuple(map(family.index, pair))
+        assert w.second.moments == ((0, 2) if pair[1] == 1 else (0, 0))
 
 
 def test_consistency_stable_under_extension_seeds():
