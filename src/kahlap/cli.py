@@ -35,16 +35,12 @@ from .inference import (
     build_test_family,
     duality_negation_checks,
     infer,
+    third_power_summary,
     verify_property,
 )
 from .jets import BiIndex, Jet, KahlapError
-from .laplacian import (
-    inverse_metric_cross_hessian,
-    power_at_origin,
-    second_power_check,
-    third_power_check,
-)
-from .rationals import ZERO, rat_pretty, rat_str
+from .laplacian import second_power_check, third_power_check
+from .rationals import rat_pretty, rat_str
 
 
 class _UsageError(KahlapError):
@@ -95,10 +91,6 @@ def _build_parser() -> _Parser:
 # document building
 
 
-def _rat(x):
-    return rat_str(x)
-
-
 def _witness_doc(w: Witness) -> dict:
     def row(r):
         return {
@@ -106,8 +98,8 @@ def _witness_doc(w: Witness) -> dict:
             "hol": list(r.index.hol),
             "anti": list(r.index.anti),
             "bidegree": list(r.index.bidegree),
-            "kahler_value": _rat(r.kahler_value),
-            "euclidean_moments": [_rat(v) for v in r.moments],
+            "kahler_value": rat_str(r.kahler_value),
+            "euclidean_moments": [rat_str(v) for v in r.moments],
         }
 
     return {"k": w.k, "first": row(w.first), "second": row(w.second)}
@@ -118,7 +110,7 @@ def _verdict_doc(v: Verdict) -> dict:
     if v.polynomial is not None:
         doc["p_k"] = {
             "degree": v.polynomial.degree,
-            "lower": [_rat(a) for a in v.polynomial.lower],
+            "lower": [rat_str(a) for a in v.polynomial.lower],
             "text": v.polynomial.text(),
         }
     if v.witness is not None:
@@ -134,17 +126,17 @@ def _summary_doc(s: ThirdPowerSummary | None) -> dict | None:
     if s is None:
         return None
     doc = {
-        "lambda": _rat(s.lam),
-        "d3_z1_4": _rat(s.d3_z1_4),
-        "d3_z1z2_sq": None if s.d3_z1z2_sq is None else _rat(s.d3_z1z2_sq),
+        "lambda": rat_str(s.lam),
+        "d3_z1_4": rat_str(s.d3_z1_4),
+        "d3_z1z2_sq": None if s.d3_z1z2_sq is None else rat_str(s.d3_z1z2_sq),
         "relation_holds": s.relation_holds,
-        "comp_magnitude": _rat(s.comp_magnitude),
+        "comp_magnitude": rat_str(s.comp_magnitude),
         "comp_sign": s.comp_sign,
     }
     if s.cross_terms is not None:
         doc["cross_terms"] = {
-            "values": [_rat(v) for v in s.cross_terms.values],
-            "total": _rat(s.cross_terms.total),
+            "values": [rat_str(v) for v in s.cross_terms.values],
+            "total": rat_str(s.cross_terms.total),
             "all_zero": s.cross_terms.all_zero,
         }
     return doc
@@ -157,7 +149,7 @@ def _check_document(report: PropertyReport, config: dict) -> dict:
         "config": config,
         "einstein": {
             "is_einstein": report.einstein.is_einstein,
-            "lambda": _rat(report.einstein.lam),
+            "lambda": rat_str(report.einstein.lam),
             "checked_degree": report.einstein.checked_degree,
         },
         "family_note": PropertyReport.FAMILY_NOTE,
@@ -240,40 +232,23 @@ def cmd_check(args) -> tuple[int, dict]:
 # reproduce suites
 
 
-def _mono(n: int, pairs) -> Jet:
-    """Monomial jet builder: pairs = ((var, hol_exp, anti_exp), ...)."""
-    alpha = [0] * n
-    beta = [0] * n
-    for var, he, ae in pairs:
-        alpha[var - 1] += he
-        beta[var - 1] += ae
-    return BiIndex(tuple(alpha), tuple(beta))
-
-
 def _suite_comp1() -> list[dict]:
     instances = []
     pinned = {"hyp:1": "-40/1", "fs:1": "40/1", "polydisc:2": "-40/1"}
     for spec in (cat.Hyperbolic(1), cat.Hyperbolic(2), cat.FubiniStudy(1), cat.Polydisc(2)):
-        phi = cat.potential(spec, 8)
-        m = metric_from_potential(phi)
-        lam = m.einstein.lam
-        n = spec.dim
-        test = Jet(n, 8, [(_mono(n, [(1, 2, 2)]), 1)])
-        d3 = power_at_origin(m, test, 3)
-        dev = d3 - 12 * lam
-        mag = dev if dev >= 0 else -dev
+        s = third_power_summary(metric_from_potential(cat.potential(spec, 8)))
         doc = {
             "spec": spec.label(),
-            "lambda": _rat(lam),
-            "d3_z1_4": _rat(d3),
-            "magnitude": _rat(mag),
-            "sign": 0 if dev == 0 else (1 if dev > 0 else -1),
-            "passed": mag == 16,
+            "lambda": rat_str(s.lam),
+            "d3_z1_4": rat_str(s.d3_z1_4),
+            "magnitude": rat_str(s.comp_magnitude),
+            "sign": s.comp_sign,
+            "passed": s.comp_magnitude == 16,
         }
         want = pinned.get(spec.label())
         if want is not None:
             doc["pinned_value"] = want
-            doc["passed"] = doc["passed"] and _rat(d3) == want
+            doc["passed"] = doc["passed"] and doc["d3_z1_4"] == want
         instances.append(doc)
     return instances
 
@@ -281,23 +256,17 @@ def _suite_comp1() -> list[dict]:
 def _suite_comp2() -> list[dict]:
     instances = []
     for spec, want in ((cat.Polydisc(2), -12), (cat.TypeI(2, 2), -24)):
-        phi = cat.potential(spec, 8)
-        m = metric_from_potential(phi)
-        lam = m.einstein.lam
-        n = spec.dim
-        test = Jet(n, 8, [(_mono(n, [(1, 1, 1), (2, 1, 1)]), 1)])
-        d3 = power_at_origin(m, test, 3)
-        cross = inverse_metric_cross_hessian(m, 1, 2)
-        total = sum(cross, ZERO)
+        s = third_power_summary(metric_from_potential(cat.potential(spec, 8)))
+        d3, cross = s.d3_z1z2_sq, s.cross_terms
         instances.append(
             {
                 "spec": spec.label(),
-                "lambda": _rat(lam),
-                "d3_z1z2_sq": _rat(d3),
-                "six_lambda": _rat(6 * lam),
-                "cross_terms": [_rat(v) for v in cross],
-                "cross_total": _rat(total),
-                "passed": d3 == 6 * lam and d3 == want and total == 0,
+                "lambda": rat_str(s.lam),
+                "d3_z1z2_sq": rat_str(d3),
+                "six_lambda": rat_str(6 * s.lam),
+                "cross_terms": [rat_str(v) for v in cross.values],
+                "cross_total": rat_str(cross.total),
+                "passed": d3 == 6 * s.lam and d3 == want and cross.total == 0,
             }
         )
     return instances
@@ -316,12 +285,13 @@ def _suite_laplquad() -> list[dict]:
             and verdict.polynomial.lower == (lam,)
         )
         n = spec.dim
-        probe = Jet(n, 6, [(_mono(n, [(1, 2, 2)]), 1)])
+        z1 = tuple(2 if i == 0 else 0 for i in range(n))
+        probe = Jet(n, 6, [(BiIndex(z1, z1), 1)])
         ident = second_power_check(m, probe)
         instances.append(
             {
                 "spec": spec.label(),
-                "lambda": _rat(lam),
+                "lambda": rat_str(lam),
                 "inferred_p2": verdict.polynomial.text() if verdict.polynomial else None,
                 "identity_on_z1_4": ident.passed,
                 "passed": ok and ident.passed,
@@ -339,8 +309,8 @@ def _suite_sumder2() -> list[dict]:
         instances.append(
             {
                 "spec": spec.label(),
-                "lambda": _rat(tc.lam),
-                "matrix": [[_rat(v) for v in row] for row in tc.matrix],
+                "lambda": rat_str(tc.lam),
+                "matrix": [[rat_str(v) for v in row] for row in tc.matrix],
                 "passed": tc.passed,
             }
         )
@@ -348,11 +318,11 @@ def _suite_sumder2() -> list[dict]:
     m = metric_from_potential(cat.potential(spec, 6))
     tc = trace_identity_check(m)
     expected = [["0/1", "0/1"], ["0/1", "-2/1"]]
-    got = [[_rat(v) for v in row] for row in tc.matrix]
+    got = [[rat_str(v) for v in row] for row in tc.matrix]
     instances.append(
         {
             "spec": spec.label(),
-            "lambda": _rat(tc.lam),
+            "lambda": rat_str(tc.lam),
             "matrix": got,
             "is_einstein": tc.is_einstein,
             "expected_failure": True,
@@ -364,31 +334,13 @@ def _suite_sumder2() -> list[dict]:
 
 def _laplcube_test_indices(n: int) -> list[BiIndex]:
     """Balanced monomials |alpha| = |beta| <= 2 supported on <= 2 variables
-    (any two of the n, not just the first pair)."""
-    from itertools import combinations, product as iproduct
-
-    out = set()
-    k = min(n, 2)
-    for chosen in combinations(range(n), k):
-        vecs = []
-        for e in iproduct(range(3), repeat=k):
-            if 1 <= sum(e) <= 2:
-                v = [0] * n
-                for idx, val in zip(chosen, e):
-                    v[idx] = val
-                vecs.append(tuple(v))
-        for a in vecs:
-            for b in vecs:
-                if sum(a) == sum(b):
-                    out.add(BiIndex(a, b))
-    return sorted(
-        out,
-        key=lambda bi: (
-            bi.degree,
-            tuple(-x for x in bi.hol),
-            tuple(-x for x in bi.anti),
-        ),
-    )
+    (any two of the n, not just the first pair), in family order."""
+    return [
+        row.index
+        for row in build_test_family(n, 2).entries
+        if row.index.bidegree[0] == row.index.bidegree[1]
+        and len(row.index.support()) <= 2
+    ]
 
 
 def _suite_laplcube() -> list[dict]:
@@ -434,8 +386,8 @@ def _suite_duality() -> list[dict]:
                 {
                     "i": i,
                     "j": j,
-                    "value": _rat(chk.value),
-                    "dual_value": _rat(chk.dual_value),
+                    "value": rat_str(chk.value),
+                    "dual_value": rat_str(chk.dual_value),
                     "negated": chk.passed,
                 }
             )
@@ -533,7 +485,7 @@ def cmd_catalog(args) -> tuple[int, dict]:
         else:
             e = metric_from_potential(phi).einstein
             entry["gate"] = "ok"
-            entry["lambda"] = _rat(e.lam)
+            entry["lambda"] = rat_str(e.lam)
             entry["is_einstein"] = e.is_einstein
         entries.append(entry)
     doc = {

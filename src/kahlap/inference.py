@@ -44,6 +44,7 @@ from .geometry import (
 )
 from .jets import (
     BiIndex,
+    DimensionMismatchError,
     InsufficientOrderError,
     Jet,
     KahlapError,
@@ -123,7 +124,6 @@ class TestFamily:
     None for any other row."""
 
     dim: int
-    max_k: int
     keys: tuple
     classes: tuple
 
@@ -171,7 +171,7 @@ def build_test_family(n: int, k: int) -> TestFamily:
             for anti, _ in antis:
                 keys.append(hol | anti)
                 classes.append((j, moment) if anti == balanced else None)
-    return TestFamily(dim=n, max_k=k, keys=tuple(keys), classes=tuple(classes))
+    return TestFamily(dim=n, keys=tuple(keys), classes=tuple(classes))
 
 
 def _exponent_vectors(n: int, k: int) -> list[tuple[int, ...]]:
@@ -247,8 +247,13 @@ def infer(
     ``kahler_values`` optionally supplies Lap^k phi(0) per family row as a
     value over ``den`` (the level-k numerators of
     :func:`kahler_value_table` over D^k); otherwise they are computed here.
-    Raises KahlapError unless there is one value per row.
+    Raises DimensionMismatchError unless the family has the dimension of
+    ``m``, and KahlapError unless there is one value per row.
     """
+    if family.dim != m.dim:
+        raise DimensionMismatchError(
+            f"metric dimension {m.dim} vs family dimension {family.dim}"
+        )
     if not in_normal_coordinates(m):
         raise KahlapError("inference requires normal coordinates at the origin")
     if kahler_values is None:
@@ -435,15 +440,14 @@ def verify_property(
     *,
     order: int | None = None,
     seed: int = 0,
-    extended_polys: int = 3,
 ) -> PropertyReport:
     """Run inference for k = 1..max_k, stopping at the first refutation.
 
     When every order is consistent, the inferred p_k are re-verified on
-    ``extended_polys`` seeded random rational combinations of the family
-    monomials (``seed`` picks them; no verdict depends on it), drawn once
-    per run and shared by every order.  For each combination phi and each
-    k, ``Lap^k phi(0)`` from :func:`powers_at_origin`, the one-level sum
+    ``REVERIFY_COMBINATIONS`` seeded random rational combinations of the
+    family monomials (``seed`` picks them; no verdict depends on it), drawn
+    once per run and shared by every order.  For each combination phi and
+    each k, ``Lap^k phi(0)`` from :func:`powers_at_origin`, the one-level sum
     over the multi-term jet at every level, must equal ``p_k`` applied to
     the closed-form moments of :func:`euclidean_moments`, exactly.  That
     path reads the memo apart from the value table that :func:`infer`
@@ -473,7 +477,9 @@ def verify_property(
             break
     if all(v.status == CONSISTENT for v in verdicts):
         rng = random.Random(seed)
-        combinations = _random_combinations(m, family.keys, rng, extended_polys)
+        combinations = _random_combinations(
+            m, family.keys, rng, REVERIFY_COMBINATIONS
+        )
         bad = _extended_reverify(m, verdicts, combinations)
         if bad is not None:
             verdicts[bad.k - 1 :] = [bad]
@@ -495,6 +501,9 @@ def verify_property(
         summary=summary,
     )
 
+
+# random combinations that re-verify a consistent run
+REVERIFY_COMBINATIONS = 3
 
 # numerator over 12 of p/q at draw cell i = 4 * (p + 9) + (q - 1)
 _DRAW_NUMERATORS = [p * (12 // q) for p in range(-9, 10) for q in range(1, 5)]
@@ -550,11 +559,6 @@ def _extended_reverify(m, verdicts, combinations) -> Verdict | None:
 # duality
 
 
-def dual_potential(phi: Jet) -> Jet:
-    """Potential of the compact/noncompact dual: phi -> -phi(z, -zb)."""
-    return cat.dual_potential(phi)
-
-
 @dataclass(frozen=True)
 class DualityCheck:
     value: object
@@ -582,7 +586,7 @@ def duality_negation_checks(phi: Jet, pairs) -> list[DualityCheck]:
         if not (1 <= i <= n and 1 <= j <= n):
             raise KahlapError(f"indices ({i},{j}) outside 1..{n}")
     m = metric_from_potential(phi)
-    m_dual = metric_from_potential(dual_potential(phi))
+    m_dual = metric_from_potential(cat.dual_potential(phi))
     checks = []
     for i, j in pairs:
         alpha = [0] * n

@@ -424,14 +424,8 @@ class Jet:
         if self.constant_term() != 1:
             raise ConstantTermError("log1 requires constant term exactly 1")
         u = self - Jet.one(self.dim, self.order)
-        return _entire_series(u, lambda m: rat((-1) ** (m + 1), m), self._veff)
-
-    def exp(self) -> "Jet":
-        """exp of a zero-constant jet: sum u^m / m!."""
-        if self.constant_term() != 0:
-            raise ConstantTermError("exp requires constant term exactly 0")
-        out = _entire_series(self, lambda m: rat(1, math.factorial(m)), self._veff)
-        return out + Jet.one(self.dim, self.order)
+        coeffs = [0] + [rat((-1) ** (m + 1), m) for m in range(1, self.order + 1)]
+        return substitute(UniSeries(self.order, coeffs, exact=False), u)
 
     def inv1(self) -> "Jet":
         """Multiplicative inverse of a jet with nonzero constant term."""
@@ -443,9 +437,8 @@ class Jet:
             # constant jet: the inverse is exact
             out = Jet.constant(self.dim, self.order, rat(1) / c0)
             return out._flagged(self.valid, self.exact)
-        geo = _entire_series(u, lambda m: rat((-1) ** m), self._veff)
-        geo = geo + Jet.one(self.dim, self.order)
-        return geo.scale(rat(1) / c0)
+        coeffs = [rat((-1) ** m) / c0 for m in range(self.order + 1)]
+        return substitute(UniSeries(self.order, coeffs, exact=False), u)
 
     # ------------------------------------------------------------------
     # structural transforms
@@ -634,58 +627,33 @@ def _mul_capped(a: Jet, b: Jet, out_order: int) -> Jet:
     return Jet._reduced(a.dim, out_order, valid, exact, grades, a.den * b.den)
 
 
-def _entire_series(u: Jet, coeff_of_m, veff_in: int) -> Jet:
-    """sum_{m>=1} coeff(m) * u^m for a zero-constant jet u, truncated at
-    u.order; used for the log, exp and geometric series."""
-    order = u.order
-    mindeg = u.min_degree()
-    if mindeg == 0:
-        raise ConstantTermError("series argument must have zero constant term")
-    total = Jet.zero(u.dim, order)
-    if u.is_zero:
-        return total
-    mmax = order // mindeg
-    power = u
-    total = total + power.scale(coeff_of_m(1))
-    for m in range(2, mmax + 1):
-        power = _mul_capped(power, u, order)
-        total = total + power.scale(coeff_of_m(m))
-    # composition with an entire series preserves validity
-    return total._flagged(min(veff_in, order), False)
-
-
 def substitute(f: "UniSeries", arg: Jet) -> Jet:
     """Compose a univariate series with a zero-constant jet: f(arg).
 
-    Coefficients of f beyond its order are unknown, so the result's validity
-    is additionally capped at (f.order+1)*mindeg(arg) - 1 when f is not an
+    A zero argument yields the exact constant f(0).  Otherwise coefficients
+    of f beyond its order are unknown, so the result's validity is
+    additionally capped at (f.order+1)*mindeg(arg) - 1 when f is not an
     exact polynomial.
     """
     if arg.constant_term() != 0:
         raise ConstantTermError("substitute requires a zero-constant argument")
     order = arg.order
-    total = Jet.zero(arg.dim, order)
-    c0 = f.coefficient(0)
-    if c0 != 0:
-        total = total + Jet.constant(arg.dim, order, c0)
+    out = Jet.constant(arg.dim, order, f.coefficient(0))
     if arg.is_zero:
-        out = total
-    else:
-        mindeg = arg.min_degree()
-        mmax = min(f.order, order // mindeg)
-        power = Jet.one(arg.dim, order)
-        out = total
-        for m in range(1, mmax + 1):
+        return out
+    mindeg = arg.min_degree()
+    power = arg
+    for m in range(1, min(f.order, order // mindeg) + 1):
+        if m > 1:
             power = _mul_capped(power, arg, order)
-            cm = f.coefficient(m)
-            if cm != 0:
-                out = out + power.scale(cm)
+        cm = f.coefficient(m)
+        if cm != 0:
+            out = out + power.scale(cm)
     valid = min(arg._veff, order)
     exact = False
     if f.exact:
-        exact = out.exact and f.max_degree() * max(arg.max_degree(), 1) <= order
+        exact = out.exact and f.max_degree() * arg.max_degree() <= order
     else:
-        mindeg = max(arg.min_degree(), 1)
         valid = min(valid, (f.order + 1) * mindeg - 1)
     return out._flagged(valid, exact)
 

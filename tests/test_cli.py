@@ -1,10 +1,12 @@
 """End-to-end CLI contract: exit codes, document schema, determinism."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
-from kahlap.cli import main
+from kahlap.cli import _laplcube_test_indices, main
 
 
 def run(capsys, *argv):
@@ -188,6 +190,41 @@ def test_reproduce_laplcube_end_to_end(capsys):
     assert all(inst["failures"] == [] for inst in doc["instances"])
 
 
+def test_laplcube_rows_are_the_balanced_two_variable_family_rows():
+    counts = [len(_laplcube_test_indices(n)) for n in range(1, 7)]
+    assert counts == [2, 13, 33, 62, 100, 147]
+    assert [index.text() for index in _laplcube_test_indices(2)] == [
+        "z1*zb1", "z1*zb2", "z2*zb1", "z2*zb2",
+        "z1^2*zb1^2", "z1^2*zb1*zb2", "z1^2*zb2^2",
+        "z1*z2*zb1^2", "z1*z2*zb1*zb2", "z1*z2*zb2^2",
+        "z2^2*zb1^2", "z2^2*zb1*zb2", "z2^2*zb2^2",
+    ]
+
+
+@pytest.mark.parametrize("spec", ["hyp:2", "polydisc:2", "type1:2,2"])
+def test_comp_suites_report_the_check_reproduction_block(capsys, spec):
+    _, check, _ = run_json(capsys, "check", spec, "--max-k", "3")
+    rep = check["reproduction"]
+    _, comp1, _ = run_json(capsys, "reproduce", "comp1")
+    _, comp2, _ = run_json(capsys, "reproduce", "comp2")
+    found = 0
+    for inst in comp1["instances"]:
+        if inst["spec"] == spec:
+            found += 1
+            assert (inst["lambda"], inst["d3_z1_4"], inst["magnitude"], inst["sign"]) == (
+                rep["lambda"], rep["d3_z1_4"], rep["comp_magnitude"], rep["comp_sign"]
+            )
+    for inst in comp2["instances"]:
+        if inst["spec"] == spec:
+            found += 1
+            cross = rep["cross_terms"]
+            assert (inst["lambda"], inst["d3_z1z2_sq"]) == (rep["lambda"], rep["d3_z1z2_sq"])
+            assert (inst["cross_terms"], inst["cross_total"]) == (
+                cross["values"], cross["total"]
+            )
+    assert found == {"hyp:2": 1, "polydisc:2": 2, "type1:2,2": 1}[spec]
+
+
 def test_reproduce_duality_builds_each_metric_once(capsys, monkeypatch):
     import kahlap.geometry
 
@@ -222,3 +259,28 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# ----------------------------------------------------------------------
+# the benchmark's reference documents
+
+
+def _perfbench_run():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_commands_match_their_reference_documents(capsys):
+    """Every benchmark command, run in-process, reproduces the result fields
+    of ``perfbench/reference.json`` as the benchmark compares them."""
+    bench = _perfbench_run()
+    reference = json.loads(bench.REFERENCE.read_text())
+    commands = [c for workload in bench.WORKLOADS.values() for c in workload]
+    assert sorted(commands) == sorted(reference) and len(commands) == 15
+    for command in commands:
+        code, out, _ = run(capsys, *bench.command_argv(command, 0))
+        assert code == 0, command
+        assert list(bench.mismatches(reference[command], json.loads(out), command)) == []

@@ -209,6 +209,19 @@ def test_value_table_matches_powers_at_origin_per_entry(type1_metric_order8):
         kahler_value_table(m, build_test_family(2, 3), 3)
 
 
+def test_infer_rejects_a_family_of_another_dimension():
+    """Supplied values of a one-variable family on a two-variable metric
+    raise as the computed ones do, instead of reading as consistent."""
+    m = metric_from_potential(potential(Hyperbolic(2), 6))
+    fam = build_test_family(1, 2)
+    den, levels = kahler_value_table(
+        metric_from_potential(potential(Hyperbolic(1), 6)), fam, 2
+    )
+    for values, d in ((levels[1], den**2), (None, 1)):
+        with pytest.raises(DimensionMismatchError):
+            infer(m, 2, fam, values, den=d)
+
+
 # ----------------------------------------------------------------------
 # inference verdicts
 
@@ -349,7 +362,7 @@ def _synthetic_family(k, rows):
         for mom, _ in rows
     )
     keys = tuple(_pack_bi(bi((i + 1,), (0,))) for i in range(len(rows)))
-    return Family(dim=1, max_k=k, keys=keys, classes=classes), [y for _, y in rows]
+    return Family(dim=1, keys=keys, classes=classes), [y for _, y in rows]
 
 
 @st.composite
@@ -422,7 +435,7 @@ def test_rows_at_slot_k_and_above_are_in_the_zero_class():
     # at order k a row with j = k reads Lap^k phi(0) = j! a! and a row with
     # j > k reads Lap^k phi(0) = 0; neither fixes a coefficient
     keys = tuple(_pack_bi(bi((i + 1,), (0,))) for i in range(3))
-    family = Family(dim=1, max_k=3, keys=keys, classes=((1, 1), (2, 2), (3, 6)))
+    family = Family(dim=1, keys=keys, classes=((1, 1), (2, 2), (3, 6)))
     ok = infer(FLAT1, 2, family, [rat(3), rat(2), rat(0)])
     assert ok.status == CONSISTENT and ok.polynomial.lower == (3,)
     for values, pair in (([3, 5, 0], (0, 1)), ([3, 2, 7], (0, 2))):

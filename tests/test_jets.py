@@ -163,6 +163,16 @@ def test_substitute_log_profile():
     assert substitute(f, t).agrees(target)
 
 
+def test_zero_argument_gives_exact_jets():
+    zero = Jet.zero(2, 6)
+    for f in (UniSeries(6, {0: rat(2, 3), 1: 1}, exact=False), UniSeries(9, {0: 1, 9: 1})):
+        got = substitute(f, zero)
+        assert got == Jet.constant(2, 6, f.coefficient(0))
+        assert got.exact and got.valid == 6
+    log = Jet.one(2, 6).log1()
+    assert log.is_zero and log.exact and log.valid == 6
+
+
 def test_substitute_rejects_constant_argument():
     f = UniSeries(4, {1: 1})
     with pytest.raises(ConstantTermError):
@@ -253,13 +263,6 @@ def test_ring_axioms(data):
 def test_inverse_property(a):
     one = Jet.one(a.dim, a.order)
     assert (a * a.inv1()).agrees(one)
-
-
-@seed(20201030)
-@settings(max_examples=40, deadline=None)
-@given(jets(unit_constant=True))
-def test_exp_log_round_trip(a):
-    assert a.log1().exp().agrees(a)
 
 
 @seed(20201030)
