@@ -13,14 +13,25 @@ Three commands:
 Reports are deterministic for a fixed (config, seed): the only field that
 varies between runs is ``timing_ms``.  Exit codes: 0 success / expectation
 met, 1 usage or construction error, 2 expectation or suite failure.
+
+The argument list is read by one table-driven parser (``_parse_args``) that
+accepts the spellings argparse accepts for this grammar, with its error
+wording: ``--opt value`` or ``--opt=value``, options before or after the
+positional argument, the last of a repeated option, any unique prefix of a
+long option (``--max 2``, ``--f json``, top-level ``--ver``), ``--`` to end
+the options, and integers read by ``int()`` (``--seed -5``, ``--seed 1_000``).
+``-h``/``--help`` print the usage block and ``--version`` the version, each
+with exit 0.  argparse is not used: its first parser costs a few ms of
+start-up (its gettext imports locale), more than some whole commands.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 import time
+from types import SimpleNamespace
 
 from . import __version__
 from . import catalog as cat
@@ -38,53 +49,13 @@ from .inference import (
     third_power_summary,
     verify_property,
 )
-from .jets import BiIndex, Jet, KahlapError
+from .jets import _MASK, _SHIFT, BiIndex, Jet, KahlapError
 from .laplacian import second_power_check, third_power_check
 from .rationals import rat_pretty, rat_str
 
 
 class _UsageError(KahlapError):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2
-        raise _UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="kahlap", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="decide the power property for a spec")
-    p_check.add_argument("spec", help="catalog spec, e.g. hyp:2 or product(flat:1,hyp:1)")
-    p_check.add_argument("--max-k", type=int, default=3, dest="max_k")
-    p_check.add_argument("--order", type=int, default=None)
-    p_check.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="picks the random combinations that re-check each consistent "
-        "p_k; changes no verdict",
-    )
-    p_check.add_argument("--format", choices=("text", "json"), default="text")
-    p_check.add_argument(
-        "--expect",
-        default=None,
-        help="consistent or refuted-at:K; exit 2 on mismatch",
-    )
-
-    p_rep = sub.add_parser("reproduce", help="run a fixed verification suite")
-    p_rep.add_argument(
-        "target",
-        choices=("comp1", "comp2", "laplquad", "sumder2", "laplcube", "duality", "lemma"),
-    )
-    p_rep.add_argument("--format", choices=("text", "json"), default="text")
-
-    p_cat = sub.add_parser("catalog", help="list catalog entries")
-    p_cat.add_argument("--format", choices=("text", "json"), default="text")
-    return parser
 
 
 # ----------------------------------------------------------------------
@@ -334,13 +305,20 @@ def _suite_sumder2() -> list[dict]:
 
 def _laplcube_test_indices(n: int) -> list[BiIndex]:
     """Balanced monomials |alpha| = |beta| <= 2 supported on <= 2 variables
-    (any two of the n, not just the first pair), in family order."""
-    return [
-        row.index
-        for row in build_test_family(n, 2).entries
-        if row.index.bidegree[0] == row.index.bidegree[1]
-        and len(row.index.support()) <= 2
-    ]
+    (any two of the n, not just the first pair), in family order, read off
+    the family's packed keys; a `BiIndex` is built only for a row kept."""
+    family = build_test_family(n, 2)
+    shift = _SHIFT * n
+    slots = range(0, shift, _SHIFT)
+    kept = []
+    for pos, key in enumerate(family.keys):
+        hol, anti = key & ((1 << shift) - 1), key >> shift
+        either = hol | anti  # a slot is nonzero where alpha or beta is
+        # a packed vector is its digit sum mod 31 (32 = 1 mod 31), and the
+        # digit sums here are at most 2
+        if hol % _MASK == anti % _MASK and sum(1 for i in slots if either >> i & _MASK) <= 2:
+            kept.append(pos)
+    return [family.index(pos) for pos in kept]
 
 
 def _suite_laplcube() -> list[dict]:
@@ -517,10 +495,169 @@ def _render_catalog_text(doc: dict) -> str:
 # ----------------------------------------------------------------------
 
 
+# ----------------------------------------------------------------------
+# argument parsing
+
+
+_USAGE = """\
+usage: kahlap [-h] [--version] <command> ...
+
+kahlap check <spec> [--max-k K] [--order D] [--seed S] [--format text|json]
+             [--expect consistent|refuted-at:K]
+    decide the power property for a catalog spec, e.g. hyp:2 or
+    product(flat:1,hyp:1); --seed picks the random combinations that
+    re-check each consistent p_k and changes no verdict; --expect exits 2
+    on mismatch
+kahlap reproduce <target> [--format text|json]
+    run a fixed verification suite: comp1 comp2 laplquad sumder2 laplcube
+    duality lemma
+kahlap catalog [--format text|json]
+    list catalog entries
+
+Long options may be abbreviated to a unique prefix; --opt=value works, and
+-- ends the options."""
+
+_FORMAT = ("format", ("text", "json"), "text")
+# per command: its positional argument (name, choices or None for any
+# string) and its long options, each mapped to (dest, int or choices or None,
+# default)
+_COMMANDS = {
+    "check": (
+        ("spec", None),
+        {
+            "--max-k": ("max_k", int, 3),
+            "--order": ("order", int, None),
+            "--seed": ("seed", int, 0),
+            "--format": _FORMAT,
+            "--expect": ("expect", None, None),
+        },
+    ),
+    "reproduce": (("target", tuple(_SUITES)), {"--format": _FORMAT}),
+    "catalog": (None, {"--format": _FORMAT}),
+}
+_HELP = ("-h", "--help")
+_TOP = (*_HELP, "--version")
+
+
+def _option(token: str, names) -> tuple[str | None, str | None] | None:
+    """``(option name, attached value or None)`` for an option token, None for
+    an argument.  The name is None for an unknown option.  A long option may
+    be abbreviated to a unique prefix of one of ``names``."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in names:
+        return token, None
+    head, eq, value = token.partition("=")
+    attached = value if eq else None
+    if head in names:
+        return head, attached
+    if token[1] == "-":
+        matches = [name for name in names if name.startswith(head)]
+        if len(matches) > 1:
+            raise _UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], attached
+    elif token.startswith("-h"):
+        return "-h", token[2:]  # a short option takes the rest of its token
+    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+        return None  # a negative number or a string with a space is an argument
+    return None, None
+
+
+def _flag(name: str, attached: str | None) -> None:
+    """Run ``-h``/``--help`` or ``--version``: print and exit 0."""
+    if name == "-h" and attached:
+        attached = attached.lstrip("h") or None  # -hh is -h -h
+    if attached is not None:
+        label = "-h/--help" if name in _HELP else name
+        raise _UsageError(f"argument {label}: ignored explicit argument {attached!r}")
+    print(_USAGE if name in _HELP else __version__)
+    raise SystemExit(0)
+
+
+def _value(label: str, kind, text: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise _UsageError(f"argument {label}: invalid int value: {text!r}") from None
+    if kind is not None and text not in kind:
+        choices = ", ".join(map(repr, kind))
+        raise _UsageError(f"argument {label}: invalid choice: {text!r} (choose from {choices})")
+    return text
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command and its settings from ``argv``; `_UsageError` with
+    argparse's message for a malformed list."""
+    # argparse sorts every token into option or argument before acting on
+    # any, so an ambiguous top-level option (``--=x``) is reported first
+    for token in argv:
+        if token == "--":
+            break
+        _option(token, _TOP)
+    unknown = []
+    command = None
+    for i, token in enumerate(argv):
+        option = None if token == "--" else _option(token, _TOP)
+        if option is None:
+            if token != "--" or i + 1 < len(argv):
+                command, tokens = _value("command", tuple(_COMMANDS), token), argv[i + 1 :]
+            break
+        if option[0] is None:
+            unknown.append(token)
+        else:
+            _flag(*option)
+    if command is None:
+        raise _UsageError("the following arguments are required: command")
+
+    positional, options = _COMMANDS[command]
+    names = (*_HELP, *options)
+    settings = {dest: default for dest, _, default in options.values()}
+    argument = taken_at = None
+    ended = False
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        if token == "--" and not ended:
+            ended = True
+            # the positional argument absorbs an adjacent "--"
+            if not (positional and (taken_at == i - 2 or (argument is None and i < len(tokens)))):
+                unknown.append(token)
+            continue
+        option = None if ended else _option(token, names)
+        if option is None:
+            if positional and argument is None:
+                argument, taken_at = _value(positional[0], positional[1], token), i - 1
+            else:
+                unknown.append(token)
+            continue
+        name, attached = option
+        if name is None:
+            unknown.append(token)
+            continue
+        if name in _HELP:
+            _flag(name, attached)
+        dest, kind, _ = options[name]
+        if attached is None:
+            if i == len(tokens) or tokens[i] == "--" or _option(tokens[i], names):
+                raise _UsageError(f"argument {name}: expected one argument")
+            attached = tokens[i]
+            i += 1
+        settings[dest] = _value(name, kind, attached)
+    if positional:
+        if argument is None:
+            raise _UsageError(f"the following arguments are required: {positional[0]}")
+        settings[positional[0]] = argument
+    if unknown:
+        raise _UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(command=command, **settings)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         start = time.perf_counter()
         if args.command == "check":
             code, doc = cmd_check(args)

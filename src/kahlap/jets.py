@@ -433,10 +433,6 @@ class Jet:
         if c0 == 0:
             raise ConstantTermError("inv1 requires a nonzero constant term")
         u = self.scale(rat(1) / c0) - Jet.one(self.dim, self.order)
-        if u.is_zero:
-            # constant jet: the inverse is exact
-            out = Jet.constant(self.dim, self.order, rat(1) / c0)
-            return out._flagged(self.valid, self.exact)
         coeffs = [rat((-1) ** m) / c0 for m in range(self.order + 1)]
         return substitute(UniSeries(self.order, coeffs, exact=False), u)
 
@@ -630,7 +626,8 @@ def _mul_capped(a: Jet, b: Jet, out_order: int) -> Jet:
 def substitute(f: "UniSeries", arg: Jet) -> Jet:
     """Compose a univariate series with a zero-constant jet: f(arg).
 
-    A zero argument yields the exact constant f(0).  Otherwise coefficients
+    A zero argument yields the constant f(0), known as far as the argument
+    is: with the argument's validity and exactness.  Otherwise coefficients
     of f beyond its order are unknown, so the result's validity is
     additionally capped at (f.order+1)*mindeg(arg) - 1 when f is not an
     exact polynomial.
@@ -640,7 +637,7 @@ def substitute(f: "UniSeries", arg: Jet) -> Jet:
     order = arg.order
     out = Jet.constant(arg.dim, order, f.coefficient(0))
     if arg.is_zero:
-        return out
+        return out._flagged(arg.valid, arg.exact)
     mindeg = arg.min_degree()
     power = arg
     for m in range(1, min(f.order, order // mindeg) + 1):

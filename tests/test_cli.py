@@ -2,6 +2,12 @@
 
 import importlib.util
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -259,6 +265,176 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# ----------------------------------------------------------------------
+# the argv contract: every spelling the parser accepts or rejects, with the
+# exit code, stdout and stderr it gives
+
+
+GOLDEN = Path(__file__).parent / "golden"
+_NOTE = "note: consistent = no refutation over the finite test family; refuted = proof by witness pair\n"
+_HYP1_BODY = {
+    1: "einstein: True (lambda = -2, checked through degree 0)\n" + _NOTE
+    + "k=1: consistent, p_1 = X\n",
+    2: "einstein: True (lambda = -2, checked through degree 2)\n" + _NOTE
+    + "k=1: consistent, p_1 = X\nk=2: consistent, p_2 = X^2 - 2*X\n",
+    3: "einstein: True (lambda = -2, checked through degree 4)\n" + _NOTE
+    + "k=1: consistent, p_1 = X\nk=2: consistent, p_2 = X^2 - 2*X\n"
+    "k=3: consistent, p_3 = X^3 - 10*X^2 + 8*X\n"
+    "k=3 reference values: lambda=-2, D^3(|z1|^4)(0)=-40\n",
+}
+
+
+def _hyp1(max_k=3, seed=0, tail=""):
+    order = 2 * max_k + 2
+    return (
+        f"kahlap 0.1.0 check hyp:1 (max_k={max_k}, order={order}, seed={seed})\n"
+        + _HYP1_BODY[max_k] + tail
+    )
+
+
+def _usage(message):
+    return f"usage error: {message}\n"
+
+
+_TARGETS = "'comp1', 'comp2', 'laplquad', 'sumder2', 'laplcube', 'duality', 'lemma'"
+
+ARGV_CONTRACT = [
+    # accepted spellings
+    ("check hyp:1 --max 2", 0, _hyp1(2), ""),
+    ("check hyp:1 --m 2", 0, _hyp1(2), ""),
+    ("check hyp:1 --o 8", 0, _hyp1(3), ""),
+    ("check hyp:1 --max-k=2", 0, _hyp1(2), ""),
+    ("check --max-k 2 hyp:1", 0, _hyp1(2), ""),
+    ("check hyp:1 --max-k 1 --max-k 2", 0, _hyp1(2), ""),
+    ("check hyp:1 --format json --format text", 0, _hyp1(), ""),
+    ("check -- hyp:1", 0, _hyp1(), ""),
+    ("check --max-k 1 -- hyp:1", 0, _hyp1(1), ""),
+    ("check hyp:1 --seed -5", 0, _hyp1(seed=-5), ""),
+    ("check hyp:1 --seed=-5", 0, _hyp1(seed=-5), ""),
+    ("check hyp:1 --seed=+3", 0, _hyp1(seed=3), ""),
+    ("check hyp:1 --s 3", 0, _hyp1(seed=3), ""),
+    ("check hyp:1 --seed 1_000", 0, _hyp1(seed=1000), ""),
+    ("check hyp:1 --seed ' 7 '", 0, _hyp1(seed=7), ""),
+    ("check hyp:1 --max-k 2 --expect=refuted-at:2", 2, _hyp1(2, tail="EXPECTATION MISMATCH\n"), ""),
+    ("check hyp:1 --ex consistent", 0, _hyp1(tail="expectation met\n"), ""),
+    ("check hyp:1 --f json", 0, "cli_check_hyp1.json", ""),
+    ("catalog --format=json", 0, "cli_catalog.json", ""),
+    ("catalog --f json", 0, "cli_catalog.json", ""),
+    ("--version", "exit 0", "0.1.0\n", ""),
+    ("--ver", "exit 0", "0.1.0\n", ""),
+    # usage errors, in argparse's words
+    ("", 1, "", _usage("the following arguments are required: command")),
+    ("--", 1, "", _usage("the following arguments are required: command")),
+    ("frobnicate", 1, "", _usage(
+        "argument command: invalid choice: 'frobnicate' (choose from 'check', 'reproduce', 'catalog')")),
+    ("--format json catalog", 1, "", _usage(
+        "argument command: invalid choice: 'json' (choose from 'check', 'reproduce', 'catalog')")),
+    ("-- check hyp:1", 1, "", _usage(
+        "argument command: invalid choice: '--' (choose from 'check', 'reproduce', 'catalog')")),
+    ("--bogus check hyp:1", 1, "", _usage("unrecognized arguments: --bogus")),
+    ("check", 1, "", _usage("the following arguments are required: spec")),
+    ("check --", 1, "", _usage("the following arguments are required: spec")),
+    ("check --version", 1, "", _usage("the following arguments are required: spec")),
+    ("check hyp:1 hyp:2", 1, "", _usage("unrecognized arguments: hyp:2")),
+    ("check hyp:1 --max-k x", 1, "", _usage("argument --max-k: invalid int value: 'x'")),
+    ("check hyp:1 --max-k=", 1, "", _usage("argument --max-k: invalid int value: ''")),
+    ("check hyp:1 --max-k=2=3", 1, "", _usage("argument --max-k: invalid int value: '2=3'")),
+    ("check hyp:1 --order -", 1, "", _usage("argument --order: invalid int value: '-'")),
+    ("check hyp:1 --max-k", 1, "", _usage("argument --max-k: expected one argument")),
+    ("check hyp:1 --expect", 1, "", _usage("argument --expect: expected one argument")),
+    ("check hyp:1 --seed -x", 1, "", _usage("argument --seed: expected one argument")),
+    ("check hyp:1 --max-k -- 2", 1, "", _usage("argument --max-k: expected one argument")),
+    ("check hyp:1 --expect=", 1, "", _usage("bad --expect value ''")),
+    ("check hyp:1 --format xml", 1, "", _usage(
+        "argument --format: invalid choice: 'xml' (choose from 'text', 'json')")),
+    ("check hyp:1 --bogus", 1, "", _usage("unrecognized arguments: --bogus")),
+    ("check hyp:1 -x", 1, "", _usage("unrecognized arguments: -x")),
+    ("check hyp:1 -1", 1, "", _usage("unrecognized arguments: -1")),
+    ("check hyp:1 -max-k 2", 1, "", _usage("unrecognized arguments: -max-k 2")),
+    ("check hyp:1 --max-k 2 --", 1, "", _usage("unrecognized arguments: --")),
+    ("check hyp:1 --max-k 2 -- x", 1, "", _usage("unrecognized arguments: -- x")),
+    ("check hyp:1 -- --max-k", 1, "", _usage("unrecognized arguments: --max-k")),
+    ("check hyp:1 --=3", 1, "", _usage("ambiguous option: --=3 could match --help, --version")),
+    ("-hx", 1, "", _usage("argument -h/--help: ignored explicit argument 'x'")),
+    ("--version=", 1, "", _usage("argument --version: ignored explicit argument ''")),
+    ("check -5", 1, "", "error: unknown spec '-5'\n"),
+    ("reproduce", 1, "", _usage("the following arguments are required: target")),
+    ("reproduce nope", 1, "", _usage(
+        f"argument target: invalid choice: 'nope' (choose from {_TARGETS})")),
+    ("catalog extra", 1, "", _usage("unrecognized arguments: extra")),
+    ("catalog --", 1, "", _usage("unrecognized arguments: --")),
+    ("catalog --version", 1, "", _usage("unrecognized arguments: --version")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err", ARGV_CONTRACT, ids=[case[0] or "<empty>" for case in ARGV_CONTRACT]
+)
+def test_argv_contract(capsys, argv, code, out, err):
+    try:
+        got = main(shlex.split(argv))
+    except SystemExit as exc:
+        got = f"exit {exc.code}"
+    captured = capsys.readouterr()
+    if out.endswith(".json"):
+        out = (GOLDEN / out).read_text()
+    assert (got, re.sub(r'"timing_ms": \d+', '"timing_ms": 0', captured.out), captured.err) == (
+        code, out, err
+    )
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["-hh"], ["--bogus", "--he"]])
+def test_top_level_help_names_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(word in out for word in ("check", "reproduce", "catalog", "--version"))
+
+
+@pytest.mark.parametrize("argv", [["check", "-h"], ["check", "hyp:1", "-h", "--bogus"]])
+def test_check_help_names_every_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(
+        option in out for option in ("--max-k", "--order", "--seed", "--format", "--expect")
+    )
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["kahlap", "check", "hyp:1", "--max-k", "1"])
+    assert main() == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (_hyp1(1), "")
+
+
+def test_commands_import_no_argparse_gettext_or_locale():
+    """The start-up cost argparse carries (its gettext pulls in locale) stays
+    out of every command path."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        from kahlap.cli import main
+        for argv in (["check", "polydisc:2", "--max-k", "3"], ["reproduce", "comp1"], ["catalog"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        print(sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules))
+        """
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # ----------------------------------------------------------------------

@@ -173,6 +173,18 @@ def test_zero_argument_gives_exact_jets():
     assert log.is_zero and log.exact and log.valid == 6
 
 
+def test_zero_argument_keeps_its_validity():
+    f = UniSeries(6, {0: rat(2, 3), 1: 1}, exact=False)
+    got = substitute(f, Jet._raw(2, 6, 3, False, {}))
+    assert got == Jet.constant(2, 6, rat(2, 3))
+    assert (got.exact, got.valid) == (False, 3)
+    # a constant jet known through degree 2: log and inverse say the same
+    const = Jet._raw(1, 4, 2, False, {0: {0: 1}})
+    log, inv = const.log1(), const.inv1()
+    assert log.is_zero and inv == Jet.one(1, 4)
+    assert (log.exact, log.valid) == (inv.exact, inv.valid) == (False, 2)
+
+
 def test_substitute_rejects_constant_argument():
     f = UniSeries(4, {1: 1})
     with pytest.raises(ConstantTermError):
