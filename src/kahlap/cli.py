@@ -14,14 +14,17 @@ Reports are deterministic for a fixed (config, seed): the only field that
 varies between runs is ``timing_ms``.  Exit codes: 0 success / expectation
 met, 1 usage or construction error, 2 expectation or suite failure.
 
-The argument list is read by one table-driven parser (``_parse_args``) that
-accepts the spellings argparse accepts for this grammar, with its error
-wording: ``--opt value`` or ``--opt=value``, options before or after the
-positional argument, the last of a repeated option, any unique prefix of a
-long option (``--max 2``, ``--f json``, top-level ``--ver``), ``--`` to end
-the options, and integers read by ``int()`` (``--seed -5``, ``--seed 1_000``).
+The argument list is read by one table-driven parser (``_parse_args``)
+over this fixed grammar, with argparse's spellings and error wording:
+``--opt value`` or ``--opt=value``, options before or after the positional
+argument, the last of a repeated option, any unique prefix of a long option
+(``--max 2``, ``--f json``, top-level ``--ver``), ``--`` to end the options,
+and integers read by ``int()`` (``--seed -5``, ``--seed 1_000``).
 ``-h``/``--help`` print the usage block and ``--version`` the version, each
-with exit 0.  argparse is not used: its first parser costs a few ms of
+with exit 0.  Unlike argparse, ``-h`` takes nothing attached (``-hh`` is an
+unknown option), a ``--`` after the positional argument is dropped wherever
+it stands, and a few malformed lists get another ``usage error`` message
+(still exit 1).  argparse is not imported: its first parser cost a few ms of
 start-up (its gettext imports locale), more than some whole commands.
 """
 
@@ -49,7 +52,7 @@ from .inference import (
     third_power_summary,
     verify_property,
 )
-from .jets import _MASK, _SHIFT, BiIndex, Jet, KahlapError
+from .jets import _MASK, _SHIFT, BiIndex, Jet, KahlapError, _unpack
 from .laplacian import second_power_check, third_power_check
 from .rationals import rat_pretty, rat_str
 
@@ -306,19 +309,18 @@ def _suite_sumder2() -> list[dict]:
 def _laplcube_test_indices(n: int) -> list[BiIndex]:
     """Balanced monomials |alpha| = |beta| <= 2 supported on <= 2 variables
     (any two of the n, not just the first pair), in family order, read off
-    the family's packed keys; a `BiIndex` is built only for a row kept."""
+    the family's packed keys; a `BiIndex` is built only for a row kept.  A
+    packed vector is its digit sum mod 31 (32 = 1 mod 31), and the digit
+    sums here are at most 2; alpha | beta has a nonzero slot where alpha or
+    beta has."""
     family = build_test_family(n, 2)
-    shift = _SHIFT * n
-    slots = range(0, shift, _SHIFT)
-    kept = []
-    for pos, key in enumerate(family.keys):
-        hol, anti = key & ((1 << shift) - 1), key >> shift
-        either = hol | anti  # a slot is nonzero where alpha or beta is
-        # a packed vector is its digit sum mod 31 (32 = 1 mod 31), and the
-        # digit sums here are at most 2
-        if hol % _MASK == anti % _MASK and sum(1 for i in slots if either >> i & _MASK) <= 2:
-            kept.append(pos)
-    return [family.index(pos) for pos in kept]
+    low = (1 << _SHIFT * n) - 1
+    return [
+        family.index(pos)
+        for pos, key in enumerate(family.keys)
+        if (key & low) % _MASK == (key >> _SHIFT * n) % _MASK
+        and sum(map(bool, _unpack(key & low | key >> _SHIFT * n, n))) <= 2
+    ]
 
 
 def _suite_laplcube() -> list[dict]:
@@ -518,12 +520,15 @@ Long options may be abbreviated to a unique prefix; --opt=value works, and
 -- ends the options."""
 
 _FORMAT = ("format", ("text", "json"), "text")
-# per command: its positional argument (name, choices or None for any
-# string) and its long options, each mapped to (dest, int or choices or None,
-# default)
+# per command: its runner and text renderer, its positional argument and
+# that argument's choices (None: any string), and its options, each mapped
+# to (dest, int or choices or None, default)
 _COMMANDS = {
     "check": (
-        ("spec", None),
+        cmd_check,
+        _render_check_text,
+        "spec",
+        None,
         {
             "--max-k": ("max_k", int, 3),
             "--order": ("order", int, None),
@@ -532,149 +537,102 @@ _COMMANDS = {
             "--expect": ("expect", None, None),
         },
     ),
-    "reproduce": (("target", tuple(_SUITES)), {"--format": _FORMAT}),
-    "catalog": (None, {"--format": _FORMAT}),
+    "reproduce": (
+        cmd_reproduce,
+        _render_reproduce_text,
+        "target",
+        tuple(_SUITES),
+        {"--format": _FORMAT},
+    ),
+    "catalog": (cmd_catalog, _render_catalog_text, None, None, {"--format": _FORMAT}),
 }
-_HELP = ("-h", "--help")
-_TOP = (*_HELP, "--version")
 
 
-def _option(token: str, names) -> tuple[str | None, str | None] | None:
+def _option(token, names):
     """``(option name, attached value or None)`` for an option token, None for
     an argument.  The name is None for an unknown option.  A long option may
-    be abbreviated to a unique prefix of one of ``names``."""
-    if not token.startswith("-") or token == "-":
-        return None
-    if token in names:
-        return token, None
+    be cut to a unique prefix of one of ``names``."""
     head, eq, value = token.partition("=")
-    attached = value if eq else None
-    if head in names:
-        return head, attached
-    if token[1] == "-":
-        matches = [name for name in names if name.startswith(head)]
-        if len(matches) > 1:
-            raise _UsageError(f"ambiguous option: {token} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], attached
-    elif token.startswith("-h"):
-        return "-h", token[2:]  # a short option takes the rest of its token
-    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
-        return None  # a negative number or a string with a space is an argument
-    return None, None
+    found = [n for n in names if n.startswith(head) and (token[:2] == "--" or n == head)]
+    if len(found) == 1:
+        return found[0], value if eq else None
+    # "-", a negative number and a string with a space are arguments
+    if token[:1] == "-" and not re.match(r"-(\d+|\d*\.\d+)?$", token) and " " not in token:
+        return None, None
+    return None
 
 
-def _flag(name: str, attached: str | None) -> None:
-    """Run ``-h``/``--help`` or ``--version``: print and exit 0."""
-    if name == "-h" and attached:
-        attached = attached.lstrip("h") or None  # -hh is -h -h
-    if attached is not None:
-        label = "-h/--help" if name in _HELP else name
-        raise _UsageError(f"argument {label}: ignored explicit argument {attached!r}")
-    print(_USAGE if name in _HELP else __version__)
-    raise SystemExit(0)
-
-
-def _value(label: str, kind, text: str):
+def _value(label, kind, text):
     if kind is int:
         try:
             return int(text)
         except ValueError:
             raise _UsageError(f"argument {label}: invalid int value: {text!r}") from None
-    if kind is not None and text not in kind:
-        choices = ", ".join(map(repr, kind))
-        raise _UsageError(f"argument {label}: invalid choice: {text!r} (choose from {choices})")
+    if kind and text not in kind:
+        raise _UsageError(
+            f"argument {label}: invalid choice: {text!r} "
+            f"(choose from {', '.join(map(repr, kind))})"
+        )
     return text
 
 
-def _parse_args(argv: list[str]) -> SimpleNamespace:
-    """The command and its settings from ``argv``; `_UsageError` with
-    argparse's message for a malformed list."""
-    # argparse sorts every token into option or argument before acting on
-    # any, so an ambiguous top-level option (``--=x``) is reported first
-    for token in argv:
-        if token == "--":
-            break
-        _option(token, _TOP)
-    unknown = []
-    command = None
-    for i, token in enumerate(argv):
-        option = None if token == "--" else _option(token, _TOP)
-        if option is None:
-            if token != "--" or i + 1 < len(argv):
-                command, tokens = _value("command", tuple(_COMMANDS), token), argv[i + 1 :]
-            break
-        if option[0] is None:
+def _parse_args(tokens):
+    """The command and its settings from the list ``tokens``, which it edits;
+    `_UsageError` with argparse's message for a malformed list."""
+    name, choices, options = "command", tuple(_COMMANDS), {"--version": None}
+    settings, unknown = {}, []
+    command = argument = None
+    end = len(tokens)
+    j = 0
+    while j < len(tokens):
+        token = tokens[j]
+        names = ("-h", "--help", *options)
+        option = j < end and _option(token, names)
+        opt, value = option or (None, None)
+        j += 1
+        if opt and not options.get(opt) and value is None:  # -h, --help, --version
+            print(__version__ if opt == "--version" else _USAGE)
+            raise SystemExit(0)
+        if options.get(opt):
+            if value is None:
+                if j >= end or _option(tokens[j], names):
+                    raise _UsageError(f"argument {opt}: expected one argument")
+                value = tokens[j]
+                j += 1
+            dest, kind, _ = options[opt]
+            settings[dest] = _value(opt, kind, value)
+        elif option or not name or argument is not None:
             unknown.append(token)
-        else:
-            _flag(*option)
-    if command is None:
-        raise _UsageError("the following arguments are required: command")
-
-    positional, options = _COMMANDS[command]
-    names = (*_HELP, *options)
-    settings = {dest: default for dest, _, default in options.values()}
-    argument = taken_at = None
-    ended = False
-    i = 0
-    while i < len(tokens):
-        token = tokens[i]
-        i += 1
-        if token == "--" and not ended:
-            ended = True
-            # the positional argument absorbs an adjacent "--"
-            if not (positional and (taken_at == i - 2 or (argument is None and i < len(tokens)))):
-                unknown.append(token)
-            continue
-        option = None if ended else _option(token, names)
-        if option is None:
-            if positional and argument is None:
-                argument, taken_at = _value(positional[0], positional[1], token), i - 1
-            else:
-                unknown.append(token)
-            continue
-        name, attached = option
-        if name is None:
-            unknown.append(token)
-            continue
-        if name in _HELP:
-            _flag(name, attached)
-        dest, kind, _ = options[name]
-        if attached is None:
-            if i == len(tokens) or tokens[i] == "--" or _option(tokens[i], names):
-                raise _UsageError(f"argument {name}: expected one argument")
-            attached = tokens[i]
-            i += 1
-        settings[dest] = _value(name, kind, attached)
-    if positional:
-        if argument is None:
-            raise _UsageError(f"the following arguments are required: {positional[0]}")
-        settings[positional[0]] = argument
+        elif command:
+            argument = _value(name, choices, token)
+        else:  # the rest of argv belongs to the command
+            command = _value(name, choices, token)
+            *_, name, choices, options = _COMMANDS[command]
+            settings = {dest: default for dest, _, default in options.values()}
+            # from "--" on every token is an argument; a command with a
+            # positional argument drops the "--"
+            end = tokens.index("--", j) if "--" in tokens[j:] else len(tokens)
+            del tokens[end : end + bool(name)]
+    if name and argument is None:
+        raise _UsageError(f"the following arguments are required: {name}")
     if unknown:
         raise _UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    if name:
+        settings[name] = argument
     return SimpleNamespace(command=command, **settings)
 
 
 def main(argv=None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+        run, render = _COMMANDS[args.command][:2]
         start = time.perf_counter()
-        if args.command == "check":
-            code, doc = cmd_check(args)
-        elif args.command == "reproduce":
-            code, doc = cmd_reproduce(args)
-        else:
-            code, doc = cmd_catalog(args)
+        code, doc = run(args)
         doc["timing_ms"] = int((time.perf_counter() - start) * 1000)
         if args.format == "json":
             print(json.dumps(doc, indent=2))
         else:
-            if args.command == "check":
-                print(_render_check_text(doc))
-            elif args.command == "reproduce":
-                print(_render_reproduce_text(doc))
-            else:
-                print(_render_catalog_text(doc))
+            print(render(doc))
             if "expectation_met" in doc:
                 print(
                     "expectation met"
