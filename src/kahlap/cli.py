@@ -14,18 +14,14 @@ Reports are deterministic for a fixed (config, seed): the only field that
 varies between runs is ``timing_ms``.  Exit codes: 0 success / expectation
 met, 1 usage or construction error, 2 expectation or suite failure.
 
-The argument list is read by one table-driven parser (``_parse_args``)
-over this fixed grammar, with argparse's spellings and error wording:
-``--opt value`` or ``--opt=value``, options before or after the positional
-argument, the last of a repeated option, any unique prefix of a long option
-(``--max 2``, ``--f json``, top-level ``--ver``), ``--`` to end the options,
-and integers read by ``int()`` (``--seed -5``, ``--seed 1_000``).
-``-h``/``--help`` print the usage block and ``--version`` the version, each
-with exit 0.  Unlike argparse, ``-h`` takes nothing attached (``-hh`` is an
-unknown option), a ``--`` after the positional argument is dropped wherever
-it stands, and a few malformed lists get another ``usage error`` message
-(still exit 1).  argparse is not imported: its first parser cost a few ms of
-start-up (its gettext imports locale), more than some whole commands.
+The argument list is read by one table-driven parser (``_parse_args``) in
+argparse's spellings and words: ``--opt value`` or ``--opt=value``, options
+on either side of the positional argument, the last of a repeated option,
+unique prefixes of long options (``--max 2``, top-level ``--ver``), ``--`` to
+end the options, integers read by ``int()`` (``--seed -5``).  ``-h``,
+``--help`` and ``--version`` print and exit 0.  The README lists the few
+degenerate spellings read otherwise.  argparse is not imported: its first
+parser cost a few ms of start-up, more than some whole commands.
 """
 
 from __future__ import annotations
@@ -309,12 +305,12 @@ def _suite_sumder2() -> list[dict]:
 def _laplcube_test_indices(n: int) -> list[BiIndex]:
     """Balanced monomials |alpha| = |beta| <= 2 supported on <= 2 variables
     (any two of the n, not just the first pair), in family order, read off
-    the family's packed keys; a `BiIndex` is built only for a row kept.  A
-    packed vector is its digit sum mod 31 (32 = 1 mod 31), and the digit
-    sums here are at most 2; alpha | beta has a nonzero slot where alpha or
-    beta has."""
+    the family's packed keys; a `BiIndex` is built only for a row kept."""
     family = build_test_family(n, 2)
     low = (1 << _SHIFT * n) - 1
+    # a packed vector is its digit sum mod 31 (32 = 1 mod 31), and the digit
+    # sums here are at most 2; the nonzero slots of alpha | beta are the
+    # support
     return [
         family.index(pos)
         for pos, key in enumerate(family.keys)
@@ -495,9 +491,6 @@ def _render_catalog_text(doc: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-
-
-# ----------------------------------------------------------------------
 # argument parsing
 
 
@@ -563,6 +556,8 @@ def _option(token, names):
 
 
 def _value(label, kind, text):
+    """``text`` read by ``int()`` or checked against the choices ``kind``
+    (None: any string)."""
     if kind is int:
         try:
             return int(text)
