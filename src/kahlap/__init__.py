@@ -30,15 +30,12 @@ from .geometry import (
     normality_report,
     pullback,
     ricci,
-    ricci_contracted,
     to_normal_coordinates,
     trace_identity_check,
 )
 from .laplacian import (
     NotEinsteinError,
-    euclidean_laplacian,
     euclidean_moments,
-    kahler_laplacian,
     power_at_origin,
     powers_at_origin,
     second_power_check,

@@ -48,7 +48,7 @@ from .inference import (
     third_power_summary,
     verify_property,
 )
-from .jets import _MASK, _SHIFT, BiIndex, Jet, KahlapError, _unpack
+from .jets import _SHIFT, BiIndex, Jet, KahlapError, _digit_sum, _unpack
 from .laplacian import second_power_check, third_power_check
 from .rationals import rat_pretty, rat_str
 
@@ -308,13 +308,12 @@ def _laplcube_test_indices(n: int) -> list[BiIndex]:
     the family's packed keys; a `BiIndex` is built only for a row kept."""
     family = build_test_family(n, 2)
     low = (1 << _SHIFT * n) - 1
-    # a packed vector is its digit sum mod 31 (32 = 1 mod 31), and the digit
-    # sums here are at most 2; the nonzero slots of alpha | beta are the
-    # support
+    # a balanced row has the same degree in both halves; the nonzero slots
+    # of alpha | beta are the support
     return [
         family.index(pos)
         for pos, key in enumerate(family.keys)
-        if (key & low) % _MASK == (key >> _SHIFT * n) % _MASK
+        if _digit_sum(key & low) == _digit_sum(key >> _SHIFT * n)
         and sum(map(bool, _unpack(key & low | key >> _SHIFT * n, n))) <= 2
     ]
 

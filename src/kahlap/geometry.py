@@ -13,10 +13,10 @@ constant.  Under this convention the Einstein constants of the standard
 catalog come out as lambda(hyperbolic n) = -(n+1), lambda(Fubini-Study n)
 = n+1 with g(0) = I.
 
-Ricci is computed two ways: from -d dbar log det(g), with log det(g) read
-off the series inverse by Jacobi's formula, and from the curvature-style
-contraction of metric derivatives.  Tests check the inverse against Newton
-iteration and log det(g) against a pivoted series determinant.
+Ricci is -d dbar log det(g), with log det(g) read off the series inverse
+by Jacobi's formula.  The tests check it against the curvature-style
+contraction of metric derivatives, the inverse against Newton iteration
+and log det(g) against a pivoted series determinant.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def _eliminate(rows):
     """Gauss-Jordan on a rational matrix: (inverse, pivots).
 
     ``pivots[k]`` is the diagonal entry met at step k, before any row swap;
-    the inverse is None when the matrix is singular.  Rows are swapped only
+    a singular matrix raises DegenerateMetricError.  Rows are swapped only
     past a zero pivot, so while every pivot is nonzero ``pivots[k]`` is the
     ratio of the leading principal minors of sizes k+1 and k, and all
     pivots are positive exactly when all leading principal minors are.
@@ -68,7 +68,7 @@ def _eliminate(rows):
         pivots.append(aug[col][col])
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
-            return None, pivots
+            raise DegenerateMetricError("degenerate metric at origin")
         aug[col], aug[piv] = aug[piv], aug[col]
         inv_p = rat(1) / aug[col][col]
         aug[col] = [x * inv_p for x in aug[col]]
@@ -83,45 +83,7 @@ def _eliminate(rows):
 # jet matrices
 
 
-def mat_mul(a: Sequence[Sequence[Jet]], b: Sequence[Sequence[Jet]], cap: int) -> Matrix:
-    """Matrix product with every jet product capped at degree ``cap``.
-
-    Entries come back at the ambient order of ``a``'s entries so they mix
-    freely with uncapped jets; their validity is bounded by ``cap``.  A
-    product with a zero factor has no terms and is skipped, but its
-    validity and exactness still bound the entry's.
-    """
-    n = len(a)
-    m = len(b[0])
-    inner = len(b)
-    dim = a[0][0].dim
-    ambient = a[0][0].order
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = None
-            # flags of the skipped products, as _mul_capped would set them:
-            # a zero product drops no degree, so it is exact when both are
-            veff, exact = _INF, True
-            for k in range(inner):
-                x, y = a[i][k], b[k][j]
-                if x.is_zero or y.is_zero:
-                    if not (x.exact and y.exact):
-                        veff, exact = min(veff, x._veff, y._veff, cap), False
-                    continue
-                p = _mul_capped(x, y, cap).lifted(ambient)
-                acc = p if acc is None else acc + p
-            if acc is None:
-                acc = Jet._raw(dim, ambient, veff, exact, {})
-            elif not exact:
-                acc = acc._flagged(min(acc._veff, veff), False)
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def series_matrix_inverse(g: Matrix, target_valid: int) -> Matrix:
+def series_matrix_inverse(g: Matrix, target_valid: int, graded=None) -> Matrix:
     """Inverse of a jet matrix with invertible constant term, through
     degree ``target_valid``.
 
@@ -134,39 +96,56 @@ def series_matrix_inverse(g: Matrix, target_valid: int) -> Matrix:
     N_d = -N_0 sum_e (q Gd)^{e-1} (Gd G_e) N_{d-e}.  Entries of g with no
     term of degree e take no part in that degree's products.
 
-    The entries hold the degrees 0..``target_valid`` of the inverse (none
-    above the order of g) and are flagged inexact, valid through
-    ``target_valid`` or the validity of g, whichever is lower.
+    ``graded`` is the :class:`_GradedInverse` of g to read and extend, kept
+    by a :class:`MetricJet` between calls; without it g(0) is eliminated
+    here and the recurrence starts afresh.  The entries hold the degrees
+    0..``target_valid`` of the inverse (none above the order of g) and are
+    flagged inexact, valid through ``target_valid`` or the validity of g,
+    whichever is lower.
     """
-    n = len(g)
-    dim = g[0][0].dim
-    order = g[0][0].order
-    g0inv, _ = _eliminate([[entry.constant_term() for entry in row] for row in g])
-    if g0inv is None:
-        raise DegenerateMetricError("degenerate metric at origin")
-    top = min(target_valid, order)
-    q = math.lcm(*(c.denominator for row in g0inv for c in row))
-    gd = math.lcm(*(entry.den for row in g for entry in row))
-    s = q * gd
-    n0 = [[int(c.numerator) * (q // int(c.denominator)) for c in row] for row in g0inv]
-    # parts[e]: (k, l, numerators of (q Gd)^(e-1) Gd G_e[k][l]) where nonzero
-    parts = [[] for _ in range(top + 1)]
-    for k in range(n):
-        for l in range(n):
-            entry = g[k][l]
-            f = gd // entry.den
-            for e, bucket in entry._grades.items():
-                if 1 <= e <= top:
-                    sc = f * s ** (e - 1)
-                    parts[e].append((k, l, {key: c * sc for key, c in bucket.items()}))
-    # xs[d][i][j]: the numerators of N_d[i][j] by packed key
-    xs = [[[{0: c} if c else {} for c in row] for row in n0]]
-    for d in range(1, top + 1):
+    if graded is None:
+        g0 = [[e.constant_term() for e in row] for row in g]
+        graded = _GradedInverse(g, _eliminate(g0)[0])
+    return graded.matrix(target_valid)
+
+
+class _GradedInverse:
+    """The state of the recurrence of :func:`series_matrix_inverse` for one
+    matrix g: the numerators N_d computed so far, extended one degree at a
+    time and only as far as a call asks."""
+
+    __slots__ = ("g", "q", "gd", "n0", "parts", "xs")
+
+    def __init__(self, g: Matrix, g0inv):
+        self.g = g
+        self.q = q = math.lcm(*(c.denominator for row in g0inv for c in row))
+        self.gd = math.lcm(*(entry.den for row in g for entry in row))
+        self.n0 = n0 = [
+            [int(c.numerator) * (q // int(c.denominator)) for c in row] for row in g0inv
+        ]
+        # parts[e]: (k, l, numerators of (q Gd)^(e-1) Gd G_e[k][l]) where nonzero
+        self.parts = [[]]
+        # xs[d][i][j]: the numerators of N_d[i][j] by packed key
+        self.xs = [[[{0: c} if c else {} for c in row] for row in n0]]
+
+    def _extend(self) -> None:
+        """Append N_d for the next degree d."""
+        g, n0, xs = self.g, self.n0, self.xs
+        n, d = len(g), len(xs)
+        sc = self.q ** (d - 1) * self.gd**d
+        self.parts.append(
+            [
+                (k, l, _scaled(bucket, sc // entry.den))
+                for k, row in enumerate(g)
+                for l, entry in enumerate(row)
+                if (bucket := entry._grades.get(d))
+            ]
+        )
         # acc = sum_e (scaled G_e) N_{d-e}
         acc = [[{} for _ in range(n)] for _ in range(n)]
         for e in range(1, d + 1):
             lower = xs[d - e]
-            for k, l, gpart in parts[e]:
+            for k, l, gpart in self.parts[e]:
                 for j, xpart in enumerate(lower[l]):
                     if not xpart:
                         continue
@@ -191,22 +170,37 @@ def series_matrix_inverse(g: Matrix, target_valid: int) -> Matrix:
                 row.append({key: c for key, c in tgt.items() if c})
             xd.append(row)
         xs.append(xd)
-    # every degree over the common denominator q^(top+1) Gd^top
-    valid = min(target_valid, min(e._veff for row in g for e in row))
-    den = q ** (top + 1) * gd**top
-    lift = [s ** (top - d) for d in range(top + 1)]
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            grades = {
-                d: {key: c * lift[d] for key, c in xd[i][j].items()}
-                for d, xd in enumerate(xs)
-                if xd[i][j]
-            }
-            row.append(Jet._reduced(dim, order, valid, False, grades, den))
-        out.append(tuple(row))
-    return tuple(out)
+
+    def matrix(self, target_valid: int) -> Matrix:
+        """The inverse through degree ``target_valid``, as jets."""
+        g = self.g
+        dim, order = g[0][0].dim, g[0][0].order
+        top = min(target_valid, order)
+        while len(self.xs) <= top:
+            self._extend()
+        # every degree over the common denominator q^(top+1) Gd^top
+        valid = min(target_valid, min(e._veff for row in g for e in row))
+        s = self.q * self.gd
+        den = self.q ** (top + 1) * self.gd**top
+        lift = [s ** (top - d) for d in range(top + 1)]
+        xs = self.xs[: top + 1]
+        return tuple(
+            tuple(
+                Jet._reduced(
+                    dim, order, valid, False,
+                    {d: _scaled(x[i][j], lift[d]) for d, x in enumerate(xs) if x[i][j]},
+                    den,
+                )
+                for j in range(len(g))
+            )
+            for i in range(len(g))
+        )
+
+
+def _scaled(bucket: dict, f: int) -> dict:
+    """The numerators of ``bucket`` times f; the bucket itself when f is 1,
+    as it is on every catalog metric (no bucket is changed once built)."""
+    return bucket if f == 1 else {key: c * f for key, c in bucket.items()}
 
 
 # ----------------------------------------------------------------------
@@ -244,19 +238,23 @@ class NormalityReport:
 class MetricJet:
     """Metric matrix of jets together with its series inverse.
 
-    The inverse is computed lazily (graded recurrence) and cached;
     ``valid`` bounds the degree through which g * g_inv equals the
-    identity.  The Einstein data,
-    the origin values of Laplacian powers of monomials (filled by the
-    ``*_at_origin`` functions of :mod:`kahlap.laplacian`) and the weights
-    of the expanded third-power formula (filled by
-    :func:`kahlap.laplacian.third_power_rhs`) are cached the same way; each
-    fill is deterministic.
+    identity.  ``g(0)^{-1}`` is computed once, by the positive-definiteness
+    check at construction, and seeds the graded recurrence of
+    :func:`series_matrix_inverse`, whose state is kept here and extended
+    one degree at a time as readers ask: :meth:`inverse` is the inverse
+    through the degrees a reader needs, and :attr:`g_inv` the whole of it,
+    through ``valid``.  The Einstein data, the origin values of Laplacian
+    powers of monomials (filled by the ``*_at_origin`` functions of
+    :mod:`kahlap.laplacian`) and the weights of the expanded third-power
+    formula (filled by :func:`kahlap.laplacian.third_power_rhs`) are cached
+    the same way; each fill is deterministic.
     """
 
     __slots__ = (
         "dim", "order", "valid", "g",
-        "_g_inv", "_einstein", "_origin_values", "_third_power_weights",
+        "_g0inv", "_graded", "_inverses", "_einstein", "_origin_values",
+        "_third_power_weights",
     )
 
     def __init__(self, g: Matrix):
@@ -264,10 +262,10 @@ class MetricJet:
         entry = g[0][0]
         self.dim = n
         self.order = entry.order
-        self.valid = min(e._veff for row in g for e in row)
-        self.valid = min(self.valid, self.order)
+        self.valid = min(self.order, *(e._veff for row in g for e in row))
         self.g = g
-        self._g_inv = None
+        self._graded = None
+        self._inverses = {}
         self._einstein = None
         self._origin_values = None
         self._third_power_weights = None
@@ -278,17 +276,31 @@ class MetricJet:
                         f"metric not Hermitian: entry ({i + 1},{j + 1})"
                     )
         g0inv, pivots = _eliminate([[e.constant_term() for e in row] for row in g])
-        if g0inv is None:
-            raise DegenerateMetricError("degenerate metric at origin")
         # Sylvester's criterion; g(0) is symmetric by the Hermitian check above
         if not all(p > 0 for p in pivots):
             raise DegenerateMetricError("metric not positive definite at origin")
+        self._g0inv = g0inv
+
+    def inverse(self, degree: int = 0) -> Matrix:
+        """The series inverse through degree ``max(degree, valid - 1)``.
+
+        Degree ``valid - 1`` is all that log det(g) reads (see
+        :func:`_log_det`), and all that the Laplacian powers of a potential
+        built for them read; a reader that needs more asks for it.  Each
+        such matrix is built once, from the shared graded state.
+        """
+        top = max(degree, self.valid - 1, 0)
+        x = self._inverses.get(top)
+        if x is None:
+            if self._graded is None:
+                self._graded = _GradedInverse(self.g, self._g0inv)
+            x = self._inverses[top] = series_matrix_inverse(self.g, top, self._graded)
+        return x
 
     @property
     def g_inv(self) -> Matrix:
-        if self._g_inv is None:
-            self._g_inv = series_matrix_inverse(self.g, self.valid)
-        return self._g_inv
+        """The series inverse through ``valid``, the whole known inverse."""
+        return self.inverse(self.valid)
 
     @property
     def einstein(self) -> EinsteinData:
@@ -309,7 +321,7 @@ def metric_from_potential(phi: Jet) -> MetricJet:
 
 
 # ----------------------------------------------------------------------
-# Ricci, two routes
+# Ricci
 
 
 def _log_det(m: MetricJet) -> Jet:
@@ -317,14 +329,16 @@ def _log_det(m: MetricJet) -> Jet:
 
     Jacobi's formula with the Euler (total-degree) operator E reads
     E log det(g) = tr(g_inv E g); on homogeneous parts, with X = g_inv,
-    L_d = (1/d) sum_{e=1..d} e tr(X_{d-e} G_e).  It runs on ints, graded as
-    in :func:`series_matrix_inverse`: with Dx and Gd the lcms of the entry
+    L_d = (1/d) sum_{e=1..d} e tr(X_{d-e} G_e), so it reads X only through
+    degree ``m.valid - 1``: ``m.inverse()``.  It runs on ints, graded as in
+    :func:`series_matrix_inverse`: with Dx and Gd the lcms of the entry
     denominators of X and g and M = lcm(1..m.valid), every L_d is an int
-    numerator over M Dx Gd.  L lives at order ``m.valid``, valid there, and
-    is flagged exact only when zero, as ``log1`` flags the log of a constant.
+    numerator over M Dx Gd.  L lives at order ``m.valid`` and is valid
+    there; it is flagged exact only when every entry of g is an exact
+    constant, the one case where it is known to be exactly zero.
     """
     n, top = m.dim, m.valid
-    x = m.g_inv
+    x = m.inverse()
     dx = math.lcm(*(e.den for row in x for e in row))
     gd = math.lcm(*(e.den for row in m.g for e in row))
     big = math.lcm(*range(1, top + 1))
@@ -357,7 +371,8 @@ def _log_det(m: MetricJet) -> Jet:
         tgt = {key: c for key, c in tgt.items() if c}
         if tgt:
             grades[d] = tgt
-    return Jet._reduced(m.g[0][0].dim, top, top, not grades, grades, big * dx * gd)
+    exact = all(e.exact and e.max_degree() <= 0 for row in m.g for e in row)
+    return Jet._reduced(m.g[0][0].dim, top, top, exact, grades, big * dx * gd)
 
 
 def ricci(m: MetricJet) -> Matrix:
@@ -365,62 +380,16 @@ def ricci(m: MetricJet) -> Matrix:
 
     log det(g) comes from the cached inverse by Jacobi's formula
     (:func:`_log_det`), only through ``m.valid``, and the entries come back
-    at order ``m.valid``.  Trade-off: this route and
-    :func:`ricci_contracted` both read ``m.g_inv``, so inside the engine the
-    Einstein data is no longer independent of the series inverse.  That
+    at order ``m.valid``.  Trade-off: this route reads the series inverse,
+    so inside the engine the Einstein data is not independent of it.  That
     independence lives in the test oracles instead: Newton iteration for
-    ``g_inv`` and the pivoted series determinant for log det(g).
+    ``g_inv``, the pivoted series determinant for log det(g) and the
+    contraction of metric derivatives for Ricci.
     """
     logdet = _log_det(m)
     n = m.dim
     rows = (logdet.diff_hol(i + 1) for i in range(n))
     return tuple(tuple(-(d.diff_anti(j + 1)) for j in range(n)) for d in rows)
-
-
-def ricci_contracted(m: MetricJet, cap: int | None = None) -> Matrix:
-    """Ricci from the curvature-style contraction of metric derivatives:
-
-        Ric[i][j] = sum_{a,b} X[a][b] * ( -d_b dbar_a g[i][j]
-                    + sum_{c,d} X[c][d] * d_b g[i][c] * dbar_a g[d][j] )
-
-    with X = g_inv.  It takes no logarithm, so it cross-checks Jacobi's
-    formula in :func:`ricci`; products are capped at ``cap`` when given
-    (the comparison degree), which keeps the n^2 matrix products cheap.
-    """
-    n = m.dim
-    cap = m.order if cap is None else cap
-    x = m.g_inv
-    da_g = [
-        tuple(tuple(m.g[i][c].diff_hol(b + 1) for c in range(n)) for i in range(n))
-        for b in range(n)
-    ]
-    db_g = [
-        tuple(tuple(m.g[d][j].diff_anti(a + 1) for j in range(n)) for d in range(n))
-        for a in range(n)
-    ]
-    #   P_b = (d_b g) X ;  Q_ab = P_b (dbar_a g)
-    p = [mat_mul(da_g[b], x, cap) for b in range(n)]
-    ambient = m.order
-    acc = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            q = mat_mul(p[b], db_g[a], cap)
-            hess = tuple(
-                tuple(m.g[i][j].diff_hol(b + 1).diff_anti(a + 1) for j in range(n))
-                for i in range(n)
-            )
-            for i in range(n):
-                for j in range(n):
-                    term = _mul_capped(x[a][b], q[i][j] - hess[i][j], cap)
-                    term = term.lifted(ambient)
-                    acc[i][j] = term if acc[i][j] is None else acc[i][j] + term
-    return tuple(tuple(row) for row in acc)
-
-
-def matrices_agree(a: Matrix, b: Matrix, through: int | None = None) -> bool:
-    return all(
-        ea.agrees(eb, through) for ra, rb in zip(a, b) for ea, eb in zip(ra, rb)
-    )
 
 
 def einstein_data(m: MetricJet) -> EinsteinData:
@@ -601,9 +570,10 @@ class TraceIdentity:
 
 
 def inverse_metric_second_trace(m: MetricJet) -> tuple[tuple[object, ...], ...]:
-    """The matrix S[i][j] = sum_h d_h dbar_h g_inv[i][j] evaluated at 0."""
+    """The matrix S[i][j] = sum_h d_h dbar_h g_inv[i][j] evaluated at 0,
+    read off the terms of degree 2 of g_inv."""
     n = m.dim
-    x = m.g_inv
+    x = m.inverse(2)
     out = []
     for i in range(n):
         row = []

@@ -49,6 +49,7 @@ from .jets import (
     Jet,
     KahlapError,
     _SHIFT,
+    _digit_sum,
     _pack,
     _unpack,
 )
@@ -447,12 +448,12 @@ def verify_property(
     ``REVERIFY_COMBINATIONS`` seeded random rational combinations of the
     family monomials (``seed`` picks them; no verdict depends on it), drawn
     once per run and shared by every order.  For each combination phi and
-    each k, ``Lap^k phi(0)`` from :func:`powers_at_origin`, the one-level sum
-    over the multi-term jet at every level, must equal ``p_k`` applied to
-    the closed-form moments of :func:`euclidean_moments`, exactly.  That
-    path reads the memo apart from the value table that :func:`infer`
-    solved from, so a failure there -- a fault of the engine, not a
-    mathematical possibility -- downgrades the lowest failing order to
+    each k, ``Lap^k phi(0)`` from :func:`powers_at_origin`, summed over the
+    terms of the multi-term jet at every level in one pass, must equal
+    ``p_k`` applied to the closed-form moments of :func:`euclidean_moments`,
+    exactly.  That path reads the memo apart from the value table that
+    :func:`infer` solved from, so a failure there -- a fault of the engine,
+    not a mathematical possibility -- downgrades the lowest failing order to
     refuted and drops the later ones, so the report ends there.
     """
     if max_k < 1:
@@ -518,7 +519,7 @@ def _random_combinations(m: MetricJet, keys, rng, count: int):
     cells equally likely up to float granularity; an empty draw yields
     nothing.  The coefficient is the numerator ``p * (12 // q)`` over the
     common denominator 12."""
-    monomials = [(sum(_unpack(key, 2 * m.dim)), key) for key in keys]
+    monomials = [(_digit_sum(key), key) for key in keys]
     for _ in range(count):
         grades = {}
         for degree, key in monomials:

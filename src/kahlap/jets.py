@@ -127,6 +127,14 @@ def _unpack(key: int, nslots: int) -> tuple[int, ...]:
     return tuple((key >> (_SHIFT * pos)) & _MASK for pos in range(nslots))
 
 
+def _digit_sum(key: int) -> int:
+    """The sum of the digits of a packed exponent vector: the degree of the
+    monomial a key, or one half of it, packs.  32 = 1 (mod 31), so a nonzero
+    key is congruent to its digit sum mod 31, and every degree lies in
+    1..``MAX_ORDER`` = 31; a plain ``key % 31`` would read degree 31 as 0."""
+    return (key - 1) % _MASK + 1 if key else 0
+
+
 def _pack_bi(bi: BiIndex) -> int:
     return _pack(tuple(bi.hol) + tuple(bi.anti))
 
@@ -424,8 +432,11 @@ class Jet:
         if self.constant_term() != 1:
             raise ConstantTermError("log1 requires constant term exactly 1")
         u = self - Jet.one(self.dim, self.order)
-        coeffs = [0] + [rat((-1) ** (m + 1), m) for m in range(1, self.order + 1)]
-        return substitute(UniSeries(self.order, coeffs, exact=False), u)
+        series = _LOG1_SERIES.get(self.order)
+        if series is None:
+            coeffs = [0] + [rat((-1) ** (m + 1), m) for m in range(1, self.order + 1)]
+            series = _LOG1_SERIES[self.order] = UniSeries(self.order, coeffs, exact=False)
+        return substitute(series, u)
 
     def inv1(self) -> "Jet":
         """Multiplicative inverse of a jet with nonzero constant term."""
@@ -621,6 +632,10 @@ def _mul_capped(a: Jet, b: Jet, out_order: int) -> Jet:
     exact = a.exact and b.exact and not dropped
     valid = min(a._veff, b._veff, out_order)
     return Jet._reduced(a.dim, out_order, valid, exact, grades, a.den * b.den)
+
+
+# the series of Jet.log1 by order, built once each: UniSeries is immutable
+_LOG1_SERIES: dict[int, "UniSeries"] = {}
 
 
 def substitute(f: "UniSeries", arg: Jet) -> Jet:

@@ -1,10 +1,10 @@
-"""Kahler and complex Euclidean Laplacians; operator powers at the origin.
+"""Powers of the Kahler and complex Euclidean Laplacians at the origin.
 
-:func:`kahler_laplacian` applies the operator to a whole jet.  Powers at the
-origin do not iterate it: ``Lap^s phi(0)`` is linear in the terms of phi, so
+Powers at the origin do not iterate the operator on a whole jet (the
+tests do, as the oracle): ``Lap^s phi(0)`` is linear in the terms of phi, so
 :func:`power_at_origin` sums ``c * val(mu, s)`` over the terms ``c * mu``
 of phi at the one level ``s = k`` it is asked for, and
-:func:`powers_at_origin` runs the same sum once per level.  Here
+:func:`powers_at_origin` runs the same sum at every level.  Here
 ``val(mu, s) = [Lap^s mu](0)`` obeys
 
     val(1, 0) = 1,  val(mu, 0) = 0 for mu != 1,
@@ -20,15 +20,22 @@ valid to degree ``2k-2``, test function exact -- therefore covers every
 value a call with ``kmax = k`` reads, and a value does not depend on the
 ``kmax`` of the call that computed it: one memo per metric, keyed by
 ``(packed monomial, s)`` and kept on the :class:`MetricJet`, serves every
-later call on that metric.
+later call on that metric.  The memo reads g_inv through degree
+``max(2k-2, m.valid-1)`` for the deepest level k asked for, the inverse
+that log det(g) reads as well, never its top degree ``m.valid`` unless k
+sits at the budget edge ``m.valid == 2k-2``.
 
 The recursion runs on Python ints.  Let D be the lcm of the denominators
-of the g_inv entries (1 on every catalog metric), so that every g_inv
-coefficient is an int ``C_t`` over D.  The memo keeps the int numerator
-``N(mu, s) = val(mu, s) * D^s``, which obeys the recursion above with
-``C_t`` for ``c_t`` and ``N(1, 0) = 1``.  A power of phi sums ``c * N(mu, s)``
-over the int numerators c of phi and builds one rational per level,
-``total / (phi.den * D^s)``.
+of the g_inv entries over the degrees the memo reads (1 on every catalog
+metric), so that every coefficient it reads is an int ``C_t`` over D.  The
+memo keeps the int numerator ``N(mu, s) = val(mu, s) * D^s``, which obeys
+the recursion above with ``C_t`` for ``c_t`` and ``N(1, 0) = 1``.  A power
+of phi sums ``c * N(mu, s)`` over the int numerators c of phi and builds one
+rational per level, ``total / (phi.den * D^s)``; :func:`powers_at_origin`
+sums every level in one pass over the terms of phi, so each term's weight
+and bidegree are read once.  Degrees are digit sums of the packed keys
+(``jets._digit_sum``), so no key is unpacked into an exponent tuple on
+these paths.
 
 A weight rule prunes the rest, exactly.  Let w(mu) = beta - alpha.  One
 step of the recursion through the term t of g_inv[a][b] takes mu to
@@ -75,8 +82,9 @@ from .jets import (
     InsufficientOrderError,
     Jet,
     KahlapError,
+    _MASK,
     _SHIFT,
-    _mul_capped,
+    _digit_sum,
     _pack,
     _pack_bi,
     _unpack,
@@ -108,70 +116,44 @@ def _require_metric_budget(m: MetricJet, k: int) -> None:
         )
 
 
-def euclidean_laplacian(phi: Jet) -> Jet:
-    """sum_i d^2 phi / dz_i dzb_i."""
-    acc = None
-    for i in range(1, phi.dim + 1):
-        term = phi.diff_hol(i).diff_anti(i)
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def kahler_laplacian(m: MetricJet, phi: Jet) -> Jet:
-    """sum_{a,b} g_inv[a][b] * d^2 phi / dz_b dzb_a.
-
-    Result validity is min(metric valid, phi valid - 2).
-    """
-    if phi.dim != m.dim:
-        raise DimensionMismatchError(
-            f"metric dimension {m.dim} vs jet dimension {phi.dim}"
-        )
-    x = m.g_inv
-    acc = None
-    for a in range(m.dim):
-        for b in range(m.dim):
-            hess = phi.diff_hol(b + 1).diff_anti(a + 1)
-            if hess.is_zero and acc is not None:
-                continue
-            term = _mul_capped(x[a][b], hess, phi.order)
-            acc = term if acc is None else acc + term
-    return acc
-
-
 class _OriginValues:
     """val(mu, s) = [Lap^s mu](0) for one metric, kept as the int numerator
     N(mu, s) = val(mu, s) * D^s, memoised by (packed monomial, s) and pruned
     by weight; see the module docstring for the recursion, the denominator
-    D and the weight rule."""
+    D and the weight rule.  It reads g_inv through degree ``top``, which
+    serves every level s with 2s - 2 <= ``top``."""
 
-    __slots__ = ("dim", "den", "terms", "units", "memo", "reach")
+    __slots__ = ("dim", "top", "low", "den", "terms", "units", "memo", "reach")
 
-    def __init__(self, m: MetricJet):
+    def __init__(self, m: MetricJet, top: int):
         n = m.dim
+        x = m.inverse(top)
         self.dim = n
-        # D: every coefficient of g_inv is an int over it
-        self.den = den = math.lcm(*(x.den for row in m.g_inv for x in row))
+        self.top = top
+        # the holomorphic half of a packed key
+        self.low = (1 << _SHIFT * n) - 1
+        # D: every coefficient of g_inv through degree top is an int over it
+        self.den = den = math.lcm(*(e.den for row in x for e in row))
         # packed key of z_b zb_a, the monomial d_b dbar_a divides out
         self.units = [
             [_pack_bi(BiIndex(_units(n, b), _units(n, a))) for b in range(n)]
             for a in range(n)
         ]
-        # per (a, b): the terms of g_inv[a][b] through the metric's validity,
-        # as (hol degree, anti degree, packed key, packed step, numerator over
-        # D) by hol degree; the step is what one recursion step through the
-        # term subtracts from the weight
+        # per (a, b): the terms of g_inv[a][b] through degree top, as (hol
+        # degree, anti degree, packed key, packed step, numerator over D) by
+        # hol degree; the step is what one recursion step through the term
+        # subtracts from the weight
         self.terms = [
             [
                 sorted(
                     _bidegree(key, n)
-                    + (key, _weight(unit, n) - _weight(key, n), c * (den // x.den))
-                    for d, bucket in x._grades.items()
-                    if d <= m.valid
+                    + (key, _weight(unit, n) - _weight(key, n), c * (den // e.den))
+                    for bucket in e._grades.values()
                     for key, c in bucket.items()
                 )
-                for x, unit in zip(row, units)
+                for e, unit in zip(row, units)
             ]
-            for row, units in zip(m.g_inv, self.units)
+            for row, units in zip(x, self.units)
         ]
         self.reach = [{0}]
         self.memo = {}
@@ -196,34 +178,43 @@ class _OriginValues:
             reach.append({w + d for w in reach[-1] for d in steps})
         return reach[s]
 
-    def powers(self, key: int, kmax: int) -> list:
-        """[N(mu, 1), ..., N(mu, kmax)] for the monomial mu packed as
+    def live(self, kmin: int, kmax: int) -> set:
+        """The packed weights some level kmin..kmax reaches."""
+        return set().union(*(self.reachable(s) for s in range(kmin, kmax + 1)))
+
+    def powers(self, key: int, kmax: int, kmin: int = 1) -> list:
+        """[N(mu, kmin), ..., N(mu, kmax)] for the monomial mu packed as
         ``key``."""
-        row = [0] * kmax
-        w = _weight(key, self.dim)
+        row = [0] * (kmax - kmin + 1)
+        hol, anti = key & self.low, key >> _SHIFT * self.dim
+        w = anti - hol
+        self.reachable(kmax)
         # Lap^s mu(0) vanishes while s is below either degree of mu
-        for s in range(max(1, *_bidegree(key, self.dim)), kmax + 1):
-            if w in self.reachable(s):
-                row[s - 1] = self.value(key, s)
+        for s in range(max(kmin, _digit_sum(hol), _digit_sum(anti)), kmax + 1):
+            if w in self.reach[s]:
+                row[s - kmin] = self.value(key, s)
         return row
 
-    def power(self, phi: Jet, s: int):
-        """Lap^s phi(0): the int sum of c * N(mu, s) over the terms c * mu
-        of the numerators of phi, over ``phi.den * D^s``."""
-        n = self.dim
-        reach = self.reachable(s)
-        total = 0
+    def jet_powers(self, phi: Jet, kmin: int, kmax: int) -> list:
+        """[Lap^s phi(0) for s = kmin..kmax]: one pass over the terms c * mu
+        of the numerators of phi sums c * N(mu, s) at every level, and each
+        level's int sum is divided by ``phi.den * D^s`` once."""
+        totals = [0] * (kmax - kmin + 1)
+        live = self.live(kmin, kmax)
+        low, shift = self.low, _SHIFT * self.dim
         for d, bucket in phi._grades.items():
-            if d > 2 * s:
+            # Lap^s mu(0) vanishes when either degree of mu exceeds s
+            if d > 2 * kmax:
                 continue
             for key, c in bucket.items():
-                if _weight(key, n) not in reach:
-                    continue
-                # Lap^s mu(0) vanishes when either degree of mu exceeds s
-                if d > s and max(_bidegree(key, n)) > s:
-                    continue
-                total += c * self.value(key, s)
-        return rat(total, phi.den * self.den**s)
+                if (key >> shift) - (key & low) in live:
+                    for i, v in enumerate(self.powers(key, kmax, kmin)):
+                        if v:
+                            totals[i] += c * v
+        return [
+            rat(total, phi.den * self.den**s)
+            for s, total in enumerate(totals, start=kmin)
+        ]
 
     def value(self, key: int, s: int) -> int:
         """N(mu, s) for the monomial mu packed as ``key``, of bidegree at
@@ -233,22 +224,17 @@ class _OriginValues:
         hit = self.memo.get((key, s))
         if hit is not None:
             return hit
-        n = self.dim
-        exps = _unpack(key, 2 * n)
-        hol, anti = exps[:n], exps[n:]
+        hol, anti = key & self.low, key >> _SHIFT * self.dim
         # only terms t that keep t * mu / (z_b zb_a) within bidegree
         # (s-1, s-1) can reach the origin in s-1 more steps, and only
         # if the weight left is a sum of s-1 steps
-        hmax, emax = s - sum(hol), s - sum(anti)
-        w = _weight(key, n)
+        hmax, emax = s - _digit_sum(hol), s - _digit_sum(anti)
+        w = anti - hol
         reach = self.reachable(s - 1)
+        hols = _digits(hol)
         total = 0
-        for a in range(n):
-            if not anti[a]:
-                continue
-            for b in range(n):
-                if not hol[b]:
-                    continue
+        for a, ea in _digits(anti):
+            for b, eb in hols:
                 nu = key - self.units[a][b]
                 acc = 0
                 for th, ta, tkey, step, c in self.terms[a][b]:
@@ -259,14 +245,26 @@ class _OriginValues:
                         if v:
                             acc += c * v
                 if acc:
-                    total += anti[a] * hol[b] * acc
+                    total += ea * eb * acc
         self.memo[(key, s)] = total
         return total
 
 
+def _digits(half: int) -> list:
+    """(slot, exponent) for each nonzero digit of a packed exponent vector,
+    found from its lowest set bit, without visiting the zero digits."""
+    out = []
+    while half:
+        pos = ((half & -half).bit_length() - 1) // _SHIFT * _SHIFT
+        e = half >> pos & _MASK
+        out.append((pos // _SHIFT, e))
+        half -= e << pos
+    return out
+
+
 def _bidegree(key: int, n: int) -> tuple[int, int]:
-    exps = _unpack(key, 2 * n)
-    return sum(exps[:n]), sum(exps[n:])
+    shift = _SHIFT * n
+    return _digit_sum(key & ((1 << shift) - 1)), _digit_sum(key >> shift)
 
 
 def _weight(key: int, n: int) -> int:
@@ -276,23 +274,27 @@ def _weight(key: int, n: int) -> int:
     return (key >> shift) - (key & ((1 << shift) - 1))
 
 
-def _memo(m: MetricJet, dim: int) -> _OriginValues:
-    """The memo of ``m`` for test functions in ``dim`` variables."""
+def _memo(m: MetricJet, dim: int, kmax: int) -> _OriginValues:
+    """The memo of ``m`` for test functions in ``dim`` variables, at levels
+    up to ``kmax``.  It reads g_inv through ``max(2 kmax - 2, m.valid - 1)``,
+    the degrees log det(g) reads too; it is rebuilt, over one degree more,
+    only when a later call asks for a level beyond that, which the budget
+    allows only at its edge ``m.valid == 2 kmax - 2``."""
     if dim != m.dim:
         raise DimensionMismatchError(
             f"metric dimension {m.dim} vs jet dimension {dim}"
         )
-    if m._origin_values is None:
-        m._origin_values = _OriginValues(m)
-    return m._origin_values
+    origin = m._origin_values
+    if origin is None or origin.top < 2 * kmax - 2:
+        origin = m._origin_values = _OriginValues(m, max(2 * kmax - 2, m.valid - 1))
+    return origin
 
 
 def powers_at_origin(m: MetricJet, phi: Jet, kmax: int) -> list:
-    """[Lap^1 phi(0), ..., Lap^kmax phi(0)] for the Kahler Laplacian of m:
-    the one-level sum of :func:`power_at_origin` at each level."""
+    """[Lap^1 phi(0), ..., Lap^kmax phi(0)] for the Kahler Laplacian of m,
+    summed over the terms of phi in one pass for all levels."""
     require_budget(m, phi, kmax)
-    origin = _memo(m, phi.dim)
-    return [origin.power(phi, s) for s in range(1, kmax + 1)]
+    return _memo(m, phi.dim, kmax).jet_powers(phi, 1, kmax)
 
 
 def monomial_powers_at_origin(m: MetricJet, dim: int, keys, kmax: int):
@@ -305,10 +307,10 @@ def monomial_powers_at_origin(m: MetricJet, dim: int, keys, kmax: int):
     for the whole list: every monomial is an exact test function, so each
     one passes or fails them alike."""
     _require_metric_budget(m, kmax)
-    origin = _memo(m, dim)
-    live = set().union(*(origin.reachable(s) for s in range(1, kmax + 1)))
+    origin = _memo(m, dim, kmax)
+    live = origin.live(1, kmax)
     shift = _SHIFT * dim
-    low = (1 << shift) - 1
+    low = origin.low
     levels = [[0] * len(keys) for _ in range(kmax)]
     for i, key in enumerate(keys):
         if (key >> shift) - (key & low) in live:
@@ -320,7 +322,7 @@ def monomial_powers_at_origin(m: MetricJet, dim: int, keys, kmax: int):
 def power_at_origin(m: MetricJet, phi: Jet, k: int):
     """Lap^k phi(0) exactly, from level k of the memo alone."""
     require_budget(m, phi, k)
-    return _memo(m, phi.dim).power(phi, k)
+    return _memo(m, phi.dim, k).jet_powers(phi, k, k)[0]
 
 
 def _balanced_moment(a) -> int:
@@ -342,8 +344,10 @@ def euclidean_moments(phi: Jet, kmax: int) -> list:
         total = 0
         for key, c in phi._grades.get(2 * j, {}).items():
             if _weight(key, n) == 0:
-                total += c * _balanced_moment(_unpack(key, n))
-        values.append(rat(total, phi.den))
+                # j! a! for z^a zb^a, a! over the nonzero digits of a
+                digits = _digits(key >> _SHIFT * n)
+                total += c * math.prod(math.factorial(e) for _, e in digits)
+        values.append(rat(total * math.factorial(j), phi.den))
     return values
 
 
@@ -414,9 +418,10 @@ def _third_power_weights(m: MetricJet) -> dict:
     :func:`_third_power_matches`).  Summed as ints over the lcm of the
     entry denominators; zero weights are dropped."""
     n = m.dim
-    den = math.lcm(*(x.den for row in m.g_inv for x in row))
+    inverse = m.inverse(4)
+    den = math.lcm(*(x.den for row in inverse for x in row))
     weights = {}
-    for i, row in enumerate(m.g_inv):
+    for i, row in enumerate(inverse):
         for j, x in enumerate(row):
             scale = den // x.den
             for d in (2, 4):
@@ -503,7 +508,7 @@ def inverse_metric_cross_hessian(m: MetricJet, i: int, j: int):
     (1-based): (d_i dbar_i X[j][j], d_j dbar_j X[i][i], d_j dbar_i X[i][j],
     d_i dbar_j X[j][i]) at 0, X = g_inv."""
     n = m.dim
-    x = m.g_inv
+    x = m.inverse(2)
     i -= 1
     j -= 1
     return (

@@ -4,6 +4,7 @@ coordinates, and pullbacks."""
 import random
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from kahlap.catalog import (
     Flat,
@@ -18,8 +19,10 @@ from kahlap.catalog import (
     TypeIV,
     _raw_potential,
     diagonal_embedding,
+    parse_spec,
     potential,
 )
+from kahlap import geometry
 from kahlap.geometry import (
     DegenerateMetricError,
     NormalizationError,
@@ -27,19 +30,18 @@ from kahlap.geometry import (
     _log_det,
     einstein_data,
     in_normal_coordinates,
-    mat_mul,
-    matrices_agree,
     metric_from_potential,
     normality_report,
     pullback,
     ricci,
-    ricci_contracted,
     series_matrix_inverse,
     to_normal_coordinates,
     trace_identity_check,
 )
+from kahlap.inference import verify_property
 from kahlap.jets import BiIndex, Jet, _mul_capped
 from kahlap.rationals import rat
+from oracles import kahler_laplacian, mat_mul, matrices_agree, ricci_contracted
 from test_laplacian import _bent, _sheared
 
 
@@ -220,8 +222,6 @@ def test_metric_hermitian_symmetry(type1_metric_order8):
 def test_laplacian_convention_flat_pullback():
     """Potential |z1|^2 + |z2 + z1^2|^2 is flat space in funny coordinates;
     the Laplacian of |z2 + z1^2|^2 must be identically 1."""
-    from kahlap.laplacian import kahler_laplacian
-
     z1 = Jet.variable(2, 6, 1)
     z2 = Jet.variable(2, 6, 2)
     f2 = z2 + z1 * z1
@@ -370,6 +370,94 @@ def test_log_det_matches_determinant_route(name):
     if name.startswith("flat"):
         # the log of a constant determinant is an exact zero on both routes
         assert got.is_zero and got.exact
+
+
+def _claims_hold(jet, wider):
+    """Every coefficient that ``jet`` claims -- all of them when it is
+    exact, else those through ``jet.valid`` -- equals the coefficient of
+    ``wider``, the same quantity recomputed from a longer potential, at
+    every degree ``wider`` itself claims."""
+    limit = min(wider._veff, wider.order)
+    if not jet.exact:
+        limit = min(limit, jet.valid)
+    for d in range(limit + 1):
+        got = {k: rat(c, jet.den) for k, c in jet._grades.get(d, {}).items()}
+        want = {k: rat(c, wider.den) for k, c in wider._grades.get(d, {}).items()}
+        if got != want:
+            return False
+    return True
+
+
+_SOUNDNESS_SPECS = {
+    spec.label(): spec
+    for spec in (Flat(1), Flat(2), Hyperbolic(1), Hyperbolic(2), FubiniStudy(2), Polydisc(2))
+}
+_SOUNDNESS_BUILDS = {
+    "plain": lambda spec, order: metric_from_potential(potential(spec, order)),
+    "bent": _bent,
+    "sheared": _sheared,
+}
+
+
+@seed(20201030)
+@settings(max_examples=30, deadline=None)
+@given(
+    label=st.sampled_from(sorted(_SOUNDNESS_SPECS)),
+    order=st.integers(2, 6),
+    build=st.sampled_from(sorted(_SOUNDNESS_BUILDS)),
+)
+# the all-zero log det: metric valid only at degree 0, g constant there but
+# not exact, and g exactly constant
+@example(label="hyp:1", order=2, build="plain")
+@example(label="hyp:2", order=2, build="bent")
+@example(label="flat:2", order=4, build="plain")
+def test_inverse_and_log_det_claim_only_valid_coefficients(label, order, build):
+    spec = _SOUNDNESS_SPECS[label]
+    if spec.dim < 2:
+        build = "plain"  # bent and sheared change two variables
+    m = _SOUNDNESS_BUILDS[build](spec, order)
+    wide = _SOUNDNESS_BUILDS[build](spec, order + 4)
+    wide_inverse = series_matrix_inverse(wide.g, wide.valid)
+    for target in sorted({max(m.valid - 1, 0), m.valid}):
+        got = series_matrix_inverse(m.g, target)
+        assert all(
+            _claims_hold(a, b)
+            for row_a, row_b in zip(got, wide_inverse)
+            for a, b in zip(row_a, row_b)
+        ), (label, order, build, target)
+    assert all(
+        _claims_hold(a, b)
+        for row_a, row_b in zip(m.inverse(), wide_inverse)
+        for a, b in zip(row_a, row_b)
+    )
+    logdet = _log_det(m)
+    assert _claims_hold(logdet, _log_det(wide)), (label, order, build)
+    if logdet.exact:
+        # known to vanish only where g is an exact constant
+        assert logdet.is_zero
+        assert all(e.exact and e.max_degree() <= 0 for row in m.g for e in row)
+
+
+def test_one_elimination_of_g0_per_metric(monkeypatch):
+    counts = {"eliminations": 0, "metrics": 0}
+    eliminate, init = geometry._eliminate, geometry.MetricJet.__init__
+
+    def counting_eliminate(rows):
+        counts["eliminations"] += 1
+        return eliminate(rows)
+
+    def counting_init(self, g):
+        counts["metrics"] += 1
+        init(self, g)
+
+    monkeypatch.setattr(geometry, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(geometry.MetricJet, "__init__", counting_init)
+    # consistent through k = 3 (inverse, Einstein data, re-verification and
+    # summary), refuted, and an optional entry whose gate builds a metric
+    for text, metrics in (("hyp:2", 1), ("type1:2,2", 1), ("type4:2", 2)):
+        counts.update(eliminations=0, metrics=0)
+        verify_property(parse_spec(text), 3)
+        assert counts == {"eliminations": metrics, "metrics": metrics}, text
 
 
 def _full_order_ricci(m):

@@ -14,7 +14,12 @@ from kahlap.jets import (
     IndexRangeError,
     InsufficientOrderError,
     Jet,
+    MAX_ORDER,
     UniSeries,
+    _SHIFT,
+    _digit_sum,
+    _pack,
+    _unpack,
     substitute,
 )
 from kahlap.rationals import rat
@@ -479,3 +484,38 @@ def test_uniseries_mul_truncates():
     f = UniSeries(3, {2: 1})
     prod = f * f  # t^4 exceeds order 3
     assert not prod._coeffs and not prod.exact
+
+
+# ----------------------------------------------------------------------
+# packed keys
+
+
+@seed(20201030)
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_digit_sum_is_the_degree_of_a_packed_key(data):
+    # exponent vectors of 2n slots with total degree up to MAX_ORDER, drawn
+    # slot by slot from what the degree leaves; the key and both halves
+    n = data.draw(st.integers(1, 6))
+    left = data.draw(st.integers(0, MAX_ORDER))
+    exps = []
+    for _ in range(2 * n):
+        e = data.draw(st.integers(0, left))
+        exps.append(e)
+        left -= e
+    exps = data.draw(st.permutations(exps))
+    key = _pack(exps)
+    low = (1 << _SHIFT * n) - 1
+    assert _digit_sum(key) == sum(_unpack(key, 2 * n)) == sum(exps)
+    assert _digit_sum(key & low) == sum(_unpack(key & low, n))
+    assert _digit_sum(key >> _SHIFT * n) == sum(_unpack(key >> _SHIFT * n, n))
+
+
+@pytest.mark.parametrize("slot", [0, 1, 3])
+def test_digit_sum_reads_degree_31(slot):
+    # z1^31 (and the same power in other slots): 31 = 0 mod 31, which the
+    # plain residue would read as degree 0
+    key = _pack([0] * slot + [MAX_ORDER])
+    assert key % MAX_ORDER == 0
+    assert _digit_sum(key) == MAX_ORDER
+    assert _digit_sum(0) == 0

@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from kahlap import radial
+from kahlap import inference, radial
 from kahlap.catalog import (
     Flat,
     FubiniStudy,
@@ -15,6 +15,7 @@ from kahlap.catalog import (
     Polydisc,
     Product,
     TypeI,
+    parse_spec,
     potential,
 )
 from kahlap.geometry import metric_from_potential, pullback
@@ -32,10 +33,8 @@ from kahlap.laplacian import (
     _third_power_weights,
     _units,
     deriv_at0,
-    euclidean_laplacian,
     euclidean_moments,
     inverse_metric_cross_hessian,
-    kahler_laplacian,
     monomial_powers_at_origin,
     power_at_origin,
     powers_at_origin,
@@ -44,6 +43,7 @@ from kahlap.laplacian import (
     third_power_rhs,
 )
 from kahlap.rationals import rat
+from oracles import euclidean_laplacian, kahler_laplacian
 
 
 def bi(hol, anti):
@@ -242,7 +242,7 @@ def test_powers_match_iterated_jet_laplacian(reference_metrics, name, data):
     # every k is queried on the same metric in shuffled order, so the
     # monomial memo warmed at one k serves the others; power_at_origin
     # reads level k alone.  The bent metrics have g_inv denominator
-    # D = 729, so a wrong power of D or a dropped denominator of phi shows
+    # D = 243, so a wrong power of D or a dropped denominator of phi shows
     # there, where the catalog metrics (D = 1) cannot see it
     m = reference_metrics[name]
     for k in data.draw(st.permutations([1, 2, 3])):
@@ -253,17 +253,21 @@ def test_powers_match_iterated_jet_laplacian(reference_metrics, name, data):
 
 
 def test_origin_denominator_is_the_lcm_of_the_inverse_metric(reference_metrics):
-    assert _memo(reference_metrics["hyp:2"], 2).den == 1
-    assert _memo(reference_metrics["bent hyp:2"], 2).den == 729
+    # D is the lcm over the degrees the memo reads: through m.valid - 1 = 5
+    # at k = 3 on these order-8 metrics, one degree short of the whole g_inv
+    assert _memo(reference_metrics["hyp:2"], 2, 3).den == 1
+    bent = reference_metrics["bent hyp:2"]
+    assert _memo(bent, 2, 3).den == 243
+    assert 243 == math.lcm(*(e.den for row in bent.inverse(5) for e in row))
 
 
 def test_monomial_rows_scale_by_the_origin_denominator(reference_metrics):
     # the value table's int numerators over D^s, on a metric with
-    # D = 729, against the one-level sums pinned above
+    # D = 243, against powers_at_origin of each monomial
     m = reference_metrics["bent hyp:2"]
     monomials = [bi(h, a) for h in _exps(2, 3) for a in _exps(2, 3)]
     den, levels = monomial_powers_at_origin(m, 2, [_pack_bi(i) for i in monomials], 3)
-    assert den == 729 and all(len(level) == len(monomials) for level in levels)
+    assert den == 243 and all(len(level) == len(monomials) for level in levels)
     rows = [
         [rat(level[i], den**s) for s, level in enumerate(levels, start=1)]
         for i in range(len(monomials))
@@ -280,10 +284,10 @@ def _exps(n, k):
 def test_weight_steps_come_from_the_inverse_metric(reference_metrics):
     # a U(2)-invariant metric only has steps that keep beta - alpha: the
     # weight rule then skips every unbalanced monomial
-    steps = _memo(reference_metrics["hyp:2"], 2).steps(3)
+    steps = _memo(reference_metrics["hyp:2"], 2, 3).steps(3)
     assert steps == {0}
     # the bent metric has steps that move it, which the pruning must follow
-    bent = _memo(reference_metrics["bent hyp:2"], 2)
+    bent = _memo(reference_metrics["bent hyp:2"], 2, 3)
     assert bent.steps(1) == {0} and any(bent.steps(3))
 
 
@@ -294,6 +298,42 @@ def test_budget_enforced():
     with pytest.raises(InsufficientOrderError) as err:
         power_at_origin(m, t, 4)
     assert err.value.required_order == 10
+
+
+def test_budget_edge_extends_the_inverse_by_its_top_degree():
+    # metric valid 4 = 2k - 2 at k = 3: level 2 reads g_inv through degree
+    # valid - 1 = 3, level 3 needs degree 4, so the inverse grows by that
+    # one degree and the memo is rebuilt over it
+    m = metric_from_potential(potential(Hyperbolic(1), 6))
+    t = mono(1, 6, (1,), (1,))
+    assert power_at_origin(m, t, 2) == -2
+    assert len(m._graded.xs) == 4 and _memo(m, 1, 2).top == 3
+    assert power_at_origin(m, t, 3) == 8
+    assert len(m._graded.xs) == 5 and _memo(m, 1, 3).top == 4
+    # lower levels keep reading the extended memo
+    assert power_at_origin(m, t, 2) == -2 and _memo(m, 1, 1).top == 4
+
+
+@pytest.mark.parametrize(
+    "text,max_k,order",
+    [("hyp:2", 4, None), ("fs:3", 3, None), ("type1:2,2", 3, None), ("hyp:1", 3, 11)],
+)
+def test_check_builds_no_inverse_degree_it_does_not_read(monkeypatch, text, max_k, order):
+    # the deepest degree a check reads is max(m.valid - 1, 2k - 2): Jacobi's
+    # formula through m.valid, the Laplacian at level k through 2k - 2
+    metrics = []
+    build = inference.metric_from_potential
+
+    def keeping(phi):
+        metrics.append(build(phi))
+        return metrics[-1]
+
+    monkeypatch.setattr(inference, "metric_from_potential", keeping)
+    inference.verify_property(parse_spec(text), max_k, order=order)
+    (m,) = metrics
+    built = len(m._graded.xs) - 1
+    assert built == max(m.valid - 1, 2 * max_k - 2) < m.valid
+    assert max(m._inverses) == built
 
 
 def test_budget_rejects_inexact_test_function(hyp1):
