@@ -23,14 +23,12 @@ from .geometry import (
     DegenerateMetricError,
     EinsteinData,
     MetricJet,
-    NormalizationError,
     einstein_data,
     in_normal_coordinates,
     metric_from_potential,
     normality_report,
     pullback,
     ricci,
-    to_normal_coordinates,
     trace_identity_check,
 )
 from .laplacian import (

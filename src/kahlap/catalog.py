@@ -17,10 +17,9 @@ row-major order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .geometry import metric_from_potential, normality_report, einstein_data, pullback
-from .jets import Jet, KahlapError, UniSeries, substitute, _mul_capped, _SHIFT
+from .jets import Jet, KahlapError, UniSeries, record, substitute, _mul_capped, _SHIFT
 from .rationals import rat, rat_from_str, rat_pretty
 
 
@@ -52,7 +51,7 @@ class PotentialSpec:
         return self.label()
 
 
-@dataclass(frozen=True)
+@record
 class Flat(PotentialSpec):
     n: int
 
@@ -64,7 +63,7 @@ class Flat(PotentialSpec):
         return f"flat:{self.n}"
 
 
-@dataclass(frozen=True)
+@record
 class FubiniStudy(PotentialSpec):
     n: int
 
@@ -76,7 +75,7 @@ class FubiniStudy(PotentialSpec):
         return f"fs:{self.n}"
 
 
-@dataclass(frozen=True)
+@record
 class Hyperbolic(PotentialSpec):
     n: int
 
@@ -88,7 +87,7 @@ class Hyperbolic(PotentialSpec):
         return f"hyp:{self.n}"
 
 
-@dataclass(frozen=True)
+@record
 class Polydisc(PotentialSpec):
     r: int
 
@@ -100,7 +99,7 @@ class Polydisc(PotentialSpec):
         return f"polydisc:{self.r}"
 
 
-@dataclass(frozen=True)
+@record
 class TypeI(PotentialSpec):
     p: int
     q: int
@@ -117,7 +116,7 @@ class TypeI(PotentialSpec):
         return f"type1:{self.p},{self.q}"
 
 
-@dataclass(frozen=True)
+@record
 class TypeIDual(PotentialSpec):
     p: int
     q: int
@@ -134,7 +133,7 @@ class TypeIDual(PotentialSpec):
         return f"type1dual:{self.p},{self.q}"
 
 
-@dataclass(frozen=True)
+@record
 class TypeIII(PotentialSpec):
     m: int
     optional = True
@@ -147,7 +146,7 @@ class TypeIII(PotentialSpec):
         return f"type3:{self.m}"
 
 
-@dataclass(frozen=True)
+@record
 class TypeIV(PotentialSpec):
     n: int
     optional = True
@@ -160,7 +159,7 @@ class TypeIV(PotentialSpec):
         return f"type4:{self.n}"
 
 
-@dataclass(frozen=True)
+@record
 class Radial(PotentialSpec):
     """Potential f(|z|^2) for a polynomial profile f (degree-1 coefficient
     must be 1 so that g(0) = I)."""
@@ -182,7 +181,7 @@ class Radial(PotentialSpec):
         )
 
 
-@dataclass(frozen=True)
+@record
 class Product(PotentialSpec):
     left: PotentialSpec
     right: PotentialSpec
@@ -195,7 +194,7 @@ class Product(PotentialSpec):
         return f"product({self.left.label()},{self.right.label()})"
 
 
-@dataclass(frozen=True)
+@record
 class DualOf(PotentialSpec):
     inner: PotentialSpec
 
@@ -207,11 +206,11 @@ class DualOf(PotentialSpec):
         return f"dual({self.inner.label()})"
 
 
-@dataclass(frozen=True)
+@record(uncompared=("jet",))
 class Custom(PotentialSpec):
     """Pass-through for a user potential jet; validated like any entry."""
 
-    jet: Jet = field(compare=False)
+    jet: Jet
     name: str = "custom"
 
     @property
@@ -388,9 +387,11 @@ def potential(spec: PotentialSpec, order: int) -> Jet:
     potential's terms by :func:`_reads_normal`; only a potential that read
     rejects has the metric of its degree-4 truncation built, whose checks
     name the offence.  Optional entries must additionally be Einstein at
-    the self-check order.
+    the self-check order; their potential is built once, through degree 8
+    at least, and truncated for both gates.
     """
-    phi = _raw_potential(spec, order)
+    full = _raw_potential(spec, max(order, 8) if spec.optional and order >= 2 else order)
+    phi = full.truncated(order)
     if not _reads_normal(phi):
         report = normality_report(metric_from_potential(phi.truncated(min(order, 4))))
         if not report.ok:
@@ -400,8 +401,7 @@ def potential(spec: PotentialSpec, order: int) -> Jet:
             )
     if spec.optional:
         # Einstein self-check at a fixed depth (Ricci valid through degree 4)
-        probe = phi.truncated(8) if order >= 8 else _raw_potential(spec, 8)
-        e = einstein_data(metric_from_potential(probe))
+        e = einstein_data(metric_from_potential(full.truncated(8)))
         if not e.is_einstein:
             raise CatalogGateError(
                 f"catalog entry rejected by self-check: {spec.label()} failed "
@@ -437,20 +437,11 @@ def _reads_normal(phi: Jet) -> bool:
     return True
 
 
-def gate_status(spec: PotentialSpec, order: int = 6) -> tuple[bool, str]:
-    """(accepted, message) without raising."""
-    try:
-        potential(spec, order)
-        return True, "ok"
-    except KahlapError as exc:
-        return False, str(exc)
-
-
 # ----------------------------------------------------------------------
 # the diagonal embedding and the restriction check
 
 
-@dataclass(frozen=True)
+@record
 class EmbeddingSpec:
     """Polynomial map to a larger coordinate space, no constant terms."""
 
@@ -482,7 +473,7 @@ def diagonal_embedding(p: int, q: int, order: int = 8) -> EmbeddingSpec:
     return EmbeddingSpec(source_dim=r, target_dim=n, components=tuple(comps))
 
 
-@dataclass(frozen=True)
+@record
 class RestrictionCheck:
     potential_matches: bool
     metric_matches: bool

@@ -22,7 +22,6 @@ and log det(g) against a pivoted series determinant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .jets import (
@@ -34,6 +33,7 @@ from .jets import (
     KahlapError,
     _mul_capped,
     _unpack,
+    record,
 )
 from .rationals import ZERO, rat
 
@@ -42,10 +42,6 @@ Matrix = tuple[tuple[Jet, ...], ...]
 
 class DegenerateMetricError(KahlapError):
     """Metric constant term singular or not positive definite."""
-
-
-class NormalizationError(KahlapError):
-    """Normal-coordinate reduction needs a non-rational linear change."""
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +203,7 @@ def _scaled(bucket: dict, f: int) -> dict:
 # the metric object
 
 
-@dataclass(frozen=True)
+@record
 class EinsteinData:
     """Result of the proportionality test Ric = lambda * g.
 
@@ -222,7 +218,7 @@ class EinsteinData:
     checked_degree: int
 
 
-@dataclass(frozen=True)
+@record
 class NormalityReport:
     """Outcome of the normal-coordinate test at the origin."""
 
@@ -515,51 +511,11 @@ def pullback(phi: Jet, components: Sequence[Jet]) -> Jet:
     return Jet._reduced(src_dim, order, valid, exact, grades, den * phi.den)
 
 
-def to_normal_coordinates(phi: Jet) -> Jet:
-    """Quadratic coordinate correction that kills first metric derivatives.
-
-    Requires g(0) = I exactly over the rationals: a linear normalization
-    would in general need irrational scalings, which exact mode refuses.
-    The substitution is w_j -> w_j + (1/2) A[j][k][l] w_k w_l with
-    A[j][k][l] = -d g[l][j] / dz_k at 0.
-    """
-    m = metric_from_potential(phi)
-    n = phi.dim
-    for i in range(n):
-        for j in range(n):
-            want = 1 if i == j else 0
-            if m.g[i][j].constant_term() != want:
-                raise NormalizationError(
-                    "requires irrational linear normalization: g(0) != I"
-                )
-    order = phi.order
-    components = []
-    for j in range(n):
-        comp = Jet.variable(n, order, j + 1)
-        quad = Jet.zero(n, order)
-        for k in range(n):
-            for l in range(n):
-                a_jkl = -(m.g[l][j].diff_hol(k + 1).eval0())
-                if a_jkl != 0:
-                    wk = Jet.variable(n, order, k + 1)
-                    wl = Jet.variable(n, order, l + 1)
-                    quad = quad + (wk * wl).scale(rat(1, 2) * a_jkl)
-        components.append(comp + quad)
-    corrected = pullback(phi, components)
-    if corrected._veff >= 3:
-        check = normality_report(metric_from_potential(corrected))
-        if not check.ok:
-            raise KahlapError(
-                f"normal-coordinate correction failed: {check.offenders}"
-            )
-    return corrected
-
-
 # ----------------------------------------------------------------------
 # the trace identity at the origin
 
 
-@dataclass(frozen=True)
+@record
 class TraceIdentity:
     """S[i][j] = sum_h d_h dbar_h g_inv[i][j] at 0, compared with lam*I."""
 

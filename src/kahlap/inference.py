@@ -31,7 +31,6 @@ right-hand sides), and for the solved p_k.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -52,6 +51,7 @@ from .jets import (
     _digit_sum,
     _pack,
     _unpack,
+    record,
 )
 from .laplacian import (
     NotEinsteinError,
@@ -70,7 +70,7 @@ REFUTED = "refuted"
 UNDERDETERMINED = "underdetermined"
 
 
-@dataclass(frozen=True)
+@record
 class PowerPolynomial:
     """Monic polynomial of degree k with zero constant term.
 
@@ -116,7 +116,7 @@ class FamilyRow(NamedTuple):
     moment_class: tuple | None  # (j, j! a!) for z^a zb^a, j = |a|
 
 
-@dataclass(frozen=True)
+@record
 class TestFamily:
     """Rows of the test family in family order: ``keys[i]`` packs the
     monomial z^alpha zb^beta as ``_pack(alpha) | _pack(beta) << _SHIFT *
@@ -188,7 +188,7 @@ def _exponent_vectors(n: int, k: int) -> list[tuple[int, ...]]:
 # verdicts
 
 
-@dataclass(frozen=True)
+@record
 class WitnessRow:
     index: BiIndex
     kahler_value: object  # Lap^k phi(0)
@@ -199,7 +199,7 @@ class WitnessRow:
         return self.kahler_value - self.moments[-1]
 
 
-@dataclass(frozen=True)
+@record
 class Witness:
     """Two test functions whose inference equations are incompatible."""
 
@@ -225,7 +225,7 @@ class Witness:
         return ya != 0 or yb != 0
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     k: int
     status: str
@@ -342,7 +342,7 @@ def kahler_value_table(m: MetricJet, family: TestFamily, kmax: int):
 # whole-metric verification
 
 
-@dataclass(frozen=True)
+@record
 class CrossTermReport:
     """The four origin coefficients of the rank-two identity, plus their sum
     (observed to vanish term by term on the shipped rank >= 2 entries)."""
@@ -352,7 +352,7 @@ class CrossTermReport:
     all_zero: bool
 
 
-@dataclass(frozen=True)
+@record
 class ThirdPowerSummary:
     """Reference values at k = 3 for an Einstein metric in normal
     coordinates: lambda, Lap^3(|z1|^4)(0), Lap^3(|z1 z2|^2)(0) (dim >= 2),
@@ -401,7 +401,7 @@ def third_power_summary(m: MetricJet) -> ThirdPowerSummary:
     )
 
 
-@dataclass(frozen=True)
+@record
 class PropertyReport:
     """Per-order verdicts for one catalog metric.
 
@@ -560,7 +560,7 @@ def _extended_reverify(m, verdicts, combinations) -> Verdict | None:
 # duality
 
 
-@dataclass(frozen=True)
+@record
 class DualityCheck:
     value: object
     dual_value: object

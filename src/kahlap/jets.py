@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .rationals import ZERO, rat, rat_str, rat_from_str
+from .rationals import ZERO, rat, rat_str
 
 _SHIFT = 5
 _MASK = (1 << _SHIFT) - 1
@@ -44,6 +44,60 @@ _INF = 10**9
 
 class KahlapError(Exception):
     """Base class for all errors raised by this package."""
+
+
+def record(cls=None, *, uncompared=()):
+    """Make ``cls`` a frozen value class over its own annotated fields, in
+    order; a field's default is its class attribute.  Like
+    ``dataclass(frozen=True)``, but the methods are shared closures, so no
+    code is generated at import: positional or keyword ``__init__``,
+    ``==`` and ``hash`` over the fields not named in ``uncompared`` (same
+    class only), a ``Name(field=value, ...)`` repr, and no assignment or
+    deletion.  Instances keep a ``__dict__`` (``cached_property`` works)."""
+    if cls is None:
+        return lambda c: record(c, uncompared=uncompared)
+    names = tuple(cls.__annotations__)
+    fields = frozenset(names)
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    required = fields - defaults.keys()
+    compared = tuple(n for n in names if n not in uncompared)
+
+    def __init__(self, *args, **kwargs):
+        count = len(args) + len(kwargs)
+        if args:  # a surplus or repeated argument leaves fewer keys
+            kwargs = dict(zip(names, args), **kwargs)
+        if len(kwargs) != count or not required <= kwargs.keys() <= fields:
+            raise TypeError(
+                f"{cls.__name__}() takes the fields {', '.join(names)}, each at "
+                f"most once; those without a default are required"
+            )
+        attrs = vars(self)
+        attrs.update(defaults)
+        attrs.update(kwargs)
+
+    def key(self):
+        return tuple([getattr(self, n) for n in compared])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return key(self) == key(other)
+
+    def __repr__(self):
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
+    cls.__hash__ = lambda self: hash(key(self))
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    cls.__match_args__ = names
+    return cls
 
 
 class DegreeOverflowError(KahlapError):
@@ -450,30 +504,6 @@ class Jet:
     # ------------------------------------------------------------------
     # structural transforms
 
-    def restrict(self, keep: Iterable[int]) -> "Jet":
-        """Set all variables outside ``keep`` (1-based) to zero and reindex."""
-        keep = sorted(set(keep))
-        if any(not 1 <= i <= self.dim for i in keep):
-            raise IndexRangeError(f"keep set {keep} outside 1..{self.dim}")
-        if not keep:
-            raise IndexRangeError("keep set must be nonempty")
-        new_dim = len(keep)
-        kept_slots = [i - 1 for i in keep] + [self.dim + i - 1 for i in keep]
-        all_slots = set(range(2 * self.dim))
-        dropped = sorted(all_slots - set(kept_slots))
-        grades: dict[int, dict[int, int]] = {}
-        for d, bucket in self._grades.items():
-            for key, c in bucket.items():
-                if any((key >> (_SHIFT * pos)) & _MASK for pos in dropped):
-                    continue
-                new_key = 0
-                for new_pos, pos in enumerate(kept_slots):
-                    new_key |= ((key >> (_SHIFT * pos)) & _MASK) << (_SHIFT * new_pos)
-                grades.setdefault(d, {})[new_key] = c
-        return Jet._reduced(
-            new_dim, self.order, self.valid, self.exact, grades, self.den
-        )
-
     def flip_anti_sign(self) -> "Jet":
         """Substitute zb -> -zb: each coefficient times (-1)^(anti degree)."""
         n = self.dim
@@ -528,7 +558,7 @@ class Jet:
         return Jet._raw(self.dim, new_order, self.valid, self.exact, grades, self.den)
 
     # ------------------------------------------------------------------
-    # comparison and text form
+    # comparison
 
     def agrees(self, other: "Jet", through: int | None = None) -> bool:
         """Coefficient-wise equality up to min of the validity degrees."""
@@ -570,30 +600,6 @@ class Jet:
         more = "" if len(self._grades) <= 6 else ", ..."
         flag = "exact" if self.exact else f"valid={self.valid}"
         return f"Jet(dim={self.dim}, order={self.order}, {flag}: {head}{more})"
-
-    def to_text(self) -> str:
-        """Canonical fixture form: one "c  a1 .. an|b1 .. bn" line per term."""
-        lines = []
-        for bi, c in self.terms():
-            hol = " ".join(str(e) for e in bi.hol)
-            anti = " ".join(str(e) for e in bi.anti)
-            lines.append(f"{rat_str(c)}  {hol}|{anti}")
-        return "\n".join(lines)
-
-    @classmethod
-    def from_text(cls, dim, order, text: str) -> "Jet":
-        terms = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            coeff_part, exps = line.split(None, 1)
-            hol_part, anti_part = exps.split("|")
-            hol = tuple(int(t) for t in hol_part.split())
-            anti = tuple(int(t) for t in anti_part.split())
-            terms.append((BiIndex(hol, anti), rat_from_str(coeff_part)))
-        return cls(dim, order, terms)
-
 
 def _mul_capped(a: Jet, b: Jet, out_order: int) -> Jet:
     """Product truncated at out_order.  Internal: orders may differ.
@@ -643,8 +649,8 @@ def substitute(f: "UniSeries", arg: Jet) -> Jet:
 
     A zero argument yields the constant f(0), known as far as the argument
     is: with the argument's validity and exactness.  Otherwise coefficients
-    of f beyond its order are unknown, so the result's validity is
-    additionally capped at (f.order+1)*mindeg(arg) - 1 when f is not an
+    of f beyond its validity are unknown, so the result's validity is
+    additionally capped at (f.valid+1)*mindeg(arg) - 1 when f is not an
     exact polynomial.
     """
     if arg.constant_term() != 0:
@@ -666,7 +672,7 @@ def substitute(f: "UniSeries", arg: Jet) -> Jet:
     if f.exact:
         exact = out.exact and f.max_degree() * arg.max_degree() <= order
     else:
-        valid = min(valid, (f.order + 1) * mindeg - 1)
+        valid = min(valid, (f.valid + 1) * mindeg - 1)
     return out._flagged(valid, exact)
 
 

@@ -73,7 +73,6 @@ test function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .geometry import MetricJet
 from .jets import (
@@ -88,6 +87,7 @@ from .jets import (
     _pack,
     _pack_bi,
     _unpack,
+    record,
 )
 from .rationals import ZERO, rat
 
@@ -355,7 +355,7 @@ def euclidean_moments(phi: Jet, kmax: int) -> list:
 # expanded origin identities
 
 
-@dataclass(frozen=True)
+@record
 class PowerIdentity:
     lhs: object
     rhs: object

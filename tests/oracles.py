@@ -11,9 +11,28 @@ engine's origin values and its Jacobi-formula Ricci against them.
   :func:`kahlap.geometry.ricci`.
 
 All of them read the whole series inverse ``MetricJet.g_inv``.
+
+The helpers below them have only test callers, so they live here too:
+:func:`to_normal_coordinates` (the quadratic change to normal coordinates),
+:func:`restrict` (set variables to zero), the fixture text form
+:func:`to_text`/:func:`from_text`, and :func:`gate_status` (a catalog
+entry's gate without raising).
 """
 
-from kahlap.jets import _INF, DimensionMismatchError, Jet, _mul_capped
+from kahlap.catalog import potential
+from kahlap.geometry import metric_from_potential, normality_report, pullback
+from kahlap.jets import (
+    _INF,
+    _MASK,
+    _SHIFT,
+    BiIndex,
+    DimensionMismatchError,
+    IndexRangeError,
+    Jet,
+    KahlapError,
+    _mul_capped,
+)
+from kahlap.rationals import rat, rat_from_str, rat_str
 
 
 def mat_mul(a, b, cap: int):
@@ -129,3 +148,122 @@ def kahler_laplacian(m, phi: Jet) -> Jet:
             term = _mul_capped(x[a][b], hess, phi.order)
             acc = term if acc is None else acc + term
     return acc
+
+
+def claims_hold(jet, wider) -> bool:
+    """Every coefficient that ``jet`` claims -- all of them when it is
+    exact, else those through ``jet.valid`` -- equals the coefficient of
+    ``wider``, the same quantity recomputed from longer inputs, at
+    every degree ``wider`` itself claims."""
+    limit = min(wider._veff, wider.order)
+    if not jet.exact:
+        limit = min(limit, jet.valid)
+    for d in range(limit + 1):
+        got = {k: rat(c, jet.den) for k, c in jet._grades.get(d, {}).items()}
+        want = {k: rat(c, wider.den) for k, c in wider._grades.get(d, {}).items()}
+        if got != want:
+            return False
+    return True
+
+
+# ----------------------------------------------------------------------
+# helpers with only test callers
+
+
+class NormalizationError(KahlapError):
+    """Normal-coordinate reduction needs a non-rational linear change."""
+
+
+def to_normal_coordinates(phi: Jet) -> Jet:
+    """Quadratic coordinate correction that kills first metric derivatives.
+
+    Requires g(0) = I exactly over the rationals: a linear normalization
+    would in general need irrational scalings, which exact mode refuses.
+    The substitution is w_j -> w_j + (1/2) A[j][k][l] w_k w_l with
+    A[j][k][l] = -d g[l][j] / dz_k at 0.
+    """
+    m = metric_from_potential(phi)
+    n = phi.dim
+    for i in range(n):
+        for j in range(n):
+            want = 1 if i == j else 0
+            if m.g[i][j].constant_term() != want:
+                raise NormalizationError(
+                    "requires irrational linear normalization: g(0) != I"
+                )
+    order = phi.order
+    components = []
+    for j in range(n):
+        comp = Jet.variable(n, order, j + 1)
+        quad = Jet.zero(n, order)
+        for k in range(n):
+            for l in range(n):
+                a_jkl = -(m.g[l][j].diff_hol(k + 1).eval0())
+                if a_jkl != 0:
+                    wk = Jet.variable(n, order, k + 1)
+                    wl = Jet.variable(n, order, l + 1)
+                    quad = quad + (wk * wl).scale(rat(1, 2) * a_jkl)
+        components.append(comp + quad)
+    corrected = pullback(phi, components)
+    if corrected._veff >= 3:
+        check = normality_report(metric_from_potential(corrected))
+        if not check.ok:
+            raise KahlapError(
+                f"normal-coordinate correction failed: {check.offenders}"
+            )
+    return corrected
+
+
+def restrict(phi: Jet, keep) -> Jet:
+    """Set all variables outside ``keep`` (1-based) to zero and reindex."""
+    keep = sorted(set(keep))
+    if any(not 1 <= i <= phi.dim for i in keep):
+        raise IndexRangeError(f"keep set {keep} outside 1..{phi.dim}")
+    if not keep:
+        raise IndexRangeError("keep set must be nonempty")
+    kept_slots = [i - 1 for i in keep] + [phi.dim + i - 1 for i in keep]
+    dropped = sorted(set(range(2 * phi.dim)) - set(kept_slots))
+    grades: dict[int, dict[int, int]] = {}
+    for d, bucket in phi._grades.items():
+        for key, c in bucket.items():
+            if any((key >> (_SHIFT * pos)) & _MASK for pos in dropped):
+                continue
+            new_key = 0
+            for new_pos, pos in enumerate(kept_slots):
+                new_key |= ((key >> (_SHIFT * pos)) & _MASK) << (_SHIFT * new_pos)
+            grades.setdefault(d, {})[new_key] = c
+    return Jet._reduced(len(keep), phi.order, phi.valid, phi.exact, grades, phi.den)
+
+
+def to_text(phi: Jet) -> str:
+    """Canonical fixture form: one "c  a1 .. an|b1 .. bn" line per term."""
+    lines = []
+    for bi, c in phi.terms():
+        hol = " ".join(str(e) for e in bi.hol)
+        anti = " ".join(str(e) for e in bi.anti)
+        lines.append(f"{rat_str(c)}  {hol}|{anti}")
+    return "\n".join(lines)
+
+
+def from_text(dim, order, text: str) -> Jet:
+    """The jet of :func:`to_text`'s form."""
+    terms = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        coeff_part, exps = line.split(None, 1)
+        hol_part, anti_part = exps.split("|")
+        hol = tuple(int(t) for t in hol_part.split())
+        anti = tuple(int(t) for t in anti_part.split())
+        terms.append((BiIndex(hol, anti), rat_from_str(coeff_part)))
+    return Jet(dim, order, terms)
+
+
+def gate_status(spec, order: int = 6) -> tuple[bool, str]:
+    """(accepted, message) of the catalog gate, without raising."""
+    try:
+        potential(spec, order)
+        return True, "ok"
+    except KahlapError as exc:
+        return False, str(exc)

@@ -23,7 +23,6 @@ from kahlap.catalog import (
     diagonal_embedding,
     diagonal_restriction_check,
     dual_potential,
-    gate_status,
     matrix_slots,
     parse_spec,
     potential,
@@ -38,6 +37,7 @@ from kahlap.geometry import (
 )
 from kahlap.jets import BiIndex, InsufficientOrderError, Jet, KahlapError
 from kahlap.rationals import rat
+from oracles import from_text, gate_status, restrict, to_text
 
 
 def bi(hol, anti):
@@ -216,7 +216,17 @@ def test_optional_gate_probe_is_the_truncated_potential(spec, order):
     )
 
 
-@pytest.mark.parametrize("order, builds", [(6, 2), (8, 1)])
+@pytest.mark.parametrize("spec", [TypeIII(2), TypeIV(2), TypeIV(3)])
+@pytest.mark.parametrize("order", range(2, 8))
+def test_optional_potential_below_order_8_is_the_truncated_order_8_build(spec, order):
+    a = _raw_potential(spec, 8).truncated(order)
+    b = _raw_potential(spec, order)
+    assert (a.order, a.valid, a.exact, a.den, a._grades) == (
+        b.order, b.valid, b.exact, b.den, b._grades
+    )
+
+
+@pytest.mark.parametrize("order, builds", [(6, 1), (8, 1)])
 def test_optional_entry_builds_its_potential_once_from_order_8(monkeypatch, order, builds):
     calls = []
     real = catalog._raw_potential
@@ -254,7 +264,7 @@ def test_type1_restricts_to_polydisc_on_diagonal_variables():
     # setting the off-diagonal entries to zero (variables 3, 4) leaves the
     # polydisc potential -- same content as the pullback route, via restrict
     phi = potential(TypeI(2, 2), 8)
-    assert phi.restrict([1, 2]).agrees(potential(Polydisc(2), 8))
+    assert restrict(phi, [1, 2]).agrees(potential(Polydisc(2), 8))
 
 
 # ----------------------------------------------------------------------
@@ -324,5 +334,5 @@ def test_polydisc_golden_text():
 
     golden = pathlib.Path(__file__).parent / "golden" / "polydisc2_order6.txt"
     phi = potential(Polydisc(2), 6)
-    assert phi.to_text() + "\n" == golden.read_text()
-    assert Jet.from_text(2, 6, golden.read_text()).agrees(phi)
+    assert to_text(phi) + "\n" == golden.read_text()
+    assert from_text(2, 6, golden.read_text()).agrees(phi)

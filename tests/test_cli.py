@@ -261,6 +261,23 @@ def test_catalog_lists_gate_status(capsys):
     assert by_spec["type1:2,2"]["lambda"] == "-4/1"
 
 
+def test_catalog_builds_one_potential_per_entry(capsys, monkeypatch):
+    import kahlap.catalog
+
+    builds = []
+    original = kahlap.catalog._raw_potential
+
+    def counting(spec, order):
+        builds.append(spec.label())
+        return original(spec, order)
+
+    monkeypatch.setattr(kahlap.catalog, "_raw_potential", counting)
+    code, doc, _ = run_json(capsys, "catalog")
+    assert code == 0
+    assert builds == [e["spec"] for e in doc["entries"]]
+    assert len(builds) == 15
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -431,7 +448,8 @@ def test_main_reads_sys_argv(capsys, monkeypatch):
 
 def test_commands_import_no_argparse_gettext_or_locale():
     """The start-up cost argparse carries (its gettext pulls in locale) stays
-    out of every command path."""
+    out of every command path, and so does dataclasses with the modules it
+    loads (the value classes are ``jets.record`` classes)."""
     src = Path(__file__).resolve().parents[1] / "src"
     script = textwrap.dedent(
         """
@@ -440,7 +458,8 @@ def test_commands_import_no_argparse_gettext_or_locale():
         for argv in (["check", "polydisc:2", "--max-k", "3"], ["reproduce", "comp1"], ["catalog"]):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0, argv
-        print(sorted(m for m in ("argparse", "gettext", "locale") if m in sys.modules))
+        guarded = ("argparse", "gettext", "locale", "dataclasses", "inspect", "ast", "dis", "tokenize")
+        print(sorted(m for m in guarded if m in sys.modules))
         """
     )
     done = subprocess.run(

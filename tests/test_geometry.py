@@ -25,7 +25,6 @@ from kahlap.catalog import (
 from kahlap import geometry
 from kahlap.geometry import (
     DegenerateMetricError,
-    NormalizationError,
     _eliminate,
     _log_det,
     einstein_data,
@@ -35,13 +34,20 @@ from kahlap.geometry import (
     pullback,
     ricci,
     series_matrix_inverse,
-    to_normal_coordinates,
     trace_identity_check,
 )
 from kahlap.inference import verify_property
 from kahlap.jets import BiIndex, Jet, _mul_capped
 from kahlap.rationals import rat
-from oracles import kahler_laplacian, mat_mul, matrices_agree, ricci_contracted
+from oracles import (
+    NormalizationError,
+    claims_hold,
+    kahler_laplacian,
+    mat_mul,
+    matrices_agree,
+    ricci_contracted,
+    to_normal_coordinates,
+)
 from test_laplacian import _bent, _sheared
 
 
@@ -372,22 +378,6 @@ def test_log_det_matches_determinant_route(name):
         assert got.is_zero and got.exact
 
 
-def _claims_hold(jet, wider):
-    """Every coefficient that ``jet`` claims -- all of them when it is
-    exact, else those through ``jet.valid`` -- equals the coefficient of
-    ``wider``, the same quantity recomputed from a longer potential, at
-    every degree ``wider`` itself claims."""
-    limit = min(wider._veff, wider.order)
-    if not jet.exact:
-        limit = min(limit, jet.valid)
-    for d in range(limit + 1):
-        got = {k: rat(c, jet.den) for k, c in jet._grades.get(d, {}).items()}
-        want = {k: rat(c, wider.den) for k, c in wider._grades.get(d, {}).items()}
-        if got != want:
-            return False
-    return True
-
-
 _SOUNDNESS_SPECS = {
     spec.label(): spec
     for spec in (Flat(1), Flat(2), Hyperbolic(1), Hyperbolic(2), FubiniStudy(2), Polydisc(2))
@@ -421,17 +411,17 @@ def test_inverse_and_log_det_claim_only_valid_coefficients(label, order, build):
     for target in sorted({max(m.valid - 1, 0), m.valid}):
         got = series_matrix_inverse(m.g, target)
         assert all(
-            _claims_hold(a, b)
+            claims_hold(a, b)
             for row_a, row_b in zip(got, wide_inverse)
             for a, b in zip(row_a, row_b)
         ), (label, order, build, target)
     assert all(
-        _claims_hold(a, b)
+        claims_hold(a, b)
         for row_a, row_b in zip(m.inverse(), wide_inverse)
         for a, b in zip(row_a, row_b)
     )
     logdet = _log_det(m)
-    assert _claims_hold(logdet, _log_det(wide)), (label, order, build)
+    assert claims_hold(logdet, _log_det(wide)), (label, order, build)
     if logdet.exact:
         # known to vanish only where g is an exact constant
         assert logdet.is_zero

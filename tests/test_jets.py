@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from kahlap.jets import (
     BiIndex,
@@ -23,6 +23,7 @@ from kahlap.jets import (
     substitute,
 )
 from kahlap.rationals import rat
+from oracles import claims_hold, from_text, restrict, to_text
 
 
 def bi(hol, anti):
@@ -202,12 +203,12 @@ def test_substitute_rejects_constant_argument():
 
 def test_restrict_drops_other_variables():
     s = Jet.abs_square_sum(2, 4)
-    assert s.restrict([1]) == Jet.abs_square_sum(1, 4)
+    assert restrict(s, [1]) == Jet.abs_square_sum(1, 4)
 
 
 def test_restrict_all_is_identity():
     s = Jet.abs_square_sum(2, 4)
-    assert s.restrict([1, 2]) == s
+    assert restrict(s, [1, 2]) == s
 
 
 def test_flip_anti_sign_examples():
@@ -231,7 +232,7 @@ def test_eval0_insufficient_order():
 
 def test_text_round_trip():
     jet = Jet(2, 4, [(bi((2, 0), (2, 0)), rat(3, 2)), (bi((1, 1), (1, 1)), -1)])
-    assert Jet.from_text(2, 4, jet.to_text()) == jet
+    assert from_text(2, 4, to_text(jet)) == jet
 
 
 # ----------------------------------------------------------------------
@@ -395,7 +396,7 @@ def test_kernels_match_fraction_reference_and_stay_canonical(data):
         (a.diff_anti(i), ref_diff(ra, i, anti=True)),
         (a.truncated(cut), {(h, e): v for (h, e), v in ra.items() if sum(h + e) <= cut}),
         (
-            a.restrict(keep),
+            restrict(a, keep),
             {
                 (tuple(h[j - 1] for j in kept), tuple(e[j - 1] for j in kept)): v
                 for (h, e), v in ra.items()
@@ -430,7 +431,7 @@ def test_kernels_match_fraction_reference_and_stay_canonical(data):
 def test_equal_coefficients_written_differently_are_equal():
     t = bi((1,), (1,))
     half = Jet(1, 4, [(t, rat(1, 2))])
-    assert Jet.from_text(1, 4, "2/4  1|1") == half
+    assert from_text(1, 4, "2/4  1|1") == half
     assert Jet(1, 4, [(t, rat(3, 2))]) - Jet(1, 4, [(t, 1)]) == half
     assert t_power(1, 4).scale(rat(3, 6)) == half
     assert (half.scale(4) - t_power(1, 4)).scale(rat(1, 2)) == half
@@ -519,3 +520,63 @@ def test_digit_sum_reads_degree_31(slot):
     assert key % MAX_ORDER == 0
     assert _digit_sum(key) == MAX_ORDER
     assert _digit_sum(0) == 0
+
+
+# ----------------------------------------------------------------------
+# validity soundness of the series functions
+
+
+def _known_through(truth: Jet, order: int, valid: int, noise: Jet) -> Jet:
+    """``truth`` at ``order`` as an input known only through ``valid``: the
+    degrees above it are replaced by ``noise``'s."""
+    if valid >= order:
+        return truth.truncated(order)
+    kept = [(b, c) for b, c in truth.truncated(order).terms() if b.degree <= valid]
+    kept += [(b, c) for b, c in noise.terms() if b.degree > valid]
+    return Jet(truth.dim, order, kept)._flagged(valid, False)
+
+
+@seed(20201030)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+@example(data=None)
+def test_series_functions_claim_only_valid_coefficients(data):
+    """A coefficient that substitute, log1 or inv1 claims at order N equals
+    the one recomputed at N + 4 from the same function, known further."""
+    if data is None:  # zero and constant arguments, exactly known
+        n, order, u_valid, f_valid = 1, 3, 3, 3
+        u, noise, c0 = Jet.zero(1, 7), Jet.zero(1, 3), rat(2, 3)
+        coeffs, f_exact = [rat(1, 2), 1, 0, -1, 0, 0, 0, 0], False
+    else:
+        n = data.draw(st.integers(1, 2))
+        order = data.draw(st.integers(0, 4))
+        u = data.draw(st.sampled_from(["zero", "drawn"]))
+        u = Jet.zero(n, order + 4) if u == "zero" else data.draw(
+            rational_jets(n, order + 4)
+        ).drop_constant()
+        noise = data.draw(rational_jets(n, order)).drop_constant()
+        u_valid = data.draw(st.integers(0, order))
+        c0 = rat(data.draw(st.integers(-5, 5).filter(bool)), data.draw(st.integers(1, 4)))
+        coeffs = [rat(data.draw(st.integers(-4, 4)), data.draw(st.integers(1, 3)))
+                  for _ in range(order + 5)]
+        f_exact = data.draw(st.booleans())
+        f_valid = order if f_exact else data.draw(st.integers(0, order))
+    narrow_u = _known_through(u, order, u_valid, noise)
+    if f_exact:  # a polynomial of degree <= N, the same at both orders
+        narrow_f = UniSeries(order, coeffs[: order + 1])
+        wide_f = UniSeries(order + 4, coeffs[: order + 1])
+    else:
+        # the profile is known through f_valid: its stored degrees above
+        # that are off by one
+        known = coeffs[: f_valid + 1] + [c + 1 for c in coeffs[f_valid + 1 : order + 1]]
+        narrow_f = UniSeries(order, known, exact=False, valid=f_valid)
+        wide_f = UniSeries(order + 4, coeffs, exact=False)
+    one, narrow_one = Jet.one(n, order + 4), Jet.one(n, order)
+    constant, narrow_constant = Jet.constant(n, order + 4, c0), Jet.constant(n, order, c0)
+    cases = [
+        (substitute(narrow_f, narrow_u), substitute(wide_f, u)),
+        ((narrow_one + narrow_u).log1(), (one + u).log1()),
+        ((narrow_constant + narrow_u).inv1(), (constant + u).inv1()),
+    ]
+    for name, (got, wide) in zip(("substitute", "log1", "inv1"), cases):
+        assert claims_hold(got, wide), (name, order, u_valid, f_valid, f_exact)
