@@ -11,12 +11,14 @@ engine's origin values and its Jacobi-formula Ricci against them.
   :func:`kahlap.geometry.ricci`.
 
 All of them read the whole series inverse ``MetricJet.g_inv``.
+:func:`claims_hold` is the validity-soundness comparison: what a jet
+claims against the same quantity recomputed from longer inputs.
 
-The helpers below them have only test callers, so they live here too:
-:func:`to_normal_coordinates` (the quadratic change to normal coordinates),
-:func:`restrict` (set variables to zero), the fixture text form
-:func:`to_text`/:func:`from_text`, and :func:`gate_status` (a catalog
-entry's gate without raising).
+The helpers at the end have only test callers, so they live here and not
+in the package: :func:`to_normal_coordinates` (the quadratic change to
+normal coordinates), :func:`restrict` (set variables to zero), the
+fixture text form :func:`to_text`/:func:`from_text`, and
+:func:`gate_status` (a catalog entry's gate without raising).
 """
 
 from kahlap.catalog import potential

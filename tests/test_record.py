@@ -1,12 +1,13 @@
 """The frozen value classes: ``jets.record`` against ``dataclass(frozen=True)``
-and on the package's own classes."""
+and on the package's own classes.  ``TestFamily.entries`` (a
+``cached_property`` on a record) is covered in test_inference.py."""
 
 import dataclasses
 
 import pytest
 
 from kahlap.catalog import Custom, Flat, Hyperbolic, Product, TypeI
-from kahlap.inference import CONSISTENT, Verdict, build_test_family
+from kahlap.inference import CONSISTENT, Verdict
 from kahlap.jets import Jet, record
 
 
@@ -101,9 +102,3 @@ def test_match_patterns_read_the_fields():
     match Hyperbolic(4):
         case Hyperbolic(n):
             assert n == 4
-
-
-def test_test_family_entries_are_cached():
-    family = build_test_family(2, 2)
-    assert family.entries is family.entries
-    assert len(family.entries) == len(family)
