@@ -8,6 +8,12 @@ Constructors are gated: an entry whose output fails the normal-coordinate
 check is rejected, and the optional matrix-domain entries must additionally
 pass an Einstein self-check before they may be used at all.
 
+Six entries are log-det potentials -+log det(I -+ ZZ*) = sum_m (+-1)^(m+1)
+tr((ZZ*)^m)/m: ``hyp`` and ``fs`` (Z a 1 x n row), ``polydisc`` (Z
+diagonal), ``type1``, ``type1dual`` and ``type3``.  Every tr((ZZ*)^m) has
+int coefficients, so :func:`_log_det_potential` forms the powers of ZZ* as
+packed-key int dicts and builds the jet once, over lcm(1..order // 2).
+
 Matrix-domain coordinates are ordered diagonal-first: variables 1..r are
 the diagonal entries (1,1)..(r,r) -- the directions spanned by the diagonal
 embedding of the r-fold polydisc -- followed by the remaining entries in
@@ -16,10 +22,11 @@ row-major order.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .geometry import metric_from_potential, normality_report, einstein_data, pullback
-from .jets import Jet, KahlapError, UniSeries, record, substitute, _mul_capped, _SHIFT
+from .jets import Jet, KahlapError, UniSeries, record, substitute, _SHIFT
 from .rationals import rat, rat_from_str, rat_pretty
 
 
@@ -233,70 +240,64 @@ def matrix_slots(p: int, q: int) -> list[tuple[int, int]]:
     return slots
 
 
-def _matrix_of_variables(p, q, order):
-    """p x q matrix of coordinate jets in dim p*q, diagonal-first ordering."""
-    slots = matrix_slots(p, q)
-    n = p * q
-    index = {slot: k + 1 for k, slot in enumerate(slots)}
-    z = [[Jet.variable(n, order, index[(i, j)]) for j in range(q)] for i in range(p)]
-    return z, index
+def _matrix_keys(p: int, q: int) -> list[list[int]]:
+    """p x q matrix of the packed keys of its coordinates, diagonal-first."""
+    index = {slot: k for k, slot in enumerate(matrix_slots(p, q))}
+    return [[1 << _SHIFT * index[(i, j)] for j in range(q)] for i in range(p)]
 
 
-def _symmetric_matrix_of_variables(m, order):
-    """Symmetric m x m matrix of coordinate jets, diagonal-first ordering."""
+def _symmetric_matrix_keys(m: int) -> list[list[int]]:
+    """Symmetric m x m matrix of the packed keys of its coordinates,
+    diagonal-first."""
     slots = [(i, i) for i in range(m)]
     slots += [(i, j) for i in range(m) for j in range(i + 1, m)]
-    n = m * (m + 1) // 2
-    index = {slot: k + 1 for k, slot in enumerate(slots)}
-    z = [
-        [
-            Jet.variable(n, order, index[(min(i, j), max(i, j))])
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
-    return z
+    index = {slot: k for k, slot in enumerate(slots)}
+    return [[1 << _SHIFT * index[min(i, j), max(i, j)] for j in range(m)] for i in range(m)]
 
 
-def _trace_log_potential(z_rows, order, signs=False) -> Jet:
-    """sum_m tr((Z Z*)^m)/m, alternating when ``signs`` (log det(I +- ZZ*)).
+def _log_det_potential(n: int, z, order: int, signs: bool = False) -> Jet:
+    """sum_m tr((Z Z*)^m)/m over m <= order // 2, alternating when ``signs``:
+    -log det(I - ZZ*), or log det(I + ZZ*) when ``signs``.
 
-    Z* is the conjugate transpose, entries being the conjugate jets.
-    """
-    p = len(z_rows)
-    q = len(z_rows[0])
-    n = z_rows[0][0].dim
-    zstar = [[z_rows[i][j].conj() for i in range(p)] for j in range(q)]  # q x p
-    zz = [
-        [
-            sum(
-                (_mul_capped(z_rows[i][c], zstar[c][j], order) for c in range(q)),
-                Jet.zero(n, order),
-            )
-            for j in range(p)
-        ]
-        for i in range(p)
-    ]
-    phi = Jet.zero(n, order)
+    Z holds the packed holomorphic key of one coordinate per entry (0 for
+    a zero entry; no coordinate twice in a row) and Z* is its conjugate
+    transpose, so the entries of ZZ* and of its powers are int polynomials,
+    homogeneous of degree 2m in (ZZ*)^m, kept as packed-key int dicts.
+    Each trace is summed over the lcm of 1..order // 2, and one reduction
+    makes the jet canonical: a truncated log series, valid through
+    ``order``, not exact."""
+    shift = _SHIFT * n
+    zz = [[{a + (b << shift): 1 for a, b in zip(zi, zj) if a and b} for zj in z] for zi in z]
+    cols = list(zip(*zz))
+    mmax = order // 2
+    den = math.lcm(*range(1, mmax + 1))
+    grades = {}
     power = zz
-    mmax = order // 2 if order >= 2 else 0
     for m in range(1, mmax + 1):
         if m > 1:
+            # the last power is read only on its diagonal
             power = [
-                [
-                    sum(
-                        (_mul_capped(power[i][c], zz[c][j], order) for c in range(p)),
-                        Jet.zero(n, order),
-                    )
-                    for j in range(p)
-                ]
-                for i in range(p)
+                [_dot(row, col) if m < mmax or i == j else {} for j, col in enumerate(cols)]
+                for i, row in enumerate(power)
             ]
-        trace = sum((power[i][i] for i in range(p)), Jet.zero(n, order))
-        c = rat((-1) ** (m + 1), m) if signs else rat(1, m)
-        phi = phi + trace.scale(c)
-    # truncation of a log series: valid to order, not exact
-    return phi._flagged(order, False)
+        f = -(den // m) if signs and m % 2 == 0 else den // m
+        bucket = grades[2 * m] = {}
+        for i, row in enumerate(power):
+            for key, c in row[i].items():
+                bucket[key] = bucket.get(key, 0) + f * c
+    return Jet._reduced(n, order, order, False, grades, den)
+
+
+def _dot(row, col) -> dict:
+    """sum_c row[c] * col[c] over int-dict polynomials."""
+    out = {}
+    get = out.get
+    for x, y in zip(row, col):
+        for kx, cx in x.items():
+            for ky, cy in y.items():
+                k = kx + ky
+                out[k] = get(k, 0) + cx * cy
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -310,28 +311,18 @@ def _raw_potential(spec: PotentialSpec, order: int) -> Jet:
         case Flat(n=n):
             return Jet.abs_square_sum(n, order)
         case FubiniStudy(n=n):
-            s = Jet.abs_square_sum(n, order)
-            return (Jet.one(n, order) + s).log1()
+            return _log_det_potential(n, [[1 << _SHIFT * i for i in range(n)]], order, True)
         case Hyperbolic(n=n):
-            s = Jet.abs_square_sum(n, order)
-            return -((Jet.one(n, order) - s).log1())
+            return _log_det_potential(n, [[1 << _SHIFT * i for i in range(n)]], order)
         case Polydisc(r=r):
-            phi = Jet.zero(r, order)
-            one = Jet.one(r, order)
-            for j in range(1, r + 1):
-                zj = Jet.variable(r, order, j)
-                tj = zj * zj.conj()
-                phi = phi + (-((one - tj).log1()))
-            return phi
+            diagonal = [[1 << _SHIFT * i if i == j else 0 for j in range(r)] for i in range(r)]
+            return _log_det_potential(r, diagonal, order)
         case TypeI(p=p, q=q):
-            z, _ = _matrix_of_variables(p, q, order)
-            return _trace_log_potential(z, order, signs=False)
+            return _log_det_potential(p * q, _matrix_keys(p, q), order)
         case TypeIDual(p=p, q=q):
-            z, _ = _matrix_of_variables(p, q, order)
-            return _trace_log_potential(z, order, signs=True)
+            return _log_det_potential(p * q, _matrix_keys(p, q), order, True)
         case TypeIII(m=m):
-            z = _symmetric_matrix_of_variables(m, order)
-            return _trace_log_potential(z, order, signs=False)
+            return _log_det_potential(m * (m + 1) // 2, _symmetric_matrix_keys(m), order)
         case TypeIV(n=n):
             one = Jet.one(n, order)
             s = Jet.abs_square_sum(n, order)

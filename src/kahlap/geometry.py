@@ -35,7 +35,7 @@ from .jets import (
     _unpack,
     record,
 )
-from .rationals import ZERO, rat
+from .rationals import rat
 
 Matrix = tuple[tuple[Jet, ...], ...]
 
@@ -243,8 +243,9 @@ class MetricJet:
     through ``valid``.  The Einstein data, the origin values of Laplacian
     powers of monomials (filled by the ``*_at_origin`` functions of
     :mod:`kahlap.laplacian`) and the weights of the expanded third-power
-    formula (filled by :func:`kahlap.laplacian.third_power_rhs`) are cached
-    the same way; each fill is deterministic.
+    formula (filled by the first ``third_power_rhs`` or
+    ``third_power_checks`` call of :mod:`kahlap.laplacian`) are cached the
+    same way; each fill is deterministic.
     """
 
     __slots__ = (
@@ -527,19 +528,20 @@ class TraceIdentity:
 
 def inverse_metric_second_trace(m: MetricJet) -> tuple[tuple[object, ...], ...]:
     """The matrix S[i][j] = sum_h d_h dbar_h g_inv[i][j] evaluated at 0,
-    read off the terms of degree 2 of g_inv."""
+    read off the terms of degree 2 of g_inv: d_h dbar_h X(0) is the
+    numerator of z_h zb_h over ``X.den``.  An entry valid below degree 2
+    does not determine them."""
     n = m.dim
     x = m.inverse(2)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = ZERO
-            for h in range(n):
-                acc += x[i][j].diff_hol(h + 1).diff_anti(h + 1).eval0()
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    if any(e._veff < 2 for row in x for e in row):
+        raise InsufficientOrderError(
+            "validity exhausted: the jet no longer determines its value at 0"
+        )
+    keys = [1 << _SHIFT * h | 1 << _SHIFT * (n + h) for h in range(n)]
+    return tuple(
+        tuple(rat(sum(e._grades.get(2, {}).get(k, 0) for k in keys), e.den) for e in row)
+        for row in x
+    )
 
 
 def trace_identity_check(m: MetricJet) -> TraceIdentity:

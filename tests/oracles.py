@@ -9,6 +9,11 @@ engine's origin values and its Jacobi-formula Ricci against them.
 - :func:`ricci_contracted` computes Ricci from the curvature-style
   contraction of metric derivatives, with no logarithm, against
   :func:`kahlap.geometry.ricci`.
+- :func:`log_det_potential_by_jets` builds the log-det catalog potentials
+  (``fs``, ``hyp``, ``polydisc``, ``type1``, ``type1dual``, ``type3``) by
+  ``Jet`` arithmetic, ``log1`` on |z|^2 or the trace series of
+  :func:`trace_log_potential`, against the int power sums of
+  :func:`kahlap.catalog._log_det_potential`.
 
 All of them read the whole series inverse ``MetricJet.g_inv``.
 :func:`claims_hold` is the validity-soundness comparison: what a jet
@@ -21,7 +26,16 @@ fixture text form :func:`to_text`/:func:`from_text`, and
 :func:`gate_status` (a catalog entry's gate without raising).
 """
 
-from kahlap.catalog import potential
+from kahlap.catalog import (
+    FubiniStudy,
+    Hyperbolic,
+    Polydisc,
+    TypeI,
+    TypeIDual,
+    TypeIII,
+    matrix_slots,
+    potential,
+)
 from kahlap.geometry import metric_from_potential, normality_report, pullback
 from kahlap.jets import (
     _INF,
@@ -166,6 +180,108 @@ def claims_hold(jet, wider) -> bool:
         if got != want:
             return False
     return True
+
+
+# ----------------------------------------------------------------------
+# the log-det catalog potentials by Jet arithmetic
+
+
+def matrix_of_variables(p, q, order):
+    """p x q matrix of coordinate jets in dim p*q, diagonal-first ordering."""
+    slots = matrix_slots(p, q)
+    n = p * q
+    index = {slot: k + 1 for k, slot in enumerate(slots)}
+    z = [[Jet.variable(n, order, index[(i, j)]) for j in range(q)] for i in range(p)]
+    return z, index
+
+
+def symmetric_matrix_of_variables(m, order):
+    """Symmetric m x m matrix of coordinate jets, diagonal-first ordering."""
+    slots = [(i, i) for i in range(m)]
+    slots += [(i, j) for i in range(m) for j in range(i + 1, m)]
+    n = m * (m + 1) // 2
+    index = {slot: k + 1 for k, slot in enumerate(slots)}
+    z = [
+        [
+            Jet.variable(n, order, index[(min(i, j), max(i, j))])
+            for j in range(m)
+        ]
+        for i in range(m)
+    ]
+    return z
+
+
+def trace_log_potential(z_rows, order, signs=False) -> Jet:
+    """sum_m tr((Z Z*)^m)/m, alternating when ``signs`` (log det(I +- ZZ*)).
+
+    Z* is the conjugate transpose, entries being the conjugate jets.
+    """
+    p = len(z_rows)
+    q = len(z_rows[0])
+    n = z_rows[0][0].dim
+    zstar = [[z_rows[i][j].conj() for i in range(p)] for j in range(q)]  # q x p
+    zz = [
+        [
+            sum(
+                (_mul_capped(z_rows[i][c], zstar[c][j], order) for c in range(q)),
+                Jet.zero(n, order),
+            )
+            for j in range(p)
+        ]
+        for i in range(p)
+    ]
+    phi = Jet.zero(n, order)
+    power = zz
+    mmax = order // 2 if order >= 2 else 0
+    for m in range(1, mmax + 1):
+        if m > 1:
+            power = [
+                [
+                    sum(
+                        (_mul_capped(power[i][c], zz[c][j], order) for c in range(p)),
+                        Jet.zero(n, order),
+                    )
+                    for j in range(p)
+                ]
+                for i in range(p)
+            ]
+        trace = sum((power[i][i] for i in range(p)), Jet.zero(n, order))
+        c = rat((-1) ** (m + 1), m) if signs else rat(1, m)
+        phi = phi + trace.scale(c)
+    # truncation of a log series: valid to order, not exact
+    return phi._flagged(order, False)
+
+
+def log_det_potential_by_jets(spec, order: int) -> Jet:
+    """The unreduced potential of a log-det catalog entry, as the catalog
+    built it by Jet arithmetic: ``log1`` of 1 +- |z|^2 for ``fs``/``hyp``,
+    one ``log1`` per disc for ``polydisc``, :func:`trace_log_potential` for
+    the matrix domains."""
+    match spec:
+        case FubiniStudy(n=n):
+            s = Jet.abs_square_sum(n, order)
+            return (Jet.one(n, order) + s).log1()
+        case Hyperbolic(n=n):
+            s = Jet.abs_square_sum(n, order)
+            return -((Jet.one(n, order) - s).log1())
+        case Polydisc(r=r):
+            phi = Jet.zero(r, order)
+            one = Jet.one(r, order)
+            for j in range(1, r + 1):
+                zj = Jet.variable(r, order, j)
+                tj = zj * zj.conj()
+                phi = phi + (-((one - tj).log1()))
+            return phi
+        case TypeI(p=p, q=q):
+            z, _ = matrix_of_variables(p, q, order)
+            return trace_log_potential(z, order, signs=False)
+        case TypeIDual(p=p, q=q):
+            z, _ = matrix_of_variables(p, q, order)
+            return trace_log_potential(z, order, signs=True)
+        case TypeIII(m=m):
+            z = symmetric_matrix_of_variables(m, order)
+            return trace_log_potential(z, order, signs=False)
+    raise ValueError(f"not a log-det catalog entry: {spec!r}")
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 spec-string grammar."""
 
 import pytest
+from hypothesis import example, given, seed, settings, strategies as st
 
 from kahlap import catalog
 from kahlap.catalog import (
@@ -37,7 +38,7 @@ from kahlap.geometry import (
 )
 from kahlap.jets import BiIndex, InsufficientOrderError, Jet, KahlapError
 from kahlap.rationals import rat
-from oracles import from_text, gate_status, restrict, to_text
+from oracles import from_text, gate_status, log_det_potential_by_jets, restrict, to_text
 
 
 def bi(hol, anti):
@@ -216,6 +217,32 @@ def test_optional_gate_probe_is_the_truncated_potential(spec, order):
     b = _raw_potential(spec, low)
     assert (a.order, a.valid, a.exact, a.den, a._grades) == (
         b.order, b.valid, b.exact, b.den, b._grades
+    )
+
+
+_LOG_DET_SPECS = (
+    [f(n) for n in range(1, 6) for f in (FubiniStudy, Hyperbolic, Polydisc)]
+    + [f(p, q) for p in range(1, 4) for q in range(1, 4) for f in (TypeI, TypeIDual)]
+    + [TypeIII(m) for m in range(1, 4)]
+)
+
+
+@seed(20201030)
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_LOG_DET_SPECS), st.integers(2, 12))
+@example(TypeI(3, 3), 12)
+@example(TypeIDual(3, 2), 11)
+@example(TypeIII(3), 12)
+@example(FubiniStudy(5), 12)
+@example(Hyperbolic(5), 3)
+@example(Polydisc(5), 2)
+def test_log_det_kernel_matches_the_jet_route(spec, order):
+    # the int power sums build the same canonical jet, with the same
+    # flags, as log1 on |z|^2 and the Jet-level trace series did
+    a = _raw_potential(spec, order)
+    b = log_det_potential_by_jets(spec, order)
+    assert (a.dim, a.order, a.valid, a.exact, a.den, a._grades) == (
+        b.dim, b.order, b.valid, b.exact, b.den, b._grades
     )
 
 

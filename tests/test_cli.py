@@ -8,11 +8,15 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import tokenize
 from pathlib import Path
 
 import pytest
 
+from kahlap import laplacian
+from kahlap.catalog import parse_spec
 from kahlap.cli import _laplcube_test_indices, main
+from kahlap.jets import _pack_bi
 
 
 def run(capsys, *argv):
@@ -196,6 +200,29 @@ def test_reproduce_laplcube_end_to_end(capsys):
     assert all(inst["failures"] == [] for inst in doc["instances"])
 
 
+def test_laplcube_reports_a_perturbed_weight_at_its_row(capsys, monkeypatch):
+    # one wrong weight per metric: the expanded side reads the weights, the
+    # direct side does not, so exactly that row fails, under its name
+    real = laplacian._third_power_weights
+
+    def middle_row(n):
+        rows = _laplcube_test_indices(n)
+        return rows[len(rows) // 2]
+
+    def perturbed(m):
+        weights = dict(real(m))
+        key = _pack_bi(middle_row(m.dim))
+        weights[key] = weights.get(key, 0) + 1
+        return weights
+
+    monkeypatch.setattr(laplacian, "_third_power_weights", perturbed)
+    code, doc, _ = run_json(capsys, "reproduce", "laplcube")
+    assert code == 2 and not doc["passed"]
+    for inst in doc["instances"]:
+        assert inst["failures"] == [middle_row(parse_spec(inst["spec"]).dim).text()]
+        assert not inst["passed"]
+
+
 def test_laplcube_rows_are_the_balanced_two_variable_family_rows():
     counts = [len(_laplcube_test_indices(n)) for n in range(1, 7)]
     assert counts == [2, 13, 33, 62, 100, 147]
@@ -339,6 +366,10 @@ ARGV_CONTRACT = [
     ("check hyp:1 --f json", 0, "cli_check_hyp1.json", ""),
     ("catalog --format=json", 0, "cli_catalog.json", ""),
     ("catalog --f json", 0, "cli_catalog.json", ""),
+    *(
+        (f"reproduce {target} --format json", 0, f"reproduce_{target}.json", "")
+        for target in ("comp1", "comp2", "laplquad", "sumder2", "laplcube", "duality", "lemma")
+    ),
     ("--version", "exit 0", "0.1.0\n", ""),
     ("--ver", "exit 0", "0.1.0\n", ""),
     # usage errors, in argparse's words
@@ -471,6 +502,23 @@ def test_commands_import_no_argparse_gettext_or_locale():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "module", ["cli.py", "geometry.py", "catalog.py", "laplacian.py", "inference.py"]
+)
+def test_command_path_modules_stay_under_the_parser_step(module):
+    """Commands run without a bytecode cache compile these modules on every
+    start, and CPython 3.11's parser peak memory steps up by about 0.25 MB
+    once a module passes 4,096 tokens (comments and blank lines do not
+    count)."""
+    path = Path(__file__).resolve().parents[1] / "src" / "kahlap" / module
+    with path.open("rb") as f:
+        tokens = [
+            t for t in tokenize.tokenize(f.readline)
+            if t.type not in (tokenize.COMMENT, tokenize.NL)
+        ]
+    assert len(tokens) < 4096
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from kahlap.catalog import (
     TypeIV,
     _raw_potential,
     diagonal_embedding,
+    einstein_catalog_entries,
     parse_spec,
     potential,
 )
@@ -29,6 +30,7 @@ from kahlap.geometry import (
     _log_det,
     einstein_data,
     in_normal_coordinates,
+    inverse_metric_second_trace,
     metric_from_potential,
     normality_report,
     pullback,
@@ -37,7 +39,7 @@ from kahlap.geometry import (
     trace_identity_check,
 )
 from kahlap.inference import verify_property
-from kahlap.jets import BiIndex, Jet, _mul_capped
+from kahlap.jets import BiIndex, InsufficientOrderError, Jet, _mul_capped
 from kahlap.rationals import rat
 from oracles import (
     NormalizationError,
@@ -575,6 +577,44 @@ def test_trace_identity_product_fails():
     assert not tc.passed and not tc.is_einstein
     assert tc.matrix[0][0] == 0 and tc.matrix[1][1] == -2
     assert tc.matrix[0][1] == 0 and tc.matrix[1][0] == 0
+
+
+def _second_trace_by_derivatives(m):
+    """S[i][j] = sum_h d_h dbar_h g_inv[i][j] at 0 by whole-jet derivatives."""
+    x = m.inverse(2)
+    n = m.dim
+    return tuple(
+        tuple(
+            sum((x[i][j].diff_hol(h + 1).diff_anti(h + 1).eval0() for h in range(n)), rat(0))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+_SECOND_TRACE_SPECS = einstein_catalog_entries() + [Product(Flat(1), Hyperbolic(1))]
+
+
+@pytest.mark.parametrize("order", [6, 8])
+@pytest.mark.parametrize("spec", _SECOND_TRACE_SPECS, ids=str)
+def test_second_trace_reads_degree_2_keys_as_the_derivatives_do(spec, order):
+    m = metric_from_potential(potential(spec, order))
+    assert inverse_metric_second_trace(m) == _second_trace_by_derivatives(m)
+
+
+@pytest.mark.parametrize("build", [_bent, _sheared])
+def test_second_trace_off_catalog_matches_derivatives(build):
+    # g_inv has off-diagonal and pure degree-2 terms and denominators here
+    m = build(Hyperbolic(2), 6)
+    assert inverse_metric_second_trace(m) == _second_trace_by_derivatives(m)
+
+
+def test_second_trace_needs_an_inverse_valid_through_degree_2():
+    m = metric_from_potential(potential(Hyperbolic(2), 3))
+    assert max(e.valid for row in m.inverse(2) for e in row) < 2
+    for route in (inverse_metric_second_trace, _second_trace_by_derivatives):
+        with pytest.raises(InsufficientOrderError, match="validity exhausted"):
+            route(m)
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,11 @@ from kahlap.catalog import (
     Polydisc,
     Product,
     TypeI,
+    einstein_catalog_entries,
     parse_spec,
     potential,
 )
+from kahlap.cli import _laplcube_test_indices
 from kahlap.geometry import metric_from_potential, pullback
 from kahlap.jets import (
     BiIndex,
@@ -40,6 +42,7 @@ from kahlap.laplacian import (
     powers_at_origin,
     second_power_check,
     third_power_check,
+    third_power_checks,
     third_power_rhs,
 )
 from kahlap.rationals import rat
@@ -445,6 +448,45 @@ def test_third_power_rhs_guards_hold_on_every_call(hyp1):
             third_power_rhs(product, mono(2, 8, (1, 0), (1, 0)))
         with pytest.raises(DimensionMismatchError):
             third_power_rhs(hyp1, mono(2, 10, (1, 0), (1, 0)))
+
+
+@pytest.mark.parametrize("spec", einstein_catalog_entries(), ids=str)
+def test_keyed_third_power_rows_match_third_power_check(spec):
+    # two metrics, so that the jet route reads nothing the keyed pass cached
+    n = spec.dim
+    rows = _laplcube_test_indices(n)
+    keyed = third_power_checks(metric_from_potential(potential(spec, 8)), n, rows)
+    m = metric_from_potential(potential(spec, 8))
+    assert len(keyed) == len(rows)
+    for index, got in zip(rows, keyed):
+        want = third_power_check(m, Jet(n, 8, [(index, 1)]))
+        assert (got.lhs, got.rhs) == (want.lhs, want.rhs), index.text()
+        assert got.passed
+
+
+@pytest.mark.parametrize("spec", [Hyperbolic(2), TypeI(2, 2)], ids=str)
+def test_keyed_third_power_rows_match_on_every_family_row(spec):
+    # the whole k = 3 family: unbalanced rows and balanced ones with |a| = 3
+    n = spec.dim
+    family = inference.build_test_family(n, 3)
+    rows = [family.index(pos) for pos in range(len(family.keys))]
+    keyed = third_power_checks(metric_from_potential(potential(spec, 8)), n, rows)
+    m = metric_from_potential(potential(spec, 8))
+    for index, got in zip(rows, keyed):
+        want = third_power_check(m, Jet(n, 8, [(index, 1)]))
+        assert (got.lhs, got.rhs) == (want.lhs, want.rhs), index.text()
+
+
+def test_keyed_third_power_rows_keep_their_guards(hyp1):
+    short = metric_from_potential(potential(Hyperbolic(1), 5))
+    product = metric_from_potential(potential(Product(Flat(1), Hyperbolic(1)), 8))
+    with pytest.raises(InsufficientOrderError) as err:
+        third_power_checks(short, 1, [bi((1,), (1,))])
+    assert err.value.required_order == 8
+    with pytest.raises(NotEinsteinError):
+        third_power_checks(product, 2, [bi((1, 0), (1, 0))])
+    with pytest.raises(DimensionMismatchError):
+        third_power_checks(hyp1, 2, [bi((1, 0), (1, 0))])
 
 
 def test_third_power_identity_hyperbolic(hyp1):
