@@ -26,7 +26,7 @@ import math
 import re
 
 from .geometry import metric_from_potential, normality_report, einstein_data, pullback
-from .jets import Jet, KahlapError, UniSeries, record, substitute, _SHIFT
+from .jets import Jet, KahlapError, UniSeries, record, substitute, _SHIFT, _check_shape
 from .rationals import rat, rat_from_str, rat_pretty
 
 
@@ -266,6 +266,7 @@ def _log_det_potential(n: int, z, order: int, signs: bool = False) -> Jet:
     Each trace is summed over the lcm of 1..order // 2, and one reduction
     makes the jet canonical: a truncated log series, valid through
     ``order``, not exact."""
+    _check_shape(n, order)
     shift = _SHIFT * n
     zz = [[{a + (b << shift): 1 for a, b in zip(zi, zj) if a and b} for zj in z] for zi in z]
     cols = list(zip(*zz))

@@ -502,7 +502,9 @@ def _weights(m: MetricJet) -> dict:
 
 
 def third_power_check(m: MetricJet, phi: Jet) -> PowerIdentity:
-    """Direct Lap^3 phi(0) against the expanded right-hand side."""
+    """Direct Lap^3 phi(0) against the expanded right-hand side, for any
+    test function phi: the public form, and the reference the keyed rows
+    of :func:`third_power_checks` are tested against."""
     return PowerIdentity(
         lhs=power_at_origin(m, phi, 3), rhs=third_power_rhs(m, phi)
     )

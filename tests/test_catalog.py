@@ -36,7 +36,7 @@ from kahlap.geometry import (
     metric_from_potential,
     normality_report,
 )
-from kahlap.jets import BiIndex, InsufficientOrderError, Jet, KahlapError
+from kahlap.jets import BiIndex, DegreeOverflowError, InsufficientOrderError, Jet, KahlapError, MAX_ORDER
 from kahlap.rationals import rat
 from oracles import from_text, gate_status, log_det_potential_by_jets, restrict, to_text
 
@@ -244,6 +244,23 @@ def test_log_det_kernel_matches_the_jet_route(spec, order):
     assert (a.dim, a.order, a.valid, a.exact, a.den, a._grades) == (
         b.dim, b.order, b.valid, b.exact, b.den, b._grades
     )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FubiniStudy(1), Hyperbolic(1), Polydisc(2), TypeI(1, 2), TypeIDual(2, 1), TypeIII(2)],
+)
+@pytest.mark.parametrize("order", [MAX_ORDER + 1, 2 * MAX_ORDER + 2])
+def test_log_det_kernel_rejects_orders_past_the_packed_limit(spec, order):
+    # a degree-32 key would read as degree 1, and from 64 on the exponents
+    # carry into the next packed digit, so the kernel refuses such an order
+    with pytest.raises(DegreeOverflowError, match=f"got {order}"):
+        _raw_potential(spec, order)
+
+
+def test_log_det_kernel_builds_at_the_packed_limit():
+    jet = _raw_potential(Hyperbolic(1), MAX_ORDER)
+    assert (jet.order, jet.valid) == (MAX_ORDER, MAX_ORDER)
 
 
 @pytest.mark.parametrize("order, builds", [(6, 1), (8, 1)])

@@ -401,6 +401,11 @@ ARGV_CONTRACT = [
     ("check hyp:1 -max-k 2", 1, "", _usage("unrecognized arguments: -max-k 2")),
     ("check hyp:1 -- --max-k", 1, "", _usage("unrecognized arguments: --max-k")),
     ("check -5", 1, "", "error: unknown spec '-5'\n"),
+    # orders past the packed-key limit fail before any build
+    ("check hyp:1 --order 32", 1, "", "error: order must be in 0..31, got 32\n"),
+    ("check hyp:1 --max-k 15", 1, "", "error: order must be in 0..31, got 32\n"),
+    ("check hyp:1 --order 64", 1, "", "error: order must be in 0..31, got 64\n"),
+    ("check type3:2 --order 32", 1, "", "error: order must be in 0..31, got 32\n"),
     ("reproduce", 1, "", _usage("the following arguments are required: target")),
     ("reproduce nope", 1, "", _usage(
         f"argument target: invalid choice: 'nope' (choose from {_TARGETS})")),
