@@ -28,7 +28,6 @@ from .geometry import (
     metric_from_potential,
     normality_report,
     pullback,
-    ricci,
     trace_identity_check,
 )
 from .laplacian import (

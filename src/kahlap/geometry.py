@@ -1,4 +1,4 @@
-"""Kahler metric jets: inverse, log determinant, Ricci and Einstein data.
+"""Kahler metric jets: inverse, log determinant and Einstein data.
 
 The metric of a potential jet F is its mixed Hessian g[i][j] = d^2 F /
 dz_i dzb_j (both indices 0-based here, rows holomorphic).  The Laplacian
@@ -13,10 +13,21 @@ constant.  Under this convention the Einstein constants of the standard
 catalog come out as lambda(hyperbolic n) = -(n+1), lambda(Fubini-Study n)
 = n+1 with g(0) = I.
 
-Ricci is -d dbar log det(g), with log det(g) read off the series inverse
-by Jacobi's formula.  The tests check it against the curvature-style
-contraction of metric derivatives, the inverse against Newton iteration
-and log det(g) against a pivoted series determinant.
+Both metric tests read packed keys, by one identity: the coefficient of
+z^a zb^b in d_i dbar_j F is (a_i+1)(b_j+1) F_{a+e_i, b+e_j}.  So the
+metric is one pass over the mixed terms of F (those with a holomorphic
+and an antiholomorphic part), and
+
+- g is Hermitian exactly when every mixed term z^a zb^b of F has its
+  mirror z^b zb^a at the same coefficient;
+- Ric = -d dbar L, with L = log det(g) read off the series inverse by
+  Jacobi's formula, equals lambda g through degree c exactly when L +
+  lambda F has no mixed term of degree <= c + 2.
+
+No Ricci or conjugate jet is built.  The tests check the metric and the
+Einstein data against the whole-jet routes (``tests/oracles.py``), the
+inverse against Newton iteration and log det(g) against a pivoted series
+determinant.
 """
 
 from __future__ import annotations
@@ -28,9 +39,12 @@ from .jets import (
     _INF,
     _MASK,
     _SHIFT,
+    ConstantTermError,
+    DimensionMismatchError,
     InsufficientOrderError,
     Jet,
     KahlapError,
+    _digits,
     _mul_capped,
     _unpack,
     record,
@@ -45,34 +59,51 @@ class DegenerateMetricError(KahlapError):
 
 
 # ----------------------------------------------------------------------
-# rational constant matrices
+# the constant term g(0)
 
 
 def _eliminate(rows):
-    """Gauss-Jordan on a rational matrix: (inverse, pivots).
+    """Fraction-free Gauss-Jordan on an int matrix A: (q, N, pivots) with
+    A^{-1} = N / q.
 
+    Each step updates every other row r to (p * r - r[k] * pivot row) /
+    p', p the pivot and p' the one before it; the division is exact, and
+    the last pivot is det(A) up to the sign of the row swaps.
     ``pivots[k]`` is the diagonal entry met at step k, before any row swap;
     a singular matrix raises DegenerateMetricError.  Rows are swapped only
     past a zero pivot, so while every pivot is nonzero ``pivots[k]`` is the
-    ratio of the leading principal minors of sizes k+1 and k, and all
-    pivots are positive exactly when all leading principal minors are.
+    leading principal minor of size k+1, and all pivots are positive
+    exactly when all leading principal minors are.
     """
     n = len(rows)
-    aug = [[rat(rows[i][j]) for j in range(n)] + [rat(1 if k == i else 0) for k in range(n)] for i in range(n)]
-    pivots = []
+    aug = [list(row) + [int(k == i) for k in range(n)] for i, row in enumerate(rows)]
+    pivots, prev = [], 1
     for col in range(n):
         pivots.append(aug[col][col])
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
         if piv is None:
             raise DegenerateMetricError("degenerate metric at origin")
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = rat(1) / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
+        top = aug[col]
+        p = top[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
+            if r != col:
                 f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug], pivots
+                aug[r] = [(p * x - f * y) // prev for x, y in zip(aug[r], top)]
+        prev = p
+    return prev, [row[n:] for row in aug], pivots
+
+
+def _origin_inverse(g: Matrix):
+    """(q, N0, pivots): g(0)^{-1} = N0 / q in lowest terms, q > 0, from
+    :func:`_eliminate` on the int numerators of g(0) over the lcm of the
+    entry denominators."""
+    den = math.lcm(*(e.den for row in g for e in row))
+    q, n0, pivots = _eliminate(
+        [[e._grades.get(0, {0: 0})[0] * (den // e.den) for e in row] for row in g]
+    )
+    t = math.gcd(q, *(c * den for row in n0 for c in row)) * (1 if q > 0 else -1)
+    return q // t, [[c * den // t for c in row] for row in n0], pivots
 
 
 # ----------------------------------------------------------------------
@@ -100,8 +131,7 @@ def series_matrix_inverse(g: Matrix, target_valid: int, graded=None) -> Matrix:
     whichever is lower.
     """
     if graded is None:
-        g0 = [[e.constant_term() for e in row] for row in g]
-        graded = _GradedInverse(g, _eliminate(g0)[0])
+        graded = _GradedInverse(g, *_origin_inverse(g)[:2])
     return graded.matrix(target_valid)
 
 
@@ -112,13 +142,11 @@ class _GradedInverse:
 
     __slots__ = ("g", "q", "gd", "n0", "parts", "xs")
 
-    def __init__(self, g: Matrix, g0inv):
+    def __init__(self, g: Matrix, q: int, n0):
         self.g = g
-        self.q = q = math.lcm(*(c.denominator for row in g0inv for c in row))
+        self.q = q
         self.gd = math.lcm(*(entry.den for row in g for entry in row))
-        self.n0 = n0 = [
-            [int(c.numerator) * (q // int(c.denominator)) for c in row] for row in g0inv
-        ]
+        self.n0 = n0
         # parts[e]: (k, l, numerators of (q Gd)^(e-1) Gd G_e[k][l]) where nonzero
         self.parts = [[]]
         # xs[d][i][j]: the numerators of N_d[i][j] by packed key
@@ -235,8 +263,14 @@ class MetricJet:
     """Metric matrix of jets together with its series inverse.
 
     ``valid`` bounds the degree through which g * g_inv equals the
-    identity.  ``g(0)^{-1}`` is computed once, by the positive-definiteness
-    check at construction, and seeds the graded recurrence of
+    identity.  ``phi`` is the potential, set by
+    :func:`metric_from_potential`, the one constructor in the package: g
+    is Hermitian because every mixed term of phi has its mirror at the
+    same coefficient.  :func:`einstein_data` reads phi too: Ric = lam*g
+    through degree ``valid - 2`` because L + lam*phi, L = log det(g), has
+    no mixed term through degree ``valid``.
+    ``g(0)^{-1}`` is computed once, by the positive-definiteness check at
+    construction, and seeds the graded recurrence of
     :func:`series_matrix_inverse`, whose state is kept here and extended
     one degree at a time as readers ask: :meth:`inverse` is the inverse
     through the degrees a reader needs, and :attr:`g_inv` the whole of it,
@@ -249,34 +283,27 @@ class MetricJet:
     """
 
     __slots__ = (
-        "dim", "order", "valid", "g",
-        "_g0inv", "_graded", "_inverses", "_einstein", "_origin_values",
+        "dim", "order", "valid", "g", "phi",
+        "_origin", "_graded", "_inverses", "_einstein", "_origin_values",
         "_third_power_weights",
     )
 
     def __init__(self, g: Matrix):
-        n = len(g)
-        entry = g[0][0]
-        self.dim = n
-        self.order = entry.order
+        self.dim = len(g)
+        self.order = g[0][0].order
         self.valid = min(self.order, *(e._veff for row in g for e in row))
         self.g = g
+        self.phi = None
         self._graded = None
         self._inverses = {}
         self._einstein = None
         self._origin_values = None
         self._third_power_weights = None
-        for i in range(n):
-            for j in range(i, n):
-                if g[i][j].conj() != g[j][i]:
-                    raise DegenerateMetricError(
-                        f"metric not Hermitian: entry ({i + 1},{j + 1})"
-                    )
-        g0inv, pivots = _eliminate([[e.constant_term() for e in row] for row in g])
-        # Sylvester's criterion; g(0) is symmetric by the Hermitian check above
+        q, n0, pivots = _origin_inverse(g)
+        # Sylvester's criterion; g(0) is symmetric, as g is Hermitian
         if not all(p > 0 for p in pivots):
             raise DegenerateMetricError("metric not positive definite at origin")
-        self._g0inv = g0inv
+        self._origin = q, n0
 
     def inverse(self, degree: int = 0) -> Matrix:
         """The series inverse through degree ``max(degree, valid - 1)``.
@@ -290,7 +317,7 @@ class MetricJet:
         x = self._inverses.get(top)
         if x is None:
             if self._graded is None:
-                self._graded = _GradedInverse(self.g, self._g0inv)
+                self._graded = _GradedInverse(self.g, *self._origin)
             x = self._inverses[top] = series_matrix_inverse(self.g, top, self._graded)
         return x
 
@@ -307,18 +334,66 @@ class MetricJet:
 
 
 def metric_from_potential(phi: Jet) -> MetricJet:
-    """Mixed Hessian of a potential jet, as a MetricJet."""
+    """Mixed Hessian of a potential jet, as a MetricJet.
+
+    One pass over the mixed terms c z^A zb^B of phi's numerators adds
+    A_i B_j c at z^(A-e_i) zb^(B-e_j) to g[i][j], for every i with A_i > 0
+    and j with B_j > 0, and checks that the mirror z^B zb^A holds c too:
+    that is the whole Hermitian test (module docstring).  A failure names
+    the first entry (i,j), i <= j, row-major, with g[i][j] != conj g[j][i].
+    The entries keep phi's flags, less two degrees of validity.
+    """
     if phi._veff < 2:
         raise InsufficientOrderError(
             "potential must be valid at least to degree 2", required_order=2
         )
     n = phi.dim
-    rows = (phi.diff_hol(i + 1) for i in range(n))
-    return MetricJet(tuple(tuple(d.diff_anti(j + 1) for j in range(n)) for d in rows))
+    shift = _SHIFT * n
+    low = (1 << shift) - 1
+    # grades[j][i]: the numerators of g[i][j] over phi.den, by degree
+    grades = [[{} for _ in range(n)] for _ in range(n)]
+    crooked = []
+    for d, bucket in phi._grades.items():
+        for key, c in bucket.items():
+            hol, anti = key & low, key >> shift
+            if not (hol and anti):
+                continue
+            if bucket.get(anti | hol << shift) != c:
+                crooked.append(key)
+            # the nonzero digits of each half, from their lowest set bits
+            antis = []
+            while anti:
+                pos = ((anti & -anti).bit_length() - 1) // _SHIFT * _SHIFT
+                b = anti >> pos & _MASK
+                anti -= b << pos
+                antis.append((grades[pos // _SHIFT], b * c, key - (1 << shift + pos)))
+            while hol:
+                pos = ((hol & -hol).bit_length() - 1) // _SHIFT * _SHIFT
+                a = hol >> pos & _MASK
+                hol -= a << pos
+                i = pos // _SHIFT
+                for col, bc, k in antis:
+                    col[i].setdefault(d - 2, {})[k - (1 << pos)] = a * bc
+    if crooked:
+        i, j = min(
+            (min(p, q), max(p, q))
+            for key in crooked
+            for p, _ in _digits(key & low)
+            for q, _ in _digits(key >> shift)
+        )
+        raise DegenerateMetricError(f"metric not Hermitian: entry ({i + 1},{j + 1})")
+    m = MetricJet(
+        tuple(
+            tuple(Jet._reduced(n, phi.order, phi.valid - 2, phi.exact, col[i], phi.den) for col in grades)
+            for i in range(n)
+        )
+    )
+    m.phi = phi
+    return m
 
 
 # ----------------------------------------------------------------------
-# Ricci
+# Einstein data
 
 
 def _log_det(m: MetricJet) -> Jet:
@@ -372,40 +447,36 @@ def _log_det(m: MetricJet) -> Jet:
     return Jet._reduced(m.g[0][0].dim, top, top, exact, grades, big * dx * gd)
 
 
-def ricci(m: MetricJet) -> Matrix:
-    """Ric[i][j] = -d_i dbar_j log det(g), valid through ``m.valid - 2``.
-
-    log det(g) comes from the cached inverse by Jacobi's formula
-    (:func:`_log_det`), only through ``m.valid``, and the entries come back
-    at order ``m.valid``.  Trade-off: this route reads the series inverse,
-    so inside the engine the Einstein data is not independent of it.  That
-    independence lives in the test oracles instead: Newton iteration for
-    ``g_inv``, the pivoted series determinant for log det(g) and the
-    contraction of metric derivatives for Ricci.
-    """
-    logdet = _log_det(m)
-    n = m.dim
-    rows = (logdet.diff_hol(i + 1) for i in range(n))
-    return tuple(tuple(-(d.diff_anti(j + 1)) for j in range(n)) for d in rows)
-
-
 def einstein_data(m: MetricJet) -> EinsteinData:
-    """Proportionality test Ric = lam*g through the common valid degree.
+    """Proportionality test Ric = lam*g through degree ``m.valid - 2``.
 
-    The checked degree ``m.valid - 2`` needs log det(g) only through
-    ``m.valid``, where :func:`ricci` stops its series work.  Ricci
-    entries live at order ``m.valid``, not ``m.order``, so they are compared
-    with lam*g coefficient by coefficient instead of subtracted.
+    Ric = -d dbar L with L = :func:`_log_det`, and g = d dbar phi, so Ric -
+    lam*g = -d dbar (L + lam*phi): it vanishes through degree c exactly
+    when L + lam*phi has no mixed term of degree <= c + 2 (module
+    docstring).  So lam = -L_{z1 zb1} / g[0][0](0), and one pass over the
+    mixed terms of L and phi through degree ``m.valid`` decides; L is
+    needed only through ``m.valid``, and no Ricci jet is built.  Ricci is
+    valid only through ``m.valid - 2``, so a metric valid below degree 2
+    does not determine lam.
     """
-    ric = ricci(m)
-    lam = ric[0][0].eval0() / m.g[0][0].eval0()
-    checked = min(m.valid - 2, m.order)
-    is_e = all(
-        ric[i][j].agrees(m.g[i][j].scale(lam), checked)
-        for i in range(m.dim)
-        for j in range(m.dim)
+    if m.valid < 2:
+        raise InsufficientOrderError(
+            "validity exhausted: the jet no longer determines its value at 0"
+        )
+    big, phi = _log_det(m), m.phi
+    shift = _SHIFT * m.dim
+    low = (1 << shift) - 1
+    g00 = m.g[0][0]
+    lam = rat(-big._grades.get(2, {}).get(1 | 1 << shift, 0) * g00.den, big.den * g00._grades[0][0])
+    # L + lam*phi as ints over big.den * lam.denominator * phi.den
+    fl, fp = lam.denominator * phi.den, lam.numerator * big.den
+    pairs = [(big._grades.get(d, {}), phi._grades.get(d, {})) for d in range(2, m.valid + 1)]
+    is_e = not any(
+        key & low and key >> shift and lb.get(key, 0) * fl + pb.get(key, 0) * fp
+        for lb, pb in pairs
+        for key in lb.keys() | pb.keys()
     )
-    return EinsteinData(is_einstein=is_e, lam=lam, checked_degree=checked)
+    return EinsteinData(is_einstein=is_e, lam=lam, checked_degree=m.valid - 2)
 
 
 # ----------------------------------------------------------------------
@@ -414,26 +485,18 @@ def einstein_data(m: MetricJet) -> EinsteinData:
 
 def normality_report(m: MetricJet) -> NormalityReport:
     """g(0) = I and all first-order metric coefficients vanish."""
-    n = m.dim
-    offenders = []
-    id_ok = True
-    for i in range(n):
-        for j in range(n):
-            want = 1 if i == j else 0
-            if m.g[i][j].constant_term() != want:
-                id_ok = False
-                offenders.append(f"g[{i + 1}][{j + 1}](0) != {want}")
-    first_ok = True
-    for i in range(n):
-        for j in range(n):
-            if m.g[i][j]._grades.get(1):
-                first_ok = False
-                offenders.append(f"g[{i + 1}][{j + 1}] has degree-1 terms")
+    cells = [(i, j, e) for i, row in enumerate(m.g) for j, e in enumerate(row)]
+    scaled = [
+        f"g[{i + 1}][{j + 1}](0) != {int(i == j)}"
+        for i, j, e in cells
+        if e.constant_term() != int(i == j)
+    ]
+    tilted = [f"g[{i + 1}][{j + 1}] has degree-1 terms" for i, j, e in cells if e._grades.get(1)]
     return NormalityReport(
-        ok=id_ok and first_ok,
-        identity_at_origin=id_ok,
-        first_order_vanishes=first_ok,
-        offenders=tuple(offenders),
+        ok=not (scaled or tilted),
+        identity_at_origin=not scaled,
+        first_order_vanishes=not tilted,
+        offenders=tuple(scaled + tilted),
     )
 
 
@@ -452,8 +515,6 @@ def pullback(phi: Jet, components: Sequence[Jet]) -> Jet:
     component adds nothing, so when every component is exact it is skipped
     once the sum is already inexact: its flags could change nothing then.
     """
-    from .jets import ConstantTermError, DimensionMismatchError
-
     if len(components) != phi.dim:
         raise DimensionMismatchError(
             f"need {phi.dim} components, got {len(components)}"
@@ -466,9 +527,9 @@ def pullback(phi: Jet, components: Sequence[Jet]) -> Jet:
         if comp.constant_term() != 0:
             raise ConstantTermError("embedding components must vanish at 0")
     bases = list(components) + [c.conj() for c in components]
-    pow_cache: dict[tuple[int, int], Jet] = {}
+    pow_cache = {}
 
-    def power(slot: int, e: int) -> Jet:
+    def power(slot, e):
         got = pow_cache.get((slot, e))
         if got is None:
             prev = Jet.one(src_dim, order) if e == 1 else power(slot, e - 1)
@@ -477,7 +538,7 @@ def pullback(phi: Jet, components: Sequence[Jet]) -> Jet:
         return got
 
     # the sum of the term products as numerators over den * phi.den; its flags
-    acc: dict[int, dict[int, int]] = {}
+    acc = {}
     den, veff, exact = 1, _INF, phi.exact
     # packed-key mask of the slots of zero components, when all are exact
     zeros = 0

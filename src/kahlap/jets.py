@@ -189,6 +189,18 @@ def _digit_sum(key: int) -> int:
     return (key - 1) % _MASK + 1 if key else 0
 
 
+def _digits(half: int) -> list:
+    """(slot, exponent) for each nonzero digit of a packed exponent vector,
+    found from its lowest set bit, without visiting the zero digits."""
+    out = []
+    while half:
+        pos = ((half & -half).bit_length() - 1) // _SHIFT * _SHIFT
+        e = half >> pos & _MASK
+        out.append((pos // _SHIFT, e))
+        half -= e << pos
+    return out
+
+
 def _pack_bi(bi: BiIndex) -> int:
     return _pack(tuple(bi.hol) + tuple(bi.anti))
 

@@ -84,9 +84,8 @@ from .jets import (
     _MASK,
     _SHIFT,
     _digit_sum,
-    _pack,
+    _digits,
     _pack_bi,
-    _unpack,
     record,
 )
 from .rationals import ZERO, rat
@@ -250,18 +249,6 @@ class _OriginValues:
         return total
 
 
-def _digits(half: int) -> list:
-    """(slot, exponent) for each nonzero digit of a packed exponent vector,
-    found from its lowest set bit, without visiting the zero digits."""
-    out = []
-    while half:
-        pos = ((half & -half).bit_length() - 1) // _SHIFT * _SHIFT
-        e = half >> pos & _MASK
-        out.append((pos // _SHIFT, e))
-        half -= e << pos
-    return out
-
-
 def _bidegree(key: int, n: int) -> tuple[int, int]:
     shift = _SHIFT * n
     return _digit_sum(key & ((1 << shift) - 1)), _digit_sum(key >> shift)
@@ -272,6 +259,11 @@ def _weight(key: int, n: int) -> int:
     packed as signed digits: ``_pack(beta) - _pack(alpha)``."""
     shift = _SHIFT * n
     return (key >> shift) - (key & ((1 << shift) - 1))
+
+
+def _factorials(key: int) -> int:
+    """The product of the factorials of the digits of a packed key."""
+    return math.prod(math.factorial(e) for _, e in _digits(key))
 
 
 def _memo(m: MetricJet, dim: int, kmax: int) -> _OriginValues:
@@ -345,8 +337,7 @@ def euclidean_moments(phi: Jet, kmax: int) -> list:
         for key, c in phi._grades.get(2 * j, {}).items():
             if _weight(key, n) == 0:
                 # j! a! for z^a zb^a, a! over the nonzero digits of a
-                digits = _digits(key >> _SHIFT * n)
-                total += c * math.prod(math.factorial(e) for _, e in digits)
+                total += c * _factorials(key >> _SHIFT * n)
         values.append(rat(total * math.factorial(j), phi.den))
     return values
 
@@ -413,49 +404,41 @@ def _third_power_weights(m: MetricJet) -> dict:
     the expansion that read d^alpha dbar^beta phi(0), where c is the origin
     derivative of g_inv that multiplies it and mult is 2 for the mixed term,
     1 for the other three.  Those derivatives are the terms of degree 2 and
-    4 of the g_inv entries, so one pass over those terms builds the map:
-    each term adds to the key of every ordered (l, h) it matches (see
-    :func:`_third_power_matches`).  Summed as ints over the lcm of the
-    entry denominators; zero weights are dropped."""
-    n = m.dim
+    4 of the g_inv entries, so one pass over those terms builds the map,
+    on packed keys.  With u the key of z_j zb_i, the term c z^A zb^B of
+    X[i][j] is read:
+
+    - at degree 2, at the key of z^B zb^A times u, with weight
+      2 c alpha! beta!: the mixed sum reads it with mult 2 when A and B
+      are one variable each; else a pure sum reads it once per order of
+      its two variables, twice, or once for a square, whose origin
+      derivative is 2! c;
+    - at degree 4 with A = B (a balanced term z_l z_h zb_l zb_h), at u,
+      with weight 2 c A! alpha! beta!: the balanced sum reads it once per
+      order of l and h, and its origin derivative is c (A!)^2.
+
+    Factorials are read off the nonzero digits of the keys.  Summed as
+    ints over the lcm of the entry denominators; zero weights are
+    dropped."""
+    shift = _SHIFT * m.dim
+    low = (1 << shift) - 1
     inverse = m.inverse(4)
     den = math.lcm(*(x.den for row in inverse for x in row))
     weights = {}
     for i, row in enumerate(inverse):
         for j, x in enumerate(row):
-            scale = den // x.den
-            for d in (2, 4):
-                for key, c in x._grades.get(d, {}).items():
-                    exps = _unpack(key, 2 * n)
-                    # d^hol dbar^anti X[i][j] at 0, as an int over den
-                    deriv = c * scale * math.prod(map(math.factorial, exps))
-                    for mult, alpha, beta in _third_power_matches(n, i, j, exps):
-                        read = alpha + beta
-                        w = mult * deriv * math.prod(map(math.factorial, read))
-                        at = _pack(read)
-                        weights[at] = weights.get(at, 0) + w
+            u = 1 << _SHIFT * j | 1 << shift + _SHIFT * i
+            f = 2 * (den // x.den)
+            reads = [(key >> shift | (key & low) << shift, c) for key, c in x._grades.get(2, {}).items()]
+            reads += [
+                (0, c * _factorials(key & low))
+                for key, c in x._grades.get(4, {}).items()
+                if key >> shift == key & low
+            ]
+            for at, c in reads:
+                at += u
+                weights[at] = weights.get(at, 0) + f * c * _factorials(at)
     return {key: rat(w, den) for key, w in weights.items() if w}
-
-
-def _third_power_matches(n, i, j, exps):
-    """(mult, alpha, beta) for each ordered (l, h) at which a sum of
-    :func:`third_power_rhs` reads the term z^hol zb^anti of X[i][j]
-    (``exps = hol + anti``): d_l dbar_h X (mixed), d_l d_h X and
-    dbar_l dbar_h X (pure), d_l d_h dbar_l dbar_h X (balanced)."""
-    hol = [p for p in range(n) for _ in range(exps[p])]
-    anti = [p for p in range(n) for _ in range(exps[n + p])]
-    if len(hol) == len(anti) == 1:
-        (l,), (h,) = hol, anti
-        return [(2, _units(n, j, h), _units(n, l, i))]
-    if len(hol) + len(anti) == 2:
-        pairs = {tuple(hol or anti), tuple(reversed(hol or anti))}
-        if hol:
-            return [(1, _units(n, j), _units(n, h, l, i)) for l, h in pairs]
-        return [(1, _units(n, j, h, l), _units(n, i)) for l, h in pairs]
-    if len(hol) == 2 and hol == anti:
-        pairs = {tuple(hol), tuple(reversed(hol))}
-        return [(1, _units(n, j), _units(n, i)) for _ in pairs]
-    return []
 
 
 def third_power_rhs(m: MetricJet, phi: Jet):

@@ -1,23 +1,32 @@
 """Whole-jet oracles that the engine does not run: the tests check the
-engine's origin values and its Jacobi-formula Ricci against them.
+engine's origin values, its metric and its Einstein data against them.
 
 - :func:`kahler_laplacian` and :func:`euclidean_laplacian` apply the
   operators to a whole jet; iterating them and reading each result at 0 is
   the reference for the memoised origin recursion of
   :mod:`kahlap.laplacian`, and ``kahler_laplacian`` pins the transposition
   convention of ``g_inv`` (README, "Conventions").
+- :func:`metric_by_derivatives` builds the metric by n + n^2 whole-jet
+  derivatives of the potential and tests it Hermitian entry by entry;
+  :func:`ricci` is -d dbar log det(g) as a matrix of jets and
+  :func:`einstein_by_ricci` compares it with lam*g entry by entry;
+  :func:`rational_eliminate` is Gauss-Jordan on rationals.  They are the
+  routes that :func:`kahlap.geometry.metric_from_potential`,
+  :func:`kahlap.geometry.einstein_data` and the fraction-free
+  ``geometry._eliminate`` replaced.
 - :func:`ricci_contracted` computes Ricci from the curvature-style
   contraction of metric derivatives, with no logarithm, against
-  :func:`kahlap.geometry.ricci`.
+  :func:`ricci`.
 - :func:`log_det_potential_by_jets` builds the log-det catalog potentials
   (``fs``, ``hyp``, ``polydisc``, ``type1``, ``type1dual``, ``type3``) by
   ``Jet`` arithmetic, ``log1`` on |z|^2 or the trace series of
   :func:`trace_log_potential`, against the int power sums of
   :func:`kahlap.catalog._log_det_potential`.
 
-All of them read the whole series inverse ``MetricJet.g_inv``.
-:func:`claims_hold` is the validity-soundness comparison: what a jet
-claims against the same quantity recomputed from longer inputs.
+The Laplacians and the contraction read the whole series inverse
+``MetricJet.g_inv``.  :func:`claims_hold` is the validity-soundness
+comparison: what a jet claims against the same quantity recomputed from
+longer inputs.
 
 The helpers at the end have only test callers, so they live here and not
 in the package: :func:`to_normal_coordinates` (the quadratic change to
@@ -36,7 +45,15 @@ from kahlap.catalog import (
     matrix_slots,
     potential,
 )
-from kahlap.geometry import metric_from_potential, normality_report, pullback
+from kahlap.geometry import (
+    DegenerateMetricError,
+    EinsteinData,
+    MetricJet,
+    _log_det,
+    metric_from_potential,
+    normality_report,
+    pullback,
+)
 from kahlap.jets import (
     _INF,
     _MASK,
@@ -44,11 +61,99 @@ from kahlap.jets import (
     BiIndex,
     DimensionMismatchError,
     IndexRangeError,
+    InsufficientOrderError,
     Jet,
     KahlapError,
     _mul_capped,
 )
 from kahlap.rationals import rat, rat_from_str, rat_str
+
+
+# ----------------------------------------------------------------------
+# the metric, Ricci and elimination routes the engine replaced
+
+
+def rational_eliminate(rows):
+    """Gauss-Jordan on a rational matrix: (inverse, pivots).
+
+    ``pivots[k]`` is the diagonal entry met at step k, before any row swap;
+    a singular matrix raises DegenerateMetricError.  Rows are swapped only
+    past a zero pivot, so while every pivot is nonzero ``pivots[k]`` is the
+    ratio of the leading principal minors of sizes k+1 and k, and all
+    pivots are positive exactly when all leading principal minors are.
+    """
+    n = len(rows)
+    aug = [[rat(rows[i][j]) for j in range(n)] + [rat(1 if k == i else 0) for k in range(n)] for i in range(n)]
+    pivots = []
+    for col in range(n):
+        pivots.append(aug[col][col])
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            raise DegenerateMetricError("degenerate metric at origin")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv_p = rat(1) / aug[col][col]
+        aug[col] = [x * inv_p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug], pivots
+
+
+def metric_by_derivatives(phi: Jet) -> MetricJet:
+    """Mixed Hessian of a potential jet, as a MetricJet: n + n^2 whole-jet
+    derivatives, then the entrywise Hermitian test, row-major over i <= j."""
+    if phi._veff < 2:
+        raise InsufficientOrderError(
+            "potential must be valid at least to degree 2", required_order=2
+        )
+    n = phi.dim
+    rows = (phi.diff_hol(i + 1) for i in range(n))
+    g = tuple(tuple(d.diff_anti(j + 1) for j in range(n)) for d in rows)
+    for i in range(n):
+        for j in range(i, n):
+            if g[i][j].conj() != g[j][i]:
+                raise DegenerateMetricError(
+                    f"metric not Hermitian: entry ({i + 1},{j + 1})"
+                )
+    return MetricJet(g)
+
+
+def ricci(m):
+    """Ric[i][j] = -d_i dbar_j log det(g), valid through ``m.valid - 2``.
+
+    log det(g) comes from the cached inverse by Jacobi's formula
+    (:func:`kahlap.geometry._log_det`), only through ``m.valid``, and the
+    entries come back at order ``m.valid``.
+    """
+    logdet = _log_det(m)
+    n = m.dim
+    rows = (logdet.diff_hol(i + 1) for i in range(n))
+    return tuple(tuple(-(d.diff_anti(j + 1)) for j in range(n)) for d in rows)
+
+
+def einstein_by_ricci(m) -> EinsteinData:
+    """Proportionality test Ric = lam*g through the common valid degree,
+    on the jets of :func:`ricci`.
+
+    The checked degree ``m.valid - 2`` needs log det(g) only through
+    ``m.valid``, where :func:`ricci` stops its series work.  Ricci
+    entries live at order ``m.valid``, not ``m.order``, so they are compared
+    with lam*g coefficient by coefficient instead of subtracted.
+    """
+    ric = ricci(m)
+    lam = ric[0][0].eval0() / m.g[0][0].eval0()
+    checked = min(m.valid - 2, m.order)
+    is_e = all(
+        ric[i][j].agrees(m.g[i][j].scale(lam), checked)
+        for i in range(m.dim)
+        for j in range(m.dim)
+    )
+    return EinsteinData(is_einstein=is_e, lam=lam, checked_degree=checked)
+
+
+# ----------------------------------------------------------------------
+# whole-jet Laplacians and the contraction route of Ricci
 
 
 def mat_mul(a, b, cap: int):
@@ -96,7 +201,7 @@ def ricci_contracted(m, cap: int | None = None):
                     + sum_{c,d} X[c][d] * d_b g[i][c] * dbar_a g[d][j] )
 
     with X = g_inv.  It takes no logarithm, so it cross-checks Jacobi's
-    formula in :func:`kahlap.geometry.ricci`; products are capped at
+    formula in :func:`ricci`; products are capped at
     ``cap`` when given (the comparison degree), which keeps the n^2 matrix
     products cheap.
     """

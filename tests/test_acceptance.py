@@ -26,7 +26,7 @@ from kahlap.catalog import (
     potential,
 )
 from kahlap.cli import _laplcube_test_indices, main
-from kahlap.geometry import metric_from_potential, ricci, trace_identity_check
+from kahlap.geometry import metric_from_potential, trace_identity_check
 from kahlap.inference import (
     CONSISTENT,
     build_test_family,
@@ -38,7 +38,7 @@ from kahlap.inference import (
 from kahlap.jets import BiIndex, Jet
 from kahlap.laplacian import power_at_origin, third_power_check
 from kahlap.rationals import rat
-from oracles import matrices_agree, ricci_contracted
+from oracles import matrices_agree, ricci, ricci_contracted
 
 EINSTEIN_ENTRIES = [
     (FubiniStudy(1), 2),

@@ -26,7 +26,6 @@ from kahlap.catalog import (
 from kahlap import geometry
 from kahlap.geometry import (
     DegenerateMetricError,
-    _eliminate,
     _log_det,
     einstein_data,
     in_normal_coordinates,
@@ -34,7 +33,6 @@ from kahlap.geometry import (
     metric_from_potential,
     normality_report,
     pullback,
-    ricci,
     series_matrix_inverse,
     trace_identity_check,
 )
@@ -47,6 +45,8 @@ from oracles import (
     kahler_laplacian,
     mat_mul,
     matrices_agree,
+    rational_eliminate as _eliminate,
+    ricci,
     ricci_contracted,
     to_normal_coordinates,
 )
