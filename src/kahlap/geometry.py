@@ -457,8 +457,11 @@ def einstein_data(m: MetricJet) -> EinsteinData:
     mixed terms of L and phi through degree ``m.valid`` decides; L is
     needed only through ``m.valid``, and no Ricci jet is built.  Ricci is
     valid only through ``m.valid - 2``, so a metric valid below degree 2
-    does not determine lam.
+    does not determine lam.  A metric built from g alone, with no phi,
+    raises KahlapError.
     """
+    if m.phi is None:
+        raise KahlapError("Einstein data reads the potential: build the metric by metric_from_potential")
     if m.valid < 2:
         raise InsufficientOrderError(
             "validity exhausted: the jet no longer determines its value at 0"

@@ -243,3 +243,10 @@ def test_gauge_terms_change_nothing_the_metric_determines(text, data):
         grades.setdefault(_digit_sum(key), {})[key] = i % 7 - 3 or 5
     combined = Jet._reduced(n, order, order, True, grades, 1)
     assert powers_at_origin(gauged, combined, 3) == powers_at_origin(m, combined, 3)
+
+
+def test_einstein_data_needs_the_potential():
+    m = metric_by_derivatives(potential(parse_spec("hyp:2"), 6))
+    assert m.phi is None
+    with pytest.raises(KahlapError, match="build the metric by metric_from_potential"):
+        einstein_data(m)
