@@ -81,7 +81,6 @@ from .jets import (
     InsufficientOrderError,
     Jet,
     KahlapError,
-    _MASK,
     _SHIFT,
     _digit_sum,
     _digits,
