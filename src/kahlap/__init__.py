@@ -24,7 +24,6 @@ from .geometry import (
     EinsteinData,
     MetricJet,
     einstein_data,
-    in_normal_coordinates,
     metric_from_potential,
     normality_report,
     pullback,
@@ -72,7 +71,7 @@ from .inference import (
     Verdict,
     Witness,
     build_test_family,
-    duality_negation_check,
+    duality_negation_checks,
     infer,
     third_power_summary,
     verify_property,

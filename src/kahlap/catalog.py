@@ -501,6 +501,9 @@ def diagonal_restriction_check(p: int, q: int, order: int) -> RestrictionCheck:
 
 
 _ATOM = re.compile(r"^([a-z0-9]+):(.*)$")
+# the deepest product(/dual( nesting parse_spec reads; each level is one
+# recursion of the parser and of the potential build
+_MAX_NESTING = 64
 
 
 def parse_spec(text: str) -> PotentialSpec:
@@ -508,9 +511,14 @@ def parse_spec(text: str) -> PotentialSpec:
 
     flat:n | fs:n | hyp:n | polydisc:r | type1:p,q | type1dual:p,q |
     type3:m | type4:n | radial:<c1,c2,...>:n | product(<spec>,<spec>) |
-    dual(<spec>)
+    dual(<spec>), nested at most ``_MAX_NESTING`` deep.
     """
     text = text.strip()
+    depth = 0
+    for c in text:
+        depth += (c == "(") - (c == ")")
+        if depth > _MAX_NESTING:
+            raise SpecParseError(f"spec nested deeper than {_MAX_NESTING}")
     if text.startswith("product(") and text.endswith(")"):
         inner = text[len("product(") : -1]
         left, right = _split_top_level(inner)

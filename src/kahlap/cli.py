@@ -45,10 +45,11 @@ from .inference import (
     build_test_family,
     duality_negation_checks,
     infer,
+    laplcube_rows,
     third_power_summary,
     verify_property,
 )
-from .jets import _SHIFT, BiIndex, Jet, KahlapError, _digit_sum, _unpack
+from .jets import BiIndex, Jet, KahlapError
 from .laplacian import second_power_check, third_power_checks
 from .rationals import rat_pretty, rat_str
 
@@ -302,29 +303,15 @@ def _suite_sumder2() -> list[dict]:
     return instances
 
 
-def _laplcube_test_indices(n: int) -> list[BiIndex]:
-    """Balanced monomials |alpha| = |beta| <= 2 supported on <= 2 variables
-    (any two of the n, not just the first pair), in family order, read off
-    the family's packed keys; a `BiIndex` is built only for a row kept."""
-    family = build_test_family(n, 2)
-    low = (1 << _SHIFT * n) - 1
-    # a balanced row has the same degree in both halves; the nonzero slots
-    # of alpha | beta are the support
-    return [
-        family.index(pos)
-        for pos, key in enumerate(family.keys)
-        if _digit_sum(key & low) == _digit_sum(key >> _SHIFT * n)
-        and sum(map(bool, _unpack(key & low | key >> _SHIFT * n, n))) <= 2
-    ]
-
-
 def _suite_laplcube() -> list[dict]:
     instances = []
     for spec in cat.einstein_catalog_entries():
         m = metric_from_potential(cat.potential(spec, 8))
-        rows = _laplcube_test_indices(spec.dim)
-        checks = third_power_checks(m, spec.dim, rows)
-        failures = [bi.text() for bi, ident in zip(rows, checks) if not ident.passed]
+        family, rows = laplcube_rows(spec.dim)
+        checks = third_power_checks(m, spec.dim, [family.keys[pos] for pos in rows])
+        failures = [
+            family.index(pos).text() for pos, ident in zip(rows, checks) if not ident.passed
+        ]
         instances.append(
             {
                 "spec": spec.label(),

@@ -273,13 +273,13 @@ class MetricJet:
     construction, and seeds the graded recurrence of
     :func:`series_matrix_inverse`, whose state is kept here and extended
     one degree at a time as readers ask: :meth:`inverse` is the inverse
-    through the degrees a reader needs, and :attr:`g_inv` the whole of it,
-    through ``valid``.  The Einstein data, the origin values of Laplacian
-    powers of monomials (filled by the ``*_at_origin`` functions of
-    :mod:`kahlap.laplacian`) and the weights of the expanded third-power
-    formula (filled by the first ``third_power_rhs`` or
-    ``third_power_checks`` call of :mod:`kahlap.laplacian`) are cached the
-    same way; each fill is deterministic.
+    through the degrees a reader needs, ``inverse(valid)`` the whole of it.
+    The Einstein data, the origin values of Laplacian powers of monomials
+    (filled by ``monomial_powers_at_origin`` of :mod:`kahlap.laplacian`,
+    which every ``*_at_origin`` function reads through) and the weights of
+    the expanded third-power formula (filled by the first
+    ``third_power_rhs``, ``third_power_check`` or ``third_power_checks``
+    call) are cached the same way; each fill is deterministic.
     """
 
     __slots__ = (
@@ -320,11 +320,6 @@ class MetricJet:
                 self._graded = _GradedInverse(self.g, *self._origin)
             x = self._inverses[top] = series_matrix_inverse(self.g, top, self._graded)
         return x
-
-    @property
-    def g_inv(self) -> Matrix:
-        """The series inverse through ``valid``, the whole known inverse."""
-        return self.inverse(self.valid)
 
     @property
     def einstein(self) -> EinsteinData:
@@ -501,10 +496,6 @@ def normality_report(m: MetricJet) -> NormalityReport:
         first_order_vanishes=not tilted,
         offenders=tuple(scaled + tilted),
     )
-
-
-def in_normal_coordinates(m: MetricJet) -> bool:
-    return normality_report(m).ok
 
 
 def pullback(phi: Jet, components: Sequence[Jet]) -> Jet:

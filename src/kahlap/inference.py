@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 from . import catalog as cat
 from .geometry import (
     MetricJet,
-    in_normal_coordinates,
+    normality_report,
     metric_from_potential,
     EinsteinData,
 )
@@ -49,6 +49,7 @@ from .jets import (
     KahlapError,
     _SHIFT,
     _digit_sum,
+    _digits,
     _pack,
     _unpack,
     record,
@@ -58,10 +59,8 @@ from .laplacian import (
     euclidean_moments,
     inverse_metric_cross_hessian,
     monomial_powers_at_origin,
-    power_at_origin,
     powers_at_origin,
     _balanced_moment,
-    _units,
 )
 from .rationals import ZERO, rat, rat_pretty
 
@@ -175,6 +174,23 @@ def build_test_family(n: int, k: int) -> TestFamily:
     return TestFamily(dim=n, keys=tuple(keys), classes=tuple(classes))
 
 
+def laplcube_rows(n: int) -> tuple[TestFamily, list]:
+    """The family :func:`build_test_family` (n, 2) and the positions of its
+    balanced rows, |alpha| = |beta|, supported on at most two variables (any
+    two of the n, not just the first pair), in family order: the rows that
+    ``reproduce laplcube`` checks.  A row is read off its packed key; the
+    nonzero digits of alpha | beta are its support."""
+    family = build_test_family(n, 2)
+    shift = _SHIFT * n
+    low = (1 << shift) - 1
+    return family, [
+        pos
+        for pos, key in enumerate(family.keys)
+        if _digit_sum(key & low) == _digit_sum(key >> shift)
+        and len(_digits(key & low | key >> shift)) <= 2
+    ]
+
+
 def _exponent_vectors(n: int, k: int) -> list[tuple[int, ...]]:
     """Length-n exponent vectors with sum at most k, in lexicographic order;
     each prefix is extended only by what its sum leaves of k."""
@@ -255,7 +271,7 @@ def infer(
         raise DimensionMismatchError(
             f"metric dimension {m.dim} vs family dimension {family.dim}"
         )
-    if not in_normal_coordinates(m):
+    if not normality_report(m).ok:
         raise KahlapError("inference requires normal coordinates at the origin")
     if kahler_values is None:
         d, levels = kahler_value_table(m, family, k)
@@ -373,17 +389,18 @@ def third_power_summary(m: MetricJet) -> ThirdPowerSummary:
     if not e.is_einstein:
         raise NotEinsteinError("reference values need an Einstein metric")
     n = m.dim
-    phi1 = Jet(n, m.order, [(BiIndex(_units(n, 0, 0), _units(n, 0, 0)), 1)])
-    d3a = power_at_origin(m, phi1, 3)
+    # |z1|^4 and, for n >= 2, |z1 z2|^2, as packed keys: z1^2 packs as 2,
+    # z1 z2 as 33 = 1 | 1 << _SHIFT
+    keys = [2 | 2 << _SHIFT * n, 33 | 33 << _SHIFT * n][: min(n, 2)]
+    den, levels = monomial_powers_at_origin(m, n, keys, 3)
+    d3 = [rat(v, den**3) for v in levels[2]]
+    d3a = d3[0]
     dev = d3a - 12 * e.lam
     mag = dev if dev >= 0 else -dev
     sign = 0 if dev == 0 else (1 if dev > 0 else -1)
-    d3b = None
-    relation = None
-    cross = None
+    d3b = relation = cross = None
     if n >= 2:
-        phi2 = Jet(n, m.order, [(BiIndex(_units(n, 0, 1), _units(n, 0, 1)), 1)])
-        d3b = power_at_origin(m, phi2, 3)
+        d3b = d3[1]
         relation = d3a == 2 * d3b
         values = inverse_metric_cross_hessian(m, 1, 2)
         total = sum(values, ZERO)
@@ -570,35 +587,20 @@ class DualityCheck:
         return self.value == -self.dual_value
 
 
-def duality_negation_check(
-    spec: cat.PotentialSpec, i: int, j: int, *, order: int = 8
-) -> DualityCheck:
-    """Lap^3(|z_i z_j|^2)(0) on a catalog entry against its dual; the two
-    values must be exact negatives."""
-    return duality_negation_checks(cat.potential(spec, order), [(i, j)])[0]
-
-
 def duality_negation_checks(phi: Jet, pairs) -> list[DualityCheck]:
-    """:func:`duality_negation_check` for every index pair ``(i, j)`` of
-    ``pairs`` on the potential ``phi``; the metric of phi and that of its
-    dual are built once and shared by all pairs."""
+    """Lap^3(|z_i z_j|^2)(0) on the potential ``phi`` against its dual, for
+    every index pair ``(i, j)`` of ``pairs``; the two values must be exact
+    negatives.  Each metric is built once and read by one keyed call for
+    all pairs."""
     n = phi.dim
     for i, j in pairs:
         if not (1 <= i <= n and 1 <= j <= n):
             raise KahlapError(f"indices ({i},{j}) outside 1..{n}")
-    m = metric_from_potential(phi)
-    m_dual = metric_from_potential(cat.dual_potential(phi))
-    checks = []
-    for i, j in pairs:
-        alpha = [0] * n
-        alpha[i - 1] += 1
-        alpha[j - 1] += 1
-        bi = BiIndex(tuple(alpha), tuple(alpha))
-        test = Jet(n, phi.order, [(bi, 1)])
-        checks.append(
-            DualityCheck(
-                value=power_at_origin(m, test, 3),
-                dual_value=power_at_origin(m_dual, test, 3),
-            )
-        )
-    return checks
+    # z_i z_j, packed, as both halves of the key of |z_i z_j|^2
+    halves = [(1 << _SHIFT * (i - 1)) + (1 << _SHIFT * (j - 1)) for i, j in pairs]
+    keys = [a | a << _SHIFT * n for a in halves]
+    values = []
+    for m in [metric_from_potential(p) for p in (phi, cat.dual_potential(phi))]:
+        den, levels = monomial_powers_at_origin(m, n, keys, 3)
+        values.append([rat(v, den**3) for v in levels[2]])
+    return [DualityCheck(value=v, dual_value=w) for v, w in zip(*values)]

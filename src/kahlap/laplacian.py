@@ -2,9 +2,11 @@
 
 Powers at the origin do not iterate the operator on a whole jet (the
 tests do, as the oracle): ``Lap^s phi(0)`` is linear in the terms of phi, so
-:func:`power_at_origin` sums ``c * val(mu, s)`` over the terms ``c * mu``
-of phi at the one level ``s = k`` it is asked for, and
-:func:`powers_at_origin` runs the same sum at every level.  Here
+:func:`powers_at_origin` sums ``c * val(mu, s)`` over the terms ``c * mu``
+of phi at every level ``s <= k``, and :func:`power_at_origin` reads level
+k of that sum.  Both read the values of the monomials by their packed keys
+through :func:`monomial_powers_at_origin`, the one reader of the memo,
+which also serves the value table of every check.  Here
 ``val(mu, s) = [Lap^s mu](0)`` obeys
 
     val(1, 0) = 1,  val(mu, 0) = 0 for mu != 1,
@@ -31,11 +33,10 @@ metric), so that every coefficient it reads is an int ``C_t`` over D.  The
 memo keeps the int numerator ``N(mu, s) = val(mu, s) * D^s``, which obeys
 the recursion above with ``C_t`` for ``c_t`` and ``N(1, 0) = 1``.  A power
 of phi sums ``c * N(mu, s)`` over the int numerators c of phi and builds one
-rational per level, ``total / (phi.den * D^s)``; :func:`powers_at_origin`
-sums every level in one pass over the terms of phi, so each term's weight
-and bidegree are read once.  Degrees are digit sums of the packed keys
-(``jets._digit_sum``), so no key is unpacked into an exponent tuple on
-these paths.
+rational per level, ``total / (phi.den * D^s)``; each term's weight and
+bidegree are read once, for every level.  Degrees are digit sums of the
+packed keys (``jets._digit_sum``), so no key is unpacked into an exponent
+tuple on these paths.
 
 A weight rule prunes the rest, exactly.  Let w(mu) = beta - alpha.  One
 step of the recursion through the term t of g_inv[a][b] takes mu to
@@ -76,7 +77,6 @@ import math
 
 from .geometry import MetricJet
 from .jets import (
-    BiIndex,
     DimensionMismatchError,
     InsufficientOrderError,
     Jet,
@@ -84,7 +84,6 @@ from .jets import (
     _SHIFT,
     _digit_sum,
     _digits,
-    _pack_bi,
     record,
 )
 from .rationals import ZERO, rat
@@ -134,8 +133,7 @@ class _OriginValues:
         self.den = den = math.lcm(*(e.den for row in x for e in row))
         # packed key of z_b zb_a, the monomial d_b dbar_a divides out
         self.units = [
-            [_pack_bi(BiIndex(_units(n, b), _units(n, a))) for b in range(n)]
-            for a in range(n)
+            [1 << _SHIFT * b | 1 << _SHIFT * (n + a) for b in range(n)] for a in range(n)
         ]
         # per (a, b): the terms of g_inv[a][b] through degree top, as (hol
         # degree, anti degree, packed key, packed step, numerator over D) by
@@ -176,43 +174,18 @@ class _OriginValues:
             reach.append({w + d for w in reach[-1] for d in steps})
         return reach[s]
 
-    def live(self, kmin: int, kmax: int) -> set:
-        """The packed weights some level kmin..kmax reaches."""
-        return set().union(*(self.reachable(s) for s in range(kmin, kmax + 1)))
-
-    def powers(self, key: int, kmax: int, kmin: int = 1) -> list:
-        """[N(mu, kmin), ..., N(mu, kmax)] for the monomial mu packed as
+    def powers(self, key: int, kmax: int) -> list:
+        """[N(mu, 1), ..., N(mu, kmax)] for the monomial mu packed as
         ``key``."""
-        row = [0] * (kmax - kmin + 1)
+        row = [0] * kmax
         hol, anti = key & self.low, key >> _SHIFT * self.dim
         w = anti - hol
         self.reachable(kmax)
         # Lap^s mu(0) vanishes while s is below either degree of mu
-        for s in range(max(kmin, _digit_sum(hol), _digit_sum(anti)), kmax + 1):
+        for s in range(max(1, _digit_sum(hol), _digit_sum(anti)), kmax + 1):
             if w in self.reach[s]:
-                row[s - kmin] = self.value(key, s)
+                row[s - 1] = self.value(key, s)
         return row
-
-    def jet_powers(self, phi: Jet, kmin: int, kmax: int) -> list:
-        """[Lap^s phi(0) for s = kmin..kmax]: one pass over the terms c * mu
-        of the numerators of phi sums c * N(mu, s) at every level, and each
-        level's int sum is divided by ``phi.den * D^s`` once."""
-        totals = [0] * (kmax - kmin + 1)
-        live = self.live(kmin, kmax)
-        low, shift = self.low, _SHIFT * self.dim
-        for d, bucket in phi._grades.items():
-            # Lap^s mu(0) vanishes when either degree of mu exceeds s
-            if d > 2 * kmax:
-                continue
-            for key, c in bucket.items():
-                if (key >> shift) - (key & low) in live:
-                    for i, v in enumerate(self.powers(key, kmax, kmin)):
-                        if v:
-                            totals[i] += c * v
-        return [
-            rat(total, phi.den * self.den**s)
-            for s, total in enumerate(totals, start=kmin)
-        ]
 
     def value(self, key: int, s: int) -> int:
         """N(mu, s) for the monomial mu packed as ``key``, of bidegree at
@@ -282,10 +255,17 @@ def _memo(m: MetricJet, dim: int, kmax: int) -> _OriginValues:
 
 
 def powers_at_origin(m: MetricJet, phi: Jet, kmax: int) -> list:
-    """[Lap^1 phi(0), ..., Lap^kmax phi(0)] for the Kahler Laplacian of m,
-    summed over the terms of phi in one pass for all levels."""
+    """[Lap^1 phi(0), ..., Lap^kmax phi(0)] for the Kahler Laplacian of m:
+    the int sums of c * N(mu, s) over the terms c * mu of the numerators of
+    phi, read off :func:`monomial_powers_at_origin` of their keys, each
+    divided by ``phi.den * D^s`` once."""
     require_budget(m, phi, kmax)
-    return _memo(m, phi.dim, kmax).jet_powers(phi, 1, kmax)
+    terms = [item for bucket in phi._grades.values() for item in bucket.items()]
+    den, levels = monomial_powers_at_origin(m, phi.dim, [key for key, _ in terms], kmax)
+    return [
+        rat(sum(c * v for (_, c), v in zip(terms, level) if v), phi.den * den**s)
+        for s, level in enumerate(levels, start=1)
+    ]
 
 
 def monomial_powers_at_origin(m: MetricJet, dim: int, keys, kmax: int):
@@ -299,7 +279,8 @@ def monomial_powers_at_origin(m: MetricJet, dim: int, keys, kmax: int):
     one passes or fails them alike."""
     _require_metric_budget(m, kmax)
     origin = _memo(m, dim, kmax)
-    live = origin.live(1, kmax)
+    # the packed weights some level 1..kmax reaches
+    live = set().union(*map(origin.reachable, range(1, kmax + 1)))
     shift = _SHIFT * dim
     low = origin.low
     levels = [[0] * len(keys) for _ in range(kmax)]
@@ -311,9 +292,8 @@ def monomial_powers_at_origin(m: MetricJet, dim: int, keys, kmax: int):
 
 
 def power_at_origin(m: MetricJet, phi: Jet, k: int):
-    """Lap^k phi(0) exactly, from level k of the memo alone."""
-    require_budget(m, phi, k)
-    return _memo(m, phi.dim, k).jet_powers(phi, k, k)[0]
+    """Lap^k phi(0) exactly: level k of :func:`powers_at_origin`."""
+    return powers_at_origin(m, phi, k)[k - 1]
 
 
 def _balanced_moment(a) -> int:
@@ -376,24 +356,6 @@ def second_power_check(m: MetricJet, phi: Jet) -> PowerIdentity:
     mom = euclidean_moments(phi, 2)
     rhs = mom[1] + lam * mom[0]
     return PowerIdentity(lhs=lhs, rhs=rhs)
-
-
-def deriv_at0(jet: Jet, alpha, beta):
-    """d^alpha dbar^beta jet at 0 = coefficient times factorials."""
-    c = jet.coefficient(BiIndex(tuple(alpha), tuple(beta)))
-    if c == 0:
-        return ZERO
-    mult = 1
-    for e in alpha:
-        mult *= math.factorial(e)
-    for e in beta:
-        mult *= math.factorial(e)
-    return c * mult
-
-
-def _units(n, *indices):
-    """Exponent vector of length n counting how often each slot is listed."""
-    return tuple(indices.count(k) for k in range(n))
 
 
 def _third_power_weights(m: MetricJet) -> dict:
@@ -492,23 +454,27 @@ def third_power_check(m: MetricJet, phi: Jet) -> PowerIdentity:
     )
 
 
-def third_power_checks(m: MetricJet, dim: int, rows) -> list:
-    """:func:`third_power_check` of the monomial z^alpha zb^beta of each
-    ``BiIndex`` of ``rows``, in one keyed pass with no jet.  The direct side
-    is level 3 of :func:`monomial_powers_at_origin`, which runs the budget
-    and dimension checks; the expanded side reads no memo: the weight of
-    the monomial's key plus its moment in closed form, j! a! at Lapc^j for
-    alpha = beta = a with |a| = j, times lam^2, 3 lam or 1 for j = 1, 2, 3."""
-    keys = [_pack_bi(bi) for bi in rows]
+def third_power_checks(m: MetricJet, dim: int, keys) -> list:
+    """:func:`third_power_check` of the monomial z^alpha zb^beta packed as
+    each of ``keys`` (``_pack(alpha) | _pack(beta) << _SHIFT * dim``), in
+    one keyed pass with no jet.  The direct side is level 3 of
+    :func:`monomial_powers_at_origin`, which runs the budget and dimension
+    checks; the expanded side reads no memo: the weight of the key plus the
+    moment in closed form, j! a! at Lapc^j for alpha = beta = a with
+    |a| = j, read off the key's digits, times lam^2, 3 lam or 1 for
+    j = 1, 2, 3."""
     den, levels = monomial_powers_at_origin(m, dim, keys, 3)
     lam = _require_einstein(m)
     weights = _weights(m)
     scale = (lam * lam, 3 * lam, 1)
+    shift = _SHIFT * dim
     checks = []
-    for bi, key, direct in zip(rows, keys, levels[2]):
+    for key, direct in zip(keys, levels[2]):
         rhs = weights.get(key, ZERO)
-        if bi.hol == bi.anti and 1 <= sum(bi.hol) <= 3:
-            rhs += scale[sum(bi.hol) - 1] * _balanced_moment(bi.hol)
+        a = key >> shift
+        j = _digit_sum(a)
+        if key == a | a << shift and 1 <= j <= 3:
+            rhs += scale[j - 1] * math.factorial(j) * _factorials(a)
         checks.append(PowerIdentity(lhs=rat(direct, den**3), rhs=rhs))
     return checks
 
@@ -516,14 +482,14 @@ def third_power_checks(m: MetricJet, dim: int, rows) -> list:
 def inverse_metric_cross_hessian(m: MetricJet, i: int, j: int):
     """The four origin curvature coefficients coupling directions i and j
     (1-based): (d_i dbar_i X[j][j], d_j dbar_j X[i][i], d_j dbar_i X[i][j],
-    d_i dbar_j X[j][i]) at 0, X = g_inv."""
+    d_i dbar_j X[j][i]) at 0, X = g_inv.  d_h dbar_a X(0) is the numerator
+    of z_h zb_a in the degree-2 terms of X, over ``X.den``."""
     n = m.dim
     x = m.inverse(2)
     i -= 1
     j -= 1
-    return (
-        deriv_at0(x[j][j], _units(n, i), _units(n, i)),
-        deriv_at0(x[i][i], _units(n, j), _units(n, j)),
-        deriv_at0(x[i][j], _units(n, j), _units(n, i)),
-        deriv_at0(x[j][i], _units(n, i), _units(n, j)),
-    )
+
+    def d(e, h, a):
+        return rat(e._grades.get(2, {}).get(1 << _SHIFT * h | 1 << _SHIFT * (n + a), 0), e.den)
+
+    return d(x[j][j], i, i), d(x[i][i], j, j), d(x[i][j], j, i), d(x[j][i], i, j)

@@ -23,8 +23,15 @@ engine's origin values, its metric and its Einstein data against them.
   :func:`trace_log_potential`, against the int power sums of
   :func:`kahlap.catalog._log_det_potential`.
 
-The Laplacians and the contraction read the whole series inverse
-``MetricJet.g_inv``.  :func:`claims_hold` is the validity-soundness
+- :func:`newton_inverse` is the series inverse by Newton iteration,
+  :func:`series_determinant` the pivoted determinant and
+  :func:`dense_third_power_weights` the n^4 sum of origin derivatives
+  (:func:`deriv_at0`): the routes that the graded inverse, Jacobi's formula
+  for log det(g) and the per-term pass of
+  ``laplacian._third_power_weights`` replaced.
+
+The Laplacians and the contraction read the whole series inverse,
+``m.inverse(m.valid)``.  :func:`claims_hold` is the validity-soundness
 comparison: what a jet claims against the same quantity recomputed from
 longer inputs.
 
@@ -34,6 +41,9 @@ normal coordinates), :func:`restrict` (set variables to zero), the
 fixture text form :func:`to_text`/:func:`from_text`, and
 :func:`gate_status` (a catalog entry's gate without raising).
 """
+
+import itertools
+import math
 
 from kahlap.catalog import (
     FubiniStudy,
@@ -65,6 +75,7 @@ from kahlap.jets import (
     Jet,
     KahlapError,
     _mul_capped,
+    _pack,
 )
 from kahlap.rationals import rat, rat_from_str, rat_str
 
@@ -207,7 +218,7 @@ def ricci_contracted(m, cap: int | None = None):
     """
     n = m.dim
     cap = m.order if cap is None else cap
-    x = m.g_inv
+    x = m.inverse(m.valid)
     da_g = [
         tuple(tuple(m.g[i][c].diff_hol(b + 1) for c in range(n)) for i in range(n))
         for b in range(n)
@@ -259,7 +270,7 @@ def kahler_laplacian(m, phi: Jet) -> Jet:
         raise DimensionMismatchError(
             f"metric dimension {m.dim} vs jet dimension {phi.dim}"
         )
-    x = m.g_inv
+    x = m.inverse(m.valid)
     acc = None
     for a in range(m.dim):
         for b in range(m.dim):
@@ -285,6 +296,102 @@ def claims_hold(jet, wider) -> bool:
         if got != want:
             return False
     return True
+
+
+# ----------------------------------------------------------------------
+# the inverse, determinant and third-power routes the engine replaced
+
+
+def newton_inverse(g, target_valid):
+    """The series inverse by Newton iteration X <- X(2I - GX), each step
+    doubling the correct degree with all products capped at its target:
+    the route the graded recurrence replaced, kept here as its oracle."""
+    n, dim, order = len(g), g[0][0].dim, g[0][0].order
+    g0 = [[e.constant_term() for e in row] for row in g]
+    g0inv, _ = rational_eliminate(g0)
+    x = tuple(tuple(Jet.constant(dim, order, c) for c in row) for row in g0inv)
+    two_i = tuple(
+        tuple(Jet.constant(dim, order, 2 if i == j else 0) for j in range(n))
+        for i in range(n)
+    )
+    v = 0
+    while v < target_valid:
+        v = min(2 * v + 1, target_valid)
+        gx = mat_mul(g, x, v)
+        corr = tuple(tuple(two_i[i][j] - gx[i][j] for j in range(n)) for i in range(n))
+        x = mat_mul(x, corr, v)
+    valid = min(target_valid, min(e._veff for row in g for e in row))
+    return tuple(tuple(e._flagged(valid, False) for e in row) for row in x)
+
+
+def series_determinant(mat):
+    """Determinant by pivoted elimination with exact series division: the
+    route Jacobi's formula replaced in the engine, kept here as its oracle.
+
+    Pivots need a nonzero constant coefficient; for metric matrices g(0) is
+    invertible, so a suitable pivot always exists after row swaps.
+    """
+    n = len(mat)
+    dim = mat[0][0].dim
+    order = mat[0][0].order
+    work = [list(row) for row in mat]
+    sign = 1
+    det = Jet.one(dim, order)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if work[r][k].constant_term() != 0), None)
+        if piv is None:
+            return Jet.zero(dim, order)
+        if piv != k:
+            work[k], work[piv] = work[piv], work[k]
+            sign = -sign
+        pivot = work[k][k]
+        det = _mul_capped(det, pivot, order)
+        pinv = pivot.inv1()
+        for i in range(k + 1, n):
+            if work[i][k].is_zero:
+                continue
+            factor = _mul_capped(work[i][k], pinv, order)
+            for j in range(k, n):
+                work[i][j] = work[i][j] - _mul_capped(factor, work[k][j], order)
+    return det if sign == 1 else -det
+
+
+def deriv_at0(jet: Jet, alpha, beta):
+    """d^alpha dbar^beta jet at 0 = coefficient times factorials."""
+    c = jet.coefficient(BiIndex(tuple(alpha), tuple(beta)))
+    return c * math.prod(map(math.factorial, (*alpha, *beta)))
+
+
+def _units(n, *indices):
+    """Exponent vector of length n counting how often each slot is listed."""
+    return tuple(indices.count(k) for k in range(n))
+
+
+def dense_third_power_weights(m):
+    """The g_inv part of third_power_rhs by the n^4 sum over (i, j, l, h)
+    of origin-derivative lookups, as written before the per-term pass."""
+    n = m.dim
+    x = m.inverse(m.valid)
+    zero = (0,) * n
+    weights = {}
+    for i, j, l, h in itertools.product(range(n), repeat=4):
+        xij = x[i][j]
+        for mult, c, alpha, beta in (
+            (2, deriv_at0(xij, _units(n, l), _units(n, h)),
+             _units(n, j, h), _units(n, l, i)),
+            (1, deriv_at0(xij, _units(n, l, h), zero),
+             _units(n, j), _units(n, h, l, i)),
+            (1, deriv_at0(xij, zero, _units(n, l, h)),
+             _units(n, j, h, l), _units(n, i)),
+            (1, deriv_at0(xij, _units(n, l, h), _units(n, l, h)),
+             _units(n, j), _units(n, i)),
+        ):
+            if c != 0:
+                exps = alpha + beta
+                f = math.prod(map(math.factorial, exps))
+                key = _pack(exps)
+                weights[key] = weights.get(key, 0) + mult * c * f
+    return {key: w for key, w in weights.items() if w != 0}
 
 
 # ----------------------------------------------------------------------

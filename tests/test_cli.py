@@ -15,7 +15,8 @@ import pytest
 
 from kahlap import laplacian
 from kahlap.catalog import parse_spec
-from kahlap.cli import _laplcube_test_indices, main
+from kahlap.cli import main
+from kahlap.inference import laplcube_rows
 from kahlap.jets import _pack_bi
 
 
@@ -206,8 +207,8 @@ def test_laplcube_reports_a_perturbed_weight_at_its_row(capsys, monkeypatch):
     real = laplacian._third_power_weights
 
     def middle_row(n):
-        rows = _laplcube_test_indices(n)
-        return rows[len(rows) // 2]
+        family, positions = laplcube_rows(n)
+        return family.index(positions[len(positions) // 2])
 
     def perturbed(m):
         weights = dict(real(m))
@@ -224,9 +225,10 @@ def test_laplcube_reports_a_perturbed_weight_at_its_row(capsys, monkeypatch):
 
 
 def test_laplcube_rows_are_the_balanced_two_variable_family_rows():
-    counts = [len(_laplcube_test_indices(n)) for n in range(1, 7)]
+    counts = [len(laplcube_rows(n)[1]) for n in range(1, 7)]
     assert counts == [2, 13, 33, 62, 100, 147]
-    assert [index.text() for index in _laplcube_test_indices(2)] == [
+    family, positions = laplcube_rows(2)
+    assert [family.index(pos).text() for pos in positions] == [
         "z1*zb1", "z1*zb2", "z2*zb1", "z2*zb2",
         "z1^2*zb1^2", "z1^2*zb1*zb2", "z1^2*zb2^2",
         "z1*z2*zb1^2", "z1*z2*zb1*zb2", "z1*z2*zb2^2",
@@ -330,10 +332,10 @@ _HYP1_BODY = {
 }
 
 
-def _hyp1(max_k=3, seed=0, tail=""):
+def _hyp1(max_k=3, seed=0, tail="", spec="hyp:1"):
     order = 2 * max_k + 2
     return (
-        f"kahlap 0.1.0 check hyp:1 (max_k={max_k}, order={order}, seed={seed})\n"
+        f"kahlap 0.1.0 check {spec} (max_k={max_k}, order={order}, seed={seed})\n"
         + _HYP1_BODY[max_k] + tail
     )
 
@@ -364,6 +366,10 @@ ARGV_CONTRACT = [
     ("check hyp:1 --max-k 2 --expect=refuted-at:2", 2, _hyp1(2, tail="EXPECTATION MISMATCH\n"), ""),
     ("check hyp:1 --ex consistent", 0, _hyp1(tail="expectation met\n"), ""),
     ("check hyp:1 --f json", 0, "cli_check_hyp1.json", ""),
+    ("check hyp:2 --max-k 4 --format json", 0, "cli_check_hyp2_k4.json", ""),
+    ("check fs:3 --max-k 3 --format json", 0, "cli_check_fs3.json", ""),
+    ("check type1:2,2 --max-k 3 --format json", 0, "cli_check_type1_22.json", ""),
+    ("check product(flat:1,hyp:1) --max-k 3 --format json", 0, "cli_check_product_flat1_hyp1.json", ""),
     ("catalog --format=json", 0, "cli_catalog.json", ""),
     ("catalog --f json", 0, "cli_catalog.json", ""),
     *(
@@ -401,6 +407,10 @@ ARGV_CONTRACT = [
     ("check hyp:1 -max-k 2", 1, "", _usage("unrecognized arguments: -max-k 2")),
     ("check hyp:1 -- --max-k", 1, "", _usage("unrecognized arguments: --max-k")),
     ("check -5", 1, "", "error: unknown spec '-5'\n"),
+    # spec nesting is bounded before any recursion runs deep
+    (f"check {'dual(' * 64}hyp:1{')' * 64} --max-k 1", 0, _hyp1(1, spec=f"{'dual(' * 64}hyp:1{')' * 64}"), ""),
+    (f"check {'dual(' * 500}hyp:1{')' * 500}", 1, "", "error: spec nested deeper than 64\n"),
+    (f"check {'product(' * 500}hyp:1{',hyp:1)' * 500}", 1, "", "error: spec nested deeper than 64\n"),
     # orders past the packed-key limit fail before any build
     ("check hyp:1 --order 32", 1, "", "error: order must be in 0..31, got 32\n"),
     ("check hyp:1 --max-k 15", 1, "", "error: order must be in 0..31, got 32\n"),
@@ -440,7 +450,12 @@ ARGV_DEPARTURES = [
 @pytest.mark.parametrize(
     "argv,code,out,err",
     ARGV_CONTRACT + ARGV_DEPARTURES,
-    ids=[case[0] or "<empty>" for case in ARGV_CONTRACT + ARGV_DEPARTURES],
+    # a deeply nested spec is named by its head and its length
+    ids=[
+        (case[0] if len(case[0]) <= 80 else f"{case[0][:20]}...<{len(case[0])} chars>")
+        or "<empty>"
+        for case in ARGV_CONTRACT + ARGV_DEPARTURES
+    ],
 )
 def test_argv_contract(capsys, argv, code, out, err):
     try:

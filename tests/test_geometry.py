@@ -28,7 +28,6 @@ from kahlap.geometry import (
     DegenerateMetricError,
     _log_det,
     einstein_data,
-    in_normal_coordinates,
     inverse_metric_second_trace,
     metric_from_potential,
     normality_report,
@@ -45,9 +44,10 @@ from oracles import (
     kahler_laplacian,
     mat_mul,
     matrices_agree,
-    rational_eliminate as _eliminate,
+    newton_inverse as _newton_inverse,
     ricci,
     ricci_contracted,
+    series_determinant,
     to_normal_coordinates,
 )
 from test_laplacian import _bent, _sheared
@@ -71,7 +71,7 @@ def test_flat_metric_is_identity():
     zero = Jet.zero(2, 6)
     assert m.g[0][0] == one and m.g[1][1] == one
     assert m.g[0][1] == zero and m.g[1][0] == zero
-    assert m.g_inv[0][0].agrees(one) and m.g_inv[0][1].agrees(zero)
+    assert m.inverse(m.valid)[0][0].agrees(one) and m.inverse(m.valid)[0][1].agrees(zero)
 
 
 def test_hyperbolic_metric_closed_form():
@@ -80,7 +80,7 @@ def test_hyperbolic_metric_closed_form():
     expected_g = Jet(1, 6, [(bi((k,), (k,)), k + 1) for k in range(3)])
     assert m.g[0][0].agrees(expected_g)
     expected_inv = Jet(1, 6, [(bi((0,), (0,)), 1), (bi((1,), (1,)), -2), (bi((2,), (2,)), 1)])
-    assert m.g_inv[0][0].agrees(expected_inv)
+    assert m.inverse(m.valid)[0][0].agrees(expected_inv)
 
 
 def test_type1_metric_identity_at_origin(type1_metric_order8):
@@ -121,28 +121,6 @@ def test_indefinite_metric_rejected(potential_jet):
         metric_from_potential(potential_jet)
 
 
-def _newton_inverse(g, target_valid):
-    """The series inverse by Newton iteration X <- X(2I - GX), each step
-    doubling the correct degree with all products capped at its target:
-    the route the graded recurrence replaced, kept here as its oracle."""
-    n, dim, order = len(g), g[0][0].dim, g[0][0].order
-    g0 = [[e.constant_term() for e in row] for row in g]
-    g0inv, _ = _eliminate(g0)
-    x = tuple(tuple(Jet.constant(dim, order, c) for c in row) for row in g0inv)
-    two_i = tuple(
-        tuple(Jet.constant(dim, order, 2 if i == j else 0) for j in range(n))
-        for i in range(n)
-    )
-    v = 0
-    while v < target_valid:
-        v = min(2 * v + 1, target_valid)
-        gx = mat_mul(g, x, v)
-        corr = tuple(tuple(two_i[i][j] - gx[i][j] for j in range(n)) for i in range(n))
-        x = mat_mul(x, corr, v)
-    valid = min(target_valid, min(e._veff for row in g for e in row))
-    return tuple(tuple(e._flagged(valid, False) for e in row) for row in x)
-
-
 _INVERSE_CASES = {
     "hyp:2": lambda: metric_from_potential(potential(Hyperbolic(2), 8)),
     "fs:3": lambda: metric_from_potential(potential(FubiniStudy(3), 8)),
@@ -160,7 +138,7 @@ def test_series_inverse_matches_newton(name):
     if name.startswith("sheared"):
         # g(0) off the diagonal, and g(0)^{-1} with denominators
         assert m.g[0][1].constant_term() != 0
-        assert any(e.den > 1 for row in m.g_inv for e in row)
+        assert any(e.den > 1 for row in m.inverse(m.valid) for e in row)
     for target in sorted({0, 1, m.valid}):
         got = series_matrix_inverse(m.g, target)
         want = _newton_inverse(m.g, target)
@@ -178,7 +156,7 @@ def test_metric_inverse_identity_property():
             for j in range(n):
                 acc = None
                 for k in range(n):
-                    p = m.g[i][k] * m.g_inv[k][j]
+                    p = m.g[i][k] * m.inverse(m.valid)[k][j]
                     acc = p if acc is None else acc + p
                 target = Jet.constant(acc.dim, acc.order, 1 if i == j else 0)
                 assert acc.agrees(target)
@@ -195,7 +173,7 @@ def test_mat_mul_skips_zero_products_but_keeps_their_flags(spec):
     e = tuple(
         tuple(six if i == j else Jet.zero(n, order) for j in range(n)) for i in range(n)
     )
-    for a, b in ((m.g, m.g_inv), (m.g_inv, m.g), (m.g, e), (e, m.g_inv), (e, e)):
+    for a, b in ((m.g, m.inverse(m.valid)), (m.inverse(m.valid), m.g), (m.g, e), (e, m.inverse(m.valid)), (e, e)):
         for cap in range(order + 1):
             got = mat_mul(a, b, cap)
             for i in range(n):
@@ -296,38 +274,6 @@ def test_ricci_two_routes_agree_on_catalog():
     for spec in (Hyperbolic(2), FubiniStudy(2), Polydisc(2), TypeI(2, 2)):
         m = metric_from_potential(potential(spec, 8))
         assert matrices_agree(ricci(m), ricci_contracted(m, cap=4), 4), spec.label()
-
-
-def series_determinant(mat):
-    """Determinant by pivoted elimination with exact series division: the
-    route Jacobi's formula replaced in the engine, kept here as its oracle.
-
-    Pivots need a nonzero constant coefficient; for metric matrices g(0) is
-    invertible, so a suitable pivot always exists after row swaps.
-    """
-    n = len(mat)
-    dim = mat[0][0].dim
-    order = mat[0][0].order
-    work = [list(row) for row in mat]
-    sign = 1
-    det = Jet.one(dim, order)
-    for k in range(n):
-        piv = next((r for r in range(k, n) if work[r][k].constant_term() != 0), None)
-        if piv is None:
-            return Jet.zero(dim, order)
-        if piv != k:
-            work[k], work[piv] = work[piv], work[k]
-            sign = -sign
-        pivot = work[k][k]
-        det = _mul_capped(det, pivot, order)
-        pinv = pivot.inv1()
-        for i in range(k + 1, n):
-            if work[i][k].is_zero:
-                continue
-            factor = _mul_capped(work[i][k], pinv, order)
-            for j in range(k, n):
-                work[i][j] = work[i][j] - _mul_capped(factor, work[k][j], order)
-    return det if sign == 1 else -det
 
 
 def _determinant_log_det(m):
@@ -514,7 +460,7 @@ def test_determinant_times_inverse_det():
 def test_catalog_entries_are_normal():
     for spec in (Flat(2), Hyperbolic(2), FubiniStudy(3), Polydisc(2), TypeI(2, 2)):
         m = metric_from_potential(potential(spec, 6))
-        assert in_normal_coordinates(m), spec.label()
+        assert normality_report(m).ok, spec.label()
 
 
 def test_non_normal_first_derivatives():
@@ -540,7 +486,7 @@ def test_to_normal_coordinates_fixes_example():
         [(bi((1,), (1,)), 1), (bi((2,), (1,)), rat(1, 2)), (bi((1,), (2,)), rat(1, 2))],
     )
     fixed = to_normal_coordinates(phi)
-    assert in_normal_coordinates(metric_from_potential(fixed))
+    assert normality_report(metric_from_potential(fixed)).ok
 
 
 def test_to_normal_coordinates_identity_when_already_normal():

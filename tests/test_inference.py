@@ -16,6 +16,8 @@ from kahlap.catalog import (
     Product,
     Radial,
     TypeI,
+    dual_potential,
+    einstein_catalog_entries,
     potential,
 )
 from kahlap.geometry import metric_from_potential
@@ -28,7 +30,7 @@ from kahlap.inference import (
     Witness,
     WitnessRow,
     build_test_family,
-    duality_negation_check,
+    duality_negation_checks,
     infer,
     kahler_value_table,
     third_power_summary,
@@ -43,8 +45,14 @@ from kahlap.jets import (
     _pack_bi,
     _unpack,
 )
-from kahlap.laplacian import _balanced_moment, euclidean_moments, powers_at_origin
+from kahlap.laplacian import (
+    _balanced_moment,
+    euclidean_moments,
+    power_at_origin,
+    powers_at_origin,
+)
 from kahlap.rationals import rat
+from test_laplacian import _bent, _sheared
 
 
 def bi(hol, anti):
@@ -555,19 +563,20 @@ def test_radial_profiles_consistent_sample():
 
 
 def test_duality_negation_hyperbolic():
-    chk = duality_negation_check(Hyperbolic(1), 1, 1)
+    [chk] = duality_negation_checks(potential(Hyperbolic(1), 8), [(1, 1)])
     assert (chk.value, chk.dual_value) == (-40, 40) and chk.passed
 
 
 def test_duality_negation_flat_trivial():
-    chk = duality_negation_check(Flat(1), 1, 1)
+    [chk] = duality_negation_checks(potential(Flat(1), 8), [(1, 1)])
     assert chk.value == 0 and chk.dual_value == 0 and chk.passed
 
 
 def test_duality_negation_type1():
     for i in (1, 2):
         for j in (1, 2):
-            assert duality_negation_check(TypeI(2, 2), i, j).passed
+            [chk] = duality_negation_checks(potential(TypeI(2, 2), 8), [(i, j)])
+            assert chk.passed
 
 
 def test_third_power_summary_polydisc():
@@ -592,6 +601,61 @@ def test_third_power_summary_hyp2():
     s = third_power_summary(m)
     assert s.lam == -3 and s.comp_magnitude == 16 and s.d3_z1_4 == -52
     assert s.relation_holds is True  # rank one: the doubling relation holds
+
+
+# ----------------------------------------------------------------------
+# the keyed routes against the jet API: every monomial they read by its
+# packed key is read again as a one-term jet, on a metric built afresh so
+# that the jet route reads nothing the keyed call cached
+
+
+def _one_term(n, order, hol):
+    """The jet |z^hol|^2 = z^hol zb^hol in n variables."""
+    return Jet(n, order, [(BiIndex(tuple(hol), tuple(hol)), 1)])
+
+
+_EINSTEIN = {spec.label(): spec for spec in einstein_catalog_entries()}
+
+
+@pytest.mark.parametrize("name", [*_EINSTEIN, "bent hyp:2"])
+def test_summary_values_are_powers_of_one_term_jets(name):
+    # the bent metric has g_inv denominator D = 243: a dropped power of D
+    # in the keyed read shows there
+    def build():
+        if name == "bent hyp:2":
+            return _bent(Hyperbolic(2), 8)
+        return metric_from_potential(potential(_EINSTEIN[name], 8))
+
+    s, m = third_power_summary(build()), build()
+    n = m.dim
+    assert s.d3_z1_4 == power_at_origin(m, _one_term(n, 8, (2,) + (0,) * (n - 1)), 3)
+    if n >= 2:
+        z1z2 = _one_term(n, 8, (1, 1) + (0,) * (n - 2))
+        assert s.d3_z1z2_sq == power_at_origin(m, z1z2, 3)
+    if name == "bent hyp:2":
+        assert s.d3_z1z2_sq.denominator > 1
+
+
+@pytest.mark.parametrize("name", [*_EINSTEIN, "sheared hyp:2"])
+def test_duality_checks_are_powers_of_one_term_jets(name):
+    # the sheared metric has D = 144; the bent one cannot serve here, as
+    # phi(z, -zb) of its potential is not Hermitian
+    if name == "sheared hyp:2":
+        phi = _sheared(Hyperbolic(2), 8).phi
+    else:
+        phi = potential(_EINSTEIN[name], 8)
+    n = phi.dim
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    checks = duality_negation_checks(phi, pairs)
+    m, m_dual = metric_from_potential(phi), metric_from_potential(dual_potential(phi))
+    assert len(checks) == len(pairs)
+    for (i, j), chk in zip(pairs, checks):
+        hol = [0] * n
+        hol[i - 1] += 1
+        hol[j - 1] += 1
+        test = _one_term(n, 8, hol)
+        want = (power_at_origin(m, test, 3), power_at_origin(m_dual, test, 3))
+        assert (chk.value, chk.dual_value) == want, (i, j)
 
 
 def test_power_polynomial_text_and_apply():

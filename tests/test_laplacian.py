@@ -19,22 +19,18 @@ from kahlap.catalog import (
     parse_spec,
     potential,
 )
-from kahlap.cli import _laplcube_test_indices
 from kahlap.geometry import metric_from_potential, pullback
 from kahlap.jets import (
     BiIndex,
     DimensionMismatchError,
     InsufficientOrderError,
     Jet,
-    _pack,
     _pack_bi,
 )
 from kahlap.laplacian import (
     NotEinsteinError,
     _memo,
     _third_power_weights,
-    _units,
-    deriv_at0,
     euclidean_moments,
     inverse_metric_cross_hessian,
     monomial_powers_at_origin,
@@ -46,7 +42,11 @@ from kahlap.laplacian import (
     third_power_rhs,
 )
 from kahlap.rationals import rat
-from oracles import euclidean_laplacian, kahler_laplacian
+from oracles import (
+    dense_third_power_weights as _dense_third_power_weights,
+    euclidean_laplacian,
+    kahler_laplacian,
+)
 
 
 def bi(hol, anti):
@@ -244,7 +244,7 @@ def polynomials(draw, n, k):
 def test_powers_match_iterated_jet_laplacian(reference_metrics, name, data):
     # every k is queried on the same metric in shuffled order, so the
     # monomial memo warmed at one k serves the others; power_at_origin
-    # reads level k alone.  The bent metrics have g_inv denominator
+    # is level k of powers_at_origin.  The bent metrics have g_inv denominator
     # D = 243, so a wrong power of D or a dropped denominator of phi shows
     # there, where the catalog metrics (D = 1) cannot see it
     m = reference_metrics[name]
@@ -386,33 +386,6 @@ def test_third_power_rhs_matches_direct_engine(reference_metrics, name, data):
     assert third_power_rhs(m, phi) == power_at_origin(m, phi, 3), phi
 
 
-def _dense_third_power_weights(m):
-    """The g_inv part of third_power_rhs by the n^4 sum over (i, j, l, h)
-    of origin-derivative lookups, as written before the per-term pass."""
-    n = m.dim
-    x = m.g_inv
-    zero = (0,) * n
-    weights = {}
-    for i, j, l, h in itertools.product(range(n), repeat=4):
-        xij = x[i][j]
-        for mult, c, alpha, beta in (
-            (2, deriv_at0(xij, _units(n, l), _units(n, h)),
-             _units(n, j, h), _units(n, l, i)),
-            (1, deriv_at0(xij, _units(n, l, h), zero),
-             _units(n, j), _units(n, h, l, i)),
-            (1, deriv_at0(xij, zero, _units(n, l, h)),
-             _units(n, j, h, l), _units(n, i)),
-            (1, deriv_at0(xij, _units(n, l, h), _units(n, l, h)),
-             _units(n, j), _units(n, i)),
-        ):
-            if c != 0:
-                exps = alpha + beta
-                f = math.prod(map(math.factorial, exps))
-                key = _pack(exps)
-                weights[key] = weights.get(key, 0) + mult * c * f
-    return {key: w for key, w in weights.items() if w != 0}
-
-
 @pytest.mark.parametrize(
     "build",
     [
@@ -454,8 +427,11 @@ def test_third_power_rhs_guards_hold_on_every_call(hyp1):
 def test_keyed_third_power_rows_match_third_power_check(spec):
     # two metrics, so that the jet route reads nothing the keyed pass cached
     n = spec.dim
-    rows = _laplcube_test_indices(n)
-    keyed = third_power_checks(metric_from_potential(potential(spec, 8)), n, rows)
+    family, positions = inference.laplcube_rows(n)
+    rows = [family.index(pos) for pos in positions]
+    keyed = third_power_checks(
+        metric_from_potential(potential(spec, 8)), n, [family.keys[pos] for pos in positions]
+    )
     m = metric_from_potential(potential(spec, 8))
     assert len(keyed) == len(rows)
     for index, got in zip(rows, keyed):
@@ -470,7 +446,7 @@ def test_keyed_third_power_rows_match_on_every_family_row(spec):
     n = spec.dim
     family = inference.build_test_family(n, 3)
     rows = [family.index(pos) for pos in range(len(family.keys))]
-    keyed = third_power_checks(metric_from_potential(potential(spec, 8)), n, rows)
+    keyed = third_power_checks(metric_from_potential(potential(spec, 8)), n, family.keys)
     m = metric_from_potential(potential(spec, 8))
     for index, got in zip(rows, keyed):
         want = third_power_check(m, Jet(n, 8, [(index, 1)]))
@@ -481,12 +457,12 @@ def test_keyed_third_power_rows_keep_their_guards(hyp1):
     short = metric_from_potential(potential(Hyperbolic(1), 5))
     product = metric_from_potential(potential(Product(Flat(1), Hyperbolic(1)), 8))
     with pytest.raises(InsufficientOrderError) as err:
-        third_power_checks(short, 1, [bi((1,), (1,))])
+        third_power_checks(short, 1, [_pack_bi(bi((1,), (1,)))])
     assert err.value.required_order == 8
     with pytest.raises(NotEinsteinError):
-        third_power_checks(product, 2, [bi((1, 0), (1, 0))])
+        third_power_checks(product, 2, [_pack_bi(bi((1, 0), (1, 0)))])
     with pytest.raises(DimensionMismatchError):
-        third_power_checks(hyp1, 2, [bi((1, 0), (1, 0))])
+        third_power_checks(hyp1, 2, [_pack_bi(bi((1, 0), (1, 0)))])
 
 
 def test_third_power_identity_hyperbolic(hyp1):
@@ -510,6 +486,32 @@ def test_cross_hessian_hyperbolic_2():
     values = inverse_metric_cross_hessian(m, 1, 2)
     # ginv = (1-t)(delta - zb_i z_j): the four coefficients are all -1
     assert sum(values, rat(0)) == -4
+
+
+@pytest.mark.parametrize(
+    "spec", [*einstein_catalog_entries(), "bent hyp:2"], ids=str
+)
+def test_cross_hessian_reads_the_whole_jet_derivatives(spec):
+    # the keyed read of the z_h zb_a numerators against d_h dbar_a of the
+    # whole entries of g_inv at 0, for every pair (i, j); the bent metric
+    # has denominators there
+    if spec == "bent hyp:2":
+        m = _bent(Hyperbolic(2), 8)
+    else:
+        m = metric_from_potential(potential(spec, 8))
+    x = m.inverse(2)
+
+    def d(e, h, a):
+        return e.diff_hol(h + 1).diff_anti(a + 1).eval0()
+
+    seen = set()
+    for i, j in itertools.product(range(m.dim), repeat=2):
+        values = inverse_metric_cross_hessian(m, i + 1, j + 1)
+        assert values == (
+            d(x[j][j], i, i), d(x[i][i], j, j), d(x[i][j], j, i), d(x[j][i], i, j)
+        ), (i, j)
+        seen.update(v.denominator for v in values)
+    assert (max(seen) > 1) == (spec == "bent hyp:2")
 
 
 # ----------------------------------------------------------------------

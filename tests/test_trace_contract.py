@@ -1,9 +1,11 @@
 """The benchmark's tracer reads the engine from outside (see
 ``perfbench/tracer.py``): it wraps ``build_test_family``,
-``kahler_value_table`` and ``infer`` and, after the command returns, reads
-``family.entries``, ``entry.index`` and ``witness.first.index``.  One
-traced child run pins what it sees, so a refactor cannot break it
-silently."""
+``kahler_value_table``, ``infer``, ``powers_at_origin``,
+``third_power_rhs`` and ``third_power_summary`` among others and, after the
+command returns, reads ``family.entries``, ``entry.index`` and
+``witness.first.index``.  Traced child runs pin what it sees, on a check
+and on the reproduce suites that read Laplacian values by packed key, so a
+refactor cannot break it silently."""
 
 import json
 import os
@@ -14,20 +16,35 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_child_reads_the_family_and_the_witness():
+def _traced(*argv):
+    """The report of one traced ``perfbench/child.py`` run of ``argv``."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    argv = ["check", "polydisc:2", "--max-k", "3", "--seed", "0", "--format", "json"]
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "child.py"), "1", *argv],
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "1", *argv, "--format", "json"],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["kahlap_file"] == str(ROOT / "src" / "kahlap" / "cli.py")
     assert report["error"] is None and report["exit"] == 0
+    assert report["trace"]["missing"] == []
+    return report
+
+
+def test_traced_child_reads_the_family_and_the_witness():
+    report = _traced("check", "polydisc:2", "--max-k", "3", "--seed", "0")
     trace = report["trace"]
-    assert trace["missing"] == []
     assert trace["counters"]["family_size"] == 99
     assert trace["counters"]["pairs_scanned"] == 12729
     assert trace["calls"]["inference.infer"] == 3
     assert json.loads(report["stdout"])["verdicts"][-1]["status"] == "refuted"
+
+
+def test_traced_comp1_sees_one_summary_per_entry():
+    trace = _traced("reproduce", "comp1")["trace"]
+    assert trace["calls"]["inference.summary"] == 4
+
+
+def test_traced_duality_builds_each_metric_once():
+    trace = _traced("reproduce", "duality")["trace"]
+    assert trace["calls"]["geometry.metric"] == 6
