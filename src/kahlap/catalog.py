@@ -26,7 +26,7 @@ import math
 import re
 
 from .geometry import metric_from_potential, normality_report, einstein_data, pullback
-from .jets import Jet, KahlapError, UniSeries, record, substitute, _SHIFT, _check_shape
+from .jets import Jet, KahlapError, UniSeries, record, substitute, _SHIFT, _check_shape, _mac
 from .rationals import rat, rat_from_str, rat_pretty
 
 
@@ -115,10 +115,6 @@ class TypeI(PotentialSpec):
     def dim(self):
         return self.p * self.q
 
-    @property
-    def rank(self):
-        return min(self.p, self.q)
-
     def label(self):
         return f"type1:{self.p},{self.q}"
 
@@ -131,10 +127,6 @@ class TypeIDual(PotentialSpec):
     @property
     def dim(self):
         return self.p * self.q
-
-    @property
-    def rank(self):
-        return min(self.p, self.q)
 
     def label(self):
         return f"type1dual:{self.p},{self.q}"
@@ -284,20 +276,16 @@ def _log_det_potential(n: int, z, order: int, signs: bool = False) -> Jet:
         f = -(den // m) if signs and m % 2 == 0 else den // m
         bucket = grades[2 * m] = {}
         for i, row in enumerate(power):
-            for key, c in row[i].items():
-                bucket[key] = bucket.get(key, 0) + f * c
+            _mac(bucket, {0: f}, row[i])
     return Jet._reduced(n, order, order, False, grades, den)
 
 
 def _dot(row, col) -> dict:
     """sum_c row[c] * col[c] over int-dict polynomials."""
     out = {}
-    get = out.get
     for x, y in zip(row, col):
-        for kx, cx in x.items():
-            for ky, cy in y.items():
-                k = kx + ky
-                out[k] = get(k, 0) + cx * cy
+        if x and y:
+            _mac(out, x, y)
     return out
 
 

@@ -45,6 +45,7 @@ from .jets import (
     Jet,
     KahlapError,
     _digits,
+    _mac,
     _mul_capped,
     _unpack,
     record,
@@ -171,14 +172,8 @@ class _GradedInverse:
             lower = xs[d - e]
             for k, l, gpart in self.parts[e]:
                 for j, xpart in enumerate(lower[l]):
-                    if not xpart:
-                        continue
-                    tgt = acc[k][j]
-                    get = tgt.get
-                    for kg, cg in gpart.items():
-                        for kx, cx in xpart.items():
-                            key = kg + kx
-                            tgt[key] = get(key, 0) + cg * cx
+                    if xpart:
+                        _mac(acc[k][j], gpart, xpart)
         xd = []
         for i in range(n):
             row = []
@@ -409,7 +404,8 @@ def _log_det(m: MetricJet) -> Jet:
     dx = math.lcm(*(e.den for row in x for e in row))
     gd = math.lcm(*(e.den for row in m.g for e in row))
     big = math.lcm(*range(1, top + 1))
-    # parts[e]: (X[i][k] numerators by degree, numerators of Dx Gd G_e[k][i])
+    # parts[e]: (X[i][k] numerators by degree, numerators of G_e[k][i], f),
+    # f times their product being the numerator of X[i][k] G_e[k][i] over Dx Gd
     parts = [[] for _ in range(top + 1)]
     for i in range(n):
         for k in range(n):
@@ -419,22 +415,14 @@ def _log_det(m: MetricJet) -> Jet:
             f = (dx // xe.den) * (gd // ge.den)
             for e, bucket in ge._grades.items():
                 if 1 <= e <= top:
-                    parts[e].append((xe._grades, {key: c * f for key, c in bucket.items()}))
+                    parts[e].append((xe._grades, bucket, f))
     grades = {}
     for d in range(1, top + 1):
         tgt = {}
-        get = tgt.get
         for e in range(1, d + 1):
-            w = e * (big // d)
-            for xgrades, gpart in parts[e]:
-                xpart = xgrades.get(d - e)
-                if not xpart:
-                    continue
-                for kg, cg in gpart.items():
-                    cg *= w
-                    for kx, cx in xpart.items():
-                        key = kg + kx
-                        tgt[key] = get(key, 0) + cg * cx
+            for xgrades, gpart, f in parts[e]:
+                if xpart := xgrades.get(d - e):
+                    _mac(tgt, gpart, xpart, e * (big // d) * f)
         tgt = {key: c for key, c in tgt.items() if c}
         if tgt:
             grades[d] = tgt
@@ -555,14 +543,9 @@ def pullback(phi: Jet, components: Sequence[Jet]) -> Jet:
                 lift = new_den // den
                 acc = {g: {k: v * lift for k, v in b.items()} for g, b in acc.items()}
                 den = new_den
-            f = c * (den // prod.den)
             for g, b in prod._grades.items():
-                tgt = acc.setdefault(g, {})
-                get = tgt.get
-                for k, v in b.items():
-                    tgt[k] = get(k, 0) + f * v
-    grades = {g: {k: v for k, v in b.items() if v} for g, b in acc.items()}
-    grades = {g: b for g, b in grades.items() if b}
+                _mac(acc.setdefault(g, {}), {0: c * (den // prod.den)}, b)
+    grades = {g: nz for g, b in acc.items() if (nz := {k: v for k, v in b.items() if v})}
     valid = min(limit, veff, order)
     return Jet._reduced(src_dim, order, valid, exact, grades, den * phi.den)
 

@@ -23,6 +23,15 @@ numerators and ``den``, and ``==`` compares them structurally.  Rationals
 appear only at the boundary (:meth:`Jet.coefficient`, :meth:`Jet.terms`
 and the methods built on them).
 
+Every product and scaled sum of packed-key int dicts, here and in the
+catalog and geometry modules, goes through one kernel, :func:`_mac`, which
+adds ``w * a * b`` into an accumulator.  Two exceptions: the N0 step of the
+series inverse multiplies by int constants and stays a plain loop (held as
+constant polynomials for the kernel, they ran slower), and
+:meth:`Jet._reduced` still takes canonical dicts, the kernel's callers
+dropping the zeros it leaves, so that ``_reduced`` need not scan every
+numerator of every result for them.
+
 :class:`UniSeries` is the univariate analogue, used for radial profiles
 f(t) with potential f(|z|^2) and by the independent radial-reduction oracle.
 """
@@ -416,23 +425,11 @@ class Jet:
             return NotImplemented
         self._check_compat(other)
         den = math.lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        if fa == 1:
-            grades = {d: dict(b) for d, b in self._grades.items()}
-        else:
-            grades = {
-                d: {k: c * fa for k, c in b.items()} for d, b in self._grades.items()
-            }
-        for d, b in other._grades.items():
-            tgt = grades.setdefault(d, {})
-            for key, c in b.items():
-                prev = tgt.get(key)
-                val = c * fb if prev is None else prev + c * fb
-                if val == 0:
-                    del tgt[key]
-                else:
-                    tgt[key] = val
-        grades = {d: b for d, b in grades.items() if b}
+        grades = {}
+        for jet in (self, other):
+            for d, b in jet._grades.items():
+                _mac(grades.setdefault(d, {}), {0: den // jet.den}, b)
+        grades = {d: nz for d, b in grades.items() if (nz := {k: c for k, c in b.items() if c})}
         exact = self.exact and other.exact
         valid = min(self._veff, other._veff)
         return Jet._reduced(self.dim, self.order, valid, exact, grades, den)
@@ -518,15 +515,11 @@ class Jet:
 
     def flip_anti_sign(self) -> "Jet":
         """Substitute zb -> -zb: each coefficient times (-1)^(anti degree)."""
-        n = self.dim
-        grades: dict[int, dict[int, int]] = {}
-        for d, bucket in self._grades.items():
-            tgt = grades.setdefault(d, {})
-            for key, c in bucket.items():
-                anti_deg = sum(
-                    (key >> (_SHIFT * pos)) & _MASK for pos in range(n, 2 * n)
-                )
-                tgt[key] = -c if anti_deg % 2 else c
+        shift = _SHIFT * self.dim
+        grades = {
+            d: {k: -c if _digit_sum(k >> shift) % 2 else c for k, c in b.items()}
+            for d, b in self._grades.items()
+        }
         return Jet._raw(self.dim, self.order, self.valid, self.exact, grades, self.den)
 
     def conj(self) -> "Jet":
@@ -613,6 +606,18 @@ class Jet:
         flag = "exact" if self.exact else f"valid={self.valid}"
         return f"Jet(dim={self.dim}, order={self.order}, {flag}: {head}{more})"
 
+
+def _mac(tgt: dict, a: dict, b: dict, w: int = 1) -> None:
+    """Add ``w * a * b`` into ``tgt``, all packed-key int polynomials: a
+    monomial product is a key addition.  Keys that cancel stay, as zeros."""
+    get = tgt.get
+    for ka, ca in a.items():
+        ca *= w
+        for kb, cb in b.items():
+            k = ka + kb
+            tgt[k] = get(k, 0) + ca * cb
+
+
 def _mul_capped(a: Jet, b: Jet, out_order: int) -> Jet:
     """Product truncated at out_order.  Internal: orders may differ.
 
@@ -627,21 +632,11 @@ def _mul_capped(a: Jet, b: Jet, out_order: int) -> Jet:
         if da > out_order:
             continue
         dmax = out_order - da
-        items_a = bucket_a.items()
         for db, bucket_b in b._grades.items():
             if db > dmax:
                 continue
-            tgt = grades.setdefault(da + db, {})
-            get = tgt.get
-            for ka, ca in items_a:
-                for kb, cb in bucket_b.items():
-                    k = ka + kb
-                    v = get(k)
-                    tgt[k] = ca * cb if v is None else v + ca * cb
-    grades = {
-        d: {k: c for k, c in b.items() if c != 0} for d, b in grades.items()
-    }
-    grades = {d: b for d, b in grades.items() if b}
+            _mac(grades.setdefault(da + db, {}), bucket_a, bucket_b)
+    grades = {d: nz for d, b in grades.items() if (nz := {k: c for k, c in b.items() if c})}
     # a product with a zero factor is exactly zero: it drops no degree
     dropped = (
         not (a.is_zero or b.is_zero)

@@ -1,18 +1,20 @@
 """The keyed metric, Hermitian test, g(0) elimination and Einstein test
-against the whole-jet routes they replaced (``tests/oracles.py``), and the
-gauge invariance of the metric and everything read from it."""
+against the whole-jet routes they replaced (``tests/oracles.py``), the
+gauge invariance of the metric and everything read from it, and the
+invariance of Laplacian powers under coordinate permutations."""
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from kahlap.catalog import _raw_potential, parse_spec, potential, standard_entries
+from kahlap.catalog import Product, _raw_potential, parse_spec, potential, standard_entries
 from kahlap.geometry import (
     _eliminate,
     einstein_data,
     metric_from_potential,
+    pullback,
 )
 from kahlap.inference import build_test_family
-from kahlap.jets import _digit_sum, BiIndex, Jet, KahlapError
+from kahlap.jets import _digit_sum, _pack, _unpack, BiIndex, Jet, KahlapError
 from kahlap.laplacian import monomial_powers_at_origin, powers_at_origin
 from kahlap.rationals import rat
 from oracles import einstein_by_ricci, metric_by_derivatives, rational_eliminate
@@ -243,6 +245,58 @@ def test_gauge_terms_change_nothing_the_metric_determines(text, data):
         grades.setdefault(_digit_sum(key), {})[key] = i % 7 - 3 or 5
     combined = Jet._reduced(n, order, order, True, grades, 1)
     assert powers_at_origin(gauged, combined, 3) == powers_at_origin(m, combined, 3)
+
+
+# ----------------------------------------------------------------------
+# coordinate permutations
+
+
+def _permuted(key, sigma):
+    """The packed key of z^alpha zb^beta with the exponents of slot i moved
+    to slot sigma[i], in both halves."""
+    n = len(sigma)
+    exps = _unpack(key, 2 * n)
+    moved = [0] * (2 * n)
+    for i, s in enumerate(sigma):
+        moved[s], moved[n + s] = exps[i], exps[n + i]
+    return _pack(moved)
+
+
+@pytest.mark.parametrize(
+    "text, sigma, symmetric",
+    [
+        ("type1:2,2", (1, 2, 0, 3), False),
+        ("hyp:3", (1, 2, 0), True),
+        ("polydisc:3", (1, 2, 0), True),
+        ("product(flat:1,hyp:1)", (1, 0), False),
+    ],
+)
+def test_coordinate_permutations_keep_every_row_value(text, sigma, symmetric):
+    """z_i = w_sigma(i) is an isometry from the pullback of phi to phi, so
+    on the pulled-back metric every family row, its slots moved by sigma,
+    reads the Laplacian powers of the unmoved row on the metric of phi.
+    No power of a 3-cycle is a symmetry of type1:2,2, so there a row moved
+    by the inverse of sigma reads other values."""
+    spec = parse_spec(text)
+    n, order = spec.dim, 8
+    phi = potential(spec, order)
+    psi = pullback(phi, [Jet.variable(n, order, s + 1) for s in sigma])
+    assert (psi == phi) == symmetric
+    m, moved = metric_from_potential(phi), metric_from_potential(psi)
+    keys = build_test_family(n, 3).keys
+    den, levels = monomial_powers_at_origin(m, n, keys, 3)
+    moved_den, moved_levels = monomial_powers_at_origin(
+        moved, n, [_permuted(key, sigma) for key in keys], 3
+    )
+    for s, (level, moved_level) in enumerate(zip(levels, moved_levels), 1):
+        assert any(level)
+        assert [rat(v, moved_den**s) for v in moved_level] == [rat(v, den**s) for v in level]
+    # lam reads g[0][0], so it moves with sigma unless the metric is Einstein
+    e = einstein_data(m)
+    assert e.is_einstein == (not isinstance(spec, Product))
+    if e.is_einstein:
+        e_moved = einstein_data(moved)
+        assert (e_moved.lam, e_moved.is_einstein) == (e.lam, True)
 
 
 def test_einstein_data_needs_the_potential():

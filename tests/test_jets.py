@@ -390,6 +390,10 @@ def test_kernels_match_fraction_reference_and_stay_canonical(data):
         (Jet(dim, order, a.terms()), ra),
         (a + b, ref_add(ra, rb)),
         (a - b, ref_add(ra, rb, -1)),
+        # exact cancellations: no zero numerator or empty degree survives
+        (a - a, {}),
+        ((a + b) - b, ra),
+        ((a + b) * (a - b), ref_mul(ref_add(ra, rb), ref_add(ra, rb, -1), order)),
         (a.scale(c), {k: c * v for k, v in ra.items() if c}),
         (a * b, ref_mul(ra, rb, order)),
         (a.diff_hol(i), ref_diff(ra, i, anti=False)),

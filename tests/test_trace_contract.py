@@ -3,9 +3,10 @@
 ``kahler_value_table``, ``infer``, ``powers_at_origin``,
 ``third_power_rhs`` and ``third_power_summary`` among others and, after the
 command returns, reads ``family.entries``, ``entry.index`` and
-``witness.first.index``.  Traced child runs pin what it sees, on a check
-and on the reproduce suites that read Laplacian values by packed key, so a
-refactor cannot break it silently."""
+``witness.first.index``.  Traced child runs pin what it sees, on a check,
+on the reproduce suites that read Laplacian values by packed key and on
+the catalog and lemma runs that build potentials, metrics, inverses and
+Einstein data, so a refactor cannot break it silently."""
 
 import json
 import os
@@ -48,3 +49,19 @@ def test_traced_comp1_sees_one_summary_per_entry():
 def test_traced_duality_builds_each_metric_once():
     trace = _traced("reproduce", "duality")["trace"]
     assert trace["calls"]["geometry.metric"] == 6
+
+
+def test_traced_catalog_pins_its_potential_and_geometry_calls():
+    trace = _traced("catalog")["trace"]
+    calls = trace["calls"]
+    assert calls["catalog.potential"] == 15
+    assert calls["geometry.metric"] == 16
+    assert calls["geometry.inverse"] == 15
+    assert calls["geometry.einstein"] == 15
+    assert trace["counters"]["ginv_terms"] == 243
+
+
+def test_traced_lemma_builds_each_potential_and_metric_once():
+    calls = _traced("reproduce", "lemma")["trace"]["calls"]
+    assert calls["catalog.potential"] == 6
+    assert calls["geometry.metric"] == 6
