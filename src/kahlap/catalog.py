@@ -58,104 +58,77 @@ class PotentialSpec:
         return self.label()
 
 
-@record
-class Flat(PotentialSpec):
-    n: int
+class _Atom(PotentialSpec):
+    """A grammar atom ``head:f1,f2,...`` over positive int fields; its
+    dimension is the product of its fields."""
+
+    head = ""
+
+    def _fields(self):
+        return [getattr(self, name) for name in self.__match_args__]
 
     @property
     def dim(self):
-        return self.n
+        return math.prod(self._fields())
 
     def label(self):
-        return f"flat:{self.n}"
+        return f"{self.head}:{','.join(map(str, self._fields()))}"
 
 
 @record
-class FubiniStudy(PotentialSpec):
+class Flat(_Atom):
     n: int
-
-    @property
-    def dim(self):
-        return self.n
-
-    def label(self):
-        return f"fs:{self.n}"
+    head = "flat"
 
 
 @record
-class Hyperbolic(PotentialSpec):
+class FubiniStudy(_Atom):
     n: int
-
-    @property
-    def dim(self):
-        return self.n
-
-    def label(self):
-        return f"hyp:{self.n}"
+    head = "fs"
 
 
 @record
-class Polydisc(PotentialSpec):
+class Hyperbolic(_Atom):
+    n: int
+    head = "hyp"
+
+
+@record
+class Polydisc(_Atom):
     r: int
-
-    @property
-    def dim(self):
-        return self.r
-
-    def label(self):
-        return f"polydisc:{self.r}"
+    head = "polydisc"
 
 
 @record
-class TypeI(PotentialSpec):
+class TypeI(_Atom):
     p: int
     q: int
-
-    @property
-    def dim(self):
-        return self.p * self.q
-
-    def label(self):
-        return f"type1:{self.p},{self.q}"
+    head = "type1"
 
 
 @record
-class TypeIDual(PotentialSpec):
+class TypeIDual(_Atom):
     p: int
     q: int
-
-    @property
-    def dim(self):
-        return self.p * self.q
-
-    def label(self):
-        return f"type1dual:{self.p},{self.q}"
+    head = "type1dual"
 
 
 @record
-class TypeIII(PotentialSpec):
+class TypeIII(_Atom):
     m: int
+    head = "type3"
     optional = True
 
     @property
     def dim(self):
         return self.m * (self.m + 1) // 2
 
-    def label(self):
-        return f"type3:{self.m}"
-
 
 @record
-class TypeIV(PotentialSpec):
+class TypeIV(_Atom):
     n: int
+    head = "type4"
     optional = True
-
-    @property
-    def dim(self):
-        return self.n
-
-    def label(self):
-        return f"type4:{self.n}"
 
 
 @record
@@ -307,11 +280,11 @@ def _raw_potential(spec: PotentialSpec, order: int) -> Jet:
             diagonal = [[1 << _SHIFT * i if i == j else 0 for j in range(r)] for i in range(r)]
             return _log_det_potential(r, diagonal, order)
         case TypeI(p=p, q=q):
-            return _log_det_potential(p * q, _matrix_keys(p, q), order)
+            return _log_det_potential(spec.dim, _matrix_keys(p, q), order)
         case TypeIDual(p=p, q=q):
-            return _log_det_potential(p * q, _matrix_keys(p, q), order, True)
+            return _log_det_potential(spec.dim, _matrix_keys(p, q), order, True)
         case TypeIII(m=m):
-            return _log_det_potential(m * (m + 1) // 2, _symmetric_matrix_keys(m), order)
+            return _log_det_potential(spec.dim, _symmetric_matrix_keys(m), order)
         case TypeIV(n=n):
             one = Jet.one(n, order)
             s = Jet.abs_square_sum(n, order)
@@ -488,7 +461,12 @@ def diagonal_restriction_check(p: int, q: int, order: int) -> RestrictionCheck:
 # spec-string grammar
 
 
-_ATOM = re.compile(r"^([a-z0-9]+):(.*)$")
+_HEAD = re.compile(r"^([a-z0-9]+):(.*)$")
+# the int-field atoms by the head that names them in the grammar
+_ATOMS = {
+    atom.head: atom
+    for atom in (Flat, FubiniStudy, Hyperbolic, Polydisc, TypeI, TypeIDual, TypeIII, TypeIV)
+}
 # the deepest product(/dual( nesting parse_spec reads; each level is one
 # recursion of the parser and of the potential build
 _MAX_NESTING = 64
@@ -499,7 +477,8 @@ def parse_spec(text: str) -> PotentialSpec:
 
     flat:n | fs:n | hyp:n | polydisc:r | type1:p,q | type1dual:p,q |
     type3:m | type4:n | radial:<c1,c2,...>:n | product(<spec>,<spec>) |
-    dual(<spec>), nested at most ``_MAX_NESTING`` deep.
+    dual(<spec>), nested at most ``_MAX_NESTING`` deep.  The int-field
+    atoms are read through ``_ATOMS``, one entry per :class:`_Atom`.
     """
     text = text.strip()
     depth = 0
@@ -513,29 +492,16 @@ def parse_spec(text: str) -> PotentialSpec:
         return Product(parse_spec(left), parse_spec(right))
     if text.startswith("dual(") and text.endswith(")"):
         return DualOf(parse_spec(text[len("dual(") : -1]))
-    m = _ATOM.match(text)
+    m = _HEAD.match(text)
     if not m:
         raise SpecParseError(f"unknown spec {text!r}")
     head, rest = m.group(1), m.group(2)
     try:
-        if head == "flat":
-            return Flat(_positive_int(rest))
-        if head == "fs":
-            return FubiniStudy(_positive_int(rest))
-        if head == "hyp":
-            return Hyperbolic(_positive_int(rest))
-        if head == "polydisc":
-            return Polydisc(_positive_int(rest))
-        if head == "type1":
+        if atom := _ATOMS.get(head):
+            if len(atom.__match_args__) == 1:
+                return atom(_positive_int(rest))
             p, q = (_positive_int(x) for x in rest.split(","))
-            return TypeI(p, q)
-        if head == "type1dual":
-            p, q = (_positive_int(x) for x in rest.split(","))
-            return TypeIDual(p, q)
-        if head == "type3":
-            return TypeIII(_positive_int(rest))
-        if head == "type4":
-            return TypeIV(_positive_int(rest))
+            return atom(p, q)
         if head == "radial":
             coeff_part, _, n_part = rest.rpartition(":")
             if not coeff_part:

@@ -151,12 +151,6 @@ class BiIndex(NamedTuple):
     def bidegree(self) -> tuple[int, int]:
         return (sum(self.hol), sum(self.anti))
 
-    def support(self) -> frozenset[int]:
-        """1-based variable indices occurring in either exponent vector."""
-        return frozenset(
-            i + 1 for i in range(len(self.hol)) if self.hol[i] or self.anti[i]
-        )
-
     def text(self) -> str:
         parts = []
         for i, e in enumerate(self.hol):
@@ -341,13 +335,12 @@ class Jet:
         return cls.constant(dim, order, 1)
 
     @classmethod
-    def variable(cls, dim, order, i, anti=False) -> "Jet":
-        """The coordinate jet z_i (or zb_i), 1-based index."""
+    def variable(cls, dim, order, i) -> "Jet":
+        """The coordinate jet z_i, 1-based index."""
         if not 1 <= i <= dim:
             raise IndexRangeError(f"variable index {i} outside 1..{dim}")
-        hol = tuple(1 if (k == i - 1 and not anti) else 0 for k in range(dim))
-        ant = tuple(1 if (k == i - 1 and anti) else 0 for k in range(dim))
-        return cls(dim, order, [(BiIndex(hol, ant), 1)])
+        hol = tuple(1 if k == i - 1 else 0 for k in range(dim))
+        return cls(dim, order, [(BiIndex(hol, (0,) * dim), 1)])
 
     @classmethod
     def abs_square_sum(cls, dim, order) -> "Jet":

@@ -328,34 +328,51 @@ def test_diagonal_restriction(p, q):
 # grammar
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "flat:2",
-        "fs:3",
-        "hyp:1",
-        "polydisc:2",
-        "type1:2,2",
-        "type1dual:2,3",
-        "type3:2",
-        "type4:2",
-        "radial:1,1/2,-2/3:2",
-        "product(flat:1,hyp:1)",
-        "dual(type1:2,2)",
-        "product(product(flat:1,flat:1),hyp:2)",
-    ],
-)
-def test_parse_round_trip(text):
-    assert parse_spec(text).label() == text
+_ROUND_TRIPS = [
+    ("flat:2", 2),
+    ("fs:3", 3),
+    ("hyp:1", 1),
+    ("polydisc:2", 2),
+    ("type1:2,2", 4),
+    ("type1dual:2,3", 6),
+    ("type3:2", 3),
+    ("type4:2", 2),
+    ("radial:1,1/2,-2/3:2", 2),
+    ("product(flat:1,hyp:1)", 2),
+    ("dual(type1:2,2)", 4),
+    ("product(product(flat:1,flat:1),hyp:2)", 4),
+]
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["nope:1", "flat", "flat:0", "type1:2", "radial::2", "product(flat:1)", "hyp:x"],
-)
-def test_parse_rejects(text):
-    with pytest.raises(SpecParseError):
+@pytest.mark.parametrize("text, dim", _ROUND_TRIPS, ids=[t for t, _ in _ROUND_TRIPS])
+def test_parse_round_trip(text, dim):
+    spec = parse_spec(text)
+    assert spec.label() == text
+    assert spec.dim == dim
+
+
+_REJECTS = [
+    ("nope:1", "unknown spec 'nope:1'"),
+    ("flat", "unknown spec 'flat'"),
+    ("flat:0", "dimension must be positive, got 0"),
+    ("type1:2", "bad spec 'type1:2': not enough values to unpack (expected 2, got 1)"),
+    ("radial::2", "radial spec needs coefficients: 'radial::2'"),
+    ("product(flat:1)", "product needs two comma-separated specs: 'flat:1'"),
+    ("hyp:x", "bad spec 'hyp:x': invalid literal for int() with base 10: 'x'"),
+    ("type1:1,2,3", "bad spec 'type1:1,2,3': too many values to unpack (expected 2)"),
+    ("flat:1,2", "bad spec 'flat:1,2': invalid literal for int() with base 10: '1,2'"),
+    ("type4:2,2", "bad spec 'type4:2,2': invalid literal for int() with base 10: '2,2'"),
+    ("polydisc:", "bad spec 'polydisc:': invalid literal for int() with base 10: ''"),
+    ("type1dual:0,2", "dimension must be positive, got 0"),
+    ("type3:-1", "dimension must be positive, got -1"),
+]
+
+
+@pytest.mark.parametrize("text, message", _REJECTS, ids=[t for t, _ in _REJECTS])
+def test_parse_rejects(text, message):
+    with pytest.raises(SpecParseError) as exc:
         parse_spec(text)
+    assert str(exc.value) == message
 
 
 def test_product_block_structure():

@@ -1,7 +1,8 @@
 """The keyed metric, Hermitian test, g(0) elimination and Einstein test
 against the whole-jet routes they replaced (``tests/oracles.py``), the
 gauge invariance of the metric and everything read from it, and the
-invariance of Laplacian powers under coordinate permutations."""
+invariance of Laplacian powers under coordinate permutations, a map
+tangent to the identity and a unitary rotation."""
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -297,6 +298,50 @@ def test_coordinate_permutations_keep_every_row_value(text, sigma, symmetric):
     if e.is_einstein:
         e_moved = einstein_data(moved)
         assert (e_moved.lam, e_moved.is_einstein) == (e.lam, True)
+
+
+def _rows(family, order):
+    """Every family row as an exact jet at ``order``."""
+    return [Jet(family.dim, order, [(family.index(pos), 1)]) for pos in range(len(family))]
+
+
+@pytest.mark.parametrize("text", ["hyp:2", "polydisc:2", "type1:2,2"])
+def test_a_map_tangent_to_the_identity_keeps_every_row_value(text):
+    """F(w) = (w1 + w1 w2/3, w2 - w1^2/2, w3, ...) fixes the origin and is an
+    isometry from the pullback of phi to phi, so Lap_{F*g}(mu o F)(0) =
+    (Lap_g mu)(F(0)) = (Lap_g mu)(0) for every family row mu.  The map mixes
+    the variables at degree 2, which no permutation or linear map does."""
+    spec = parse_spec(text)
+    n, order = spec.dim, 12
+    phi = potential(spec, order)
+    w = [Jet.variable(n, order, i) for i in range(1, n + 1)]
+    f = [w[0] + (w[0] * w[1]).scale(rat(1, 3)), w[1] - (w[0] * w[0]).scale(rat(1, 2)), *w[2:]]
+    m, pulled = metric_from_potential(phi), metric_from_potential(pullback(phi, f))
+    values = []
+    for mu in _rows(build_test_family(n, 3), order):
+        mu_f = pullback(mu, f)
+        assert mu_f.exact
+        values.append(powers_at_origin(m, mu, 3))
+        assert powers_at_origin(pulled, mu_f, 3) == values[-1]
+    assert all(any(level) for level in zip(*values))
+
+
+@pytest.mark.parametrize("text", ["hyp:2", "fs:2"])
+def test_a_unitary_rotation_keeps_every_row_value(text):
+    """U = [[3/5, -4/5], [4/5, 3/5]] is real orthogonal, hence unitary, and
+    leaves the U(2)-invariant potential of ``text`` as it is, so every row
+    rotated by U reads the Laplacian powers of the unrotated row."""
+    order = 8
+    phi = potential(parse_spec(text), order)
+    w1, w2 = Jet.variable(2, order, 1), Jet.variable(2, order, 2)
+    u = [w1.scale(rat(3, 5)) - w2.scale(rat(4, 5)), w1.scale(rat(4, 5)) + w2.scale(rat(3, 5))]
+    assert pullback(phi, u) == phi
+    m = metric_from_potential(phi)
+    values = []
+    for mu in _rows(build_test_family(2, 3), order):
+        values.append(powers_at_origin(m, mu, 3))
+        assert powers_at_origin(m, pullback(mu, u), 3) == values[-1]
+    assert all(any(level) for level in zip(*values))
 
 
 def test_einstein_data_needs_the_potential():
