@@ -462,6 +462,7 @@ def diagonal_restriction_check(p: int, q: int, order: int) -> RestrictionCheck:
 
 
 _HEAD = re.compile(r"^([a-z0-9]+):(.*)$")
+_INT = re.compile(r"-?[0-9]+")
 # the int-field atoms by the head that names them in the grammar
 _ATOMS = {
     atom.head: atom
@@ -516,6 +517,10 @@ def parse_spec(text: str) -> PotentialSpec:
 
 
 def _positive_int(text: str) -> int:
+    # ASCII digits only, as the grammar writes them: int() alone would also
+    # read spaces, "+", "_" and non-ASCII digits; the message is int()'s
+    if not _INT.fullmatch(text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     n = int(text)
     if n < 1:
         raise SpecParseError(f"dimension must be positive, got {n}")

@@ -35,6 +35,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from . import catalog as cat
+from . import radial
 from .geometry import (
     MetricJet,
     normality_report,
@@ -461,17 +462,35 @@ def verify_property(
 ) -> PropertyReport:
     """Run inference for k = 1..max_k, stopping at the first refutation.
 
-    When every order is consistent, the inferred p_k are re-verified on
-    ``REVERIFY_COMBINATIONS`` seeded random rational combinations of the
-    family monomials (``seed`` picks them; no verdict depends on it), drawn
-    once per run and shared by every order.  For each combination phi and
-    each k, ``Lap^k phi(0)`` from :func:`powers_at_origin`, summed over the
-    terms of the multi-term jet at every level in one pass, must equal
-    ``p_k`` applied to the closed-form moments of :func:`euclidean_moments`,
-    exactly.  That path reads the memo apart from the value table that
-    :func:`infer` solved from, so a failure there -- a fault of the engine,
-    not a mathematical possibility -- downgrades the lowest failing order to
-    refuted and drops the later ones, so the report ends there.
+    When every order is consistent, the inferred p_k are re-verified by one
+    of two routes, chosen by one exact pass over the potential's packed keys
+    (:func:`radial.unitary_profile`):
+
+    - A U(n)-invariant spec, whose potential through degree 2 max_k is
+      F(|z|^2) (``flat``, ``fs``, ``hyp``, their duals, ``radial``), is
+      checked against the radial oracle: ``Lap^k t^j (0)``, t = |z|^2,
+      computed by :func:`radial.power_table` from the profile F alone, must
+      equal ``a_j j! (n)_j`` for j = 1..k.  That route reads no memo and
+      draws nothing, so it is independent of the engine that inferred p_k.
+      It cannot tell a space form from another invariant metric: on such a
+      potential ``Lap^k phi(0)`` is a U(n)-invariant functional, so every
+      order is consistent by symmetry (``radial:1,1/2:2`` is consistent
+      through k = 5 and not Einstein), and a consistent verdict there is no
+      evidence of the power property.
+    - Any other spec is checked on ``REVERIFY_COMBINATIONS`` seeded random
+      rational combinations of the family monomials (``seed`` picks them,
+      only on this route; no verdict depends on it), drawn once per run and
+      shared by every order.  For each combination phi and each k,
+      ``Lap^k phi(0)`` from :func:`powers_at_origin`, summed over the terms
+      of the multi-term jet at every level in one pass, must equal ``p_k``
+      applied to the closed-form moments of :func:`euclidean_moments`,
+      exactly.  That path reads the memo the value table read, so it checks
+      the arithmetic of :func:`infer` and of the sums, not the memo.
+
+    A failure on either route -- a fault of the engine, not a mathematical
+    possibility -- downgrades the lowest failing order to refuted, with no
+    witness and the route's note, and drops the later ones, so the report
+    ends there.
     """
     if max_k < 1:
         raise KahlapError("max_k must be >= 1")
@@ -494,13 +513,21 @@ def verify_property(
         if verdict.status == REFUTED:
             break
     if all(v.status == CONSISTENT for v in verdicts):
-        rng = random.Random(seed)
-        combinations = _random_combinations(
-            m, family.keys, rng, REVERIFY_COMBINATIONS
-        )
-        bad = _extended_reverify(m, verdicts, combinations)
+        profile = radial.unitary_profile(phi, max_k)
+        if profile is None:
+            rng = random.Random(seed)
+            combinations = _random_combinations(
+                m, family.keys, rng, REVERIFY_COMBINATIONS
+            )
+            bad = _extended_reverify(m, verdicts, combinations)
+            note = "random-combination re-verification failed"
+        else:
+            bad = _radial_reverify(profile, m.dim, verdicts)
+            note = "radial-oracle re-verification failed"
         if bad is not None:
-            verdicts[bad.k - 1 :] = [bad]
+            verdicts[bad - 1 :] = [
+                Verdict(k=bad, status=REFUTED, witness=None, note=note)
+            ]
     summary = None
     if (
         m.einstein.is_einstein
@@ -550,11 +577,10 @@ def _random_combinations(m: MetricJet, keys, rng, count: int):
             yield Jet._reduced(m.dim, m.order, m.order, True, grades, 12)
 
 
-def _extended_reverify(m, verdicts, combinations) -> Verdict | None:
+def _extended_reverify(m, verdicts, combinations) -> int | None:
     """Check every p_k of ``verdicts`` (k = 1..len(verdicts)) on the jets
     ``combinations``: Lap^k phi(0) must equal p_k applied to the Euclidean
-    moments of phi.  Returns the refuted verdict of the lowest failing
-    order, or None."""
+    moments of phi.  Returns the lowest failing order, or None."""
     max_k = len(verdicts)
     checks = [
         (powers_at_origin(m, phi, max_k), euclidean_moments(phi, max_k))
@@ -564,12 +590,27 @@ def _extended_reverify(m, verdicts, combinations) -> Verdict | None:
         if any(
             lhs[v.k - 1] != v.polynomial.apply_to_moments(mom) for lhs, mom in checks
         ):
-            return Verdict(
-                k=v.k,
-                status=REFUTED,
-                witness=None,
-                note="random-combination re-verification failed",
-            )
+            return v.k
+    return None
+
+
+def _radial_reverify(profile, n: int, verdicts) -> int | None:
+    """Check every p_k of ``verdicts`` (k = 1..len(verdicts)) on the metric
+    of the potential F(|z|^2), F = sum profile[m] t^m, in n variables:
+    ``Lap^k t^j (0)`` from :func:`radial.power_table` must equal
+    ``a_j j! (n)_j`` for j = 1..k, a_j the coefficient of X^j in p_k and
+    ``j! (n)_j = Lapc^j t^j (0)``.  Returns the lowest failing order, or
+    None."""
+    table = radial.power_table(profile, n, len(verdicts))
+    moments = [1]
+    for j in range(len(verdicts)):
+        moments.append(moments[-1] * (j + 1) * (n + j))
+    for v in verdicts:
+        if any(
+            table[j - 1][v.k - 1] != v.polynomial.coefficient(j) * moments[j]
+            for j in range(1, v.k + 1)
+        ):
+            return v.k
     return None
 
 

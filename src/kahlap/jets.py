@@ -33,7 +33,7 @@ dropping the zeros it leaves, so that ``_reduced`` need not scan every
 numerator of every result for them.
 
 :class:`UniSeries` is the univariate analogue, used for radial profiles
-f(t) with potential f(|z|^2) and by the independent radial-reduction oracle.
+f(t) with potential f(|z|^2) and for the series of :meth:`Jet.log1`.
 """
 
 from __future__ import annotations
@@ -680,8 +680,8 @@ class UniSeries:
     """Univariate truncated series with exact rational coefficients.
 
     Crops up in two places: radial potential profiles f with potential
-    f(|z|^2), and the univariate radial-reduction oracle that cross-checks
-    the multivariate engine.
+    f(|z|^2), and the series of :meth:`Jet.log1`, both composed with a jet
+    by :func:`substitute`.
     """
 
     __slots__ = ("order", "valid", "exact", "_coeffs")
@@ -742,32 +742,9 @@ class UniSeries:
                 f"order mismatch: {self.order} vs {other.order}"
             )
 
-    def __add__(self, other):
-        self._check(other)
-        coeffs = dict(self._coeffs)
-        for m, c in other._coeffs.items():
-            coeffs[m] = coeffs.get(m, ZERO) + c
-        return self._with(
-            coeffs, min(self._veff, other._veff), self.exact and other.exact
-        )
-
-    def __neg__(self):
-        return self._with(
-            {m: -c for m, c in self._coeffs.items()}, self.valid, self.exact
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "UniSeries":
-        c = rat(c)
-        return self._with(
-            {m: c * v for m, v in self._coeffs.items()}, self.valid, self.exact
-        )
-
     def __mul__(self, other):
         if not isinstance(other, UniSeries):
-            return self.scale(other)
+            return NotImplemented
         self._check(other)
         coeffs: dict[int, object] = {}
         for ma, ca in self._coeffs.items():
@@ -783,8 +760,6 @@ class UniSeries:
         )
         exact = self.exact and other.exact and not dropped
         return self._with(coeffs, min(self._veff, other._veff), exact)
-
-    __rmul__ = __mul__
 
     def diff(self) -> "UniSeries":
         coeffs = {m - 1: c * m for m, c in self._coeffs.items() if m}
@@ -815,11 +790,6 @@ class UniSeries:
             if acc != 0:
                 out[m] = -inv_c0 * acc
         return self._with(out, min(self._veff, self.order), False)
-
-    def eval0(self):
-        if self._veff < 0:
-            raise InsufficientOrderError("validity exhausted in univariate series")
-        return self.coefficient(0)
 
     def __eq__(self, other):
         if not isinstance(other, UniSeries):

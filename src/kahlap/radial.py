@@ -1,68 +1,144 @@
-"""Univariate radial-reduction oracle.
+"""Radial-reduction oracle for U(n)-invariant potentials.
 
-For a one-variable metric with potential f(t), t = |z|^2, everything
-reduces to univariate series calculus:
+A potential phi = F(t), t = |z|^2 = |z_1|^2 + ... + |z_n|^2, has the metric
+g = F' I + F'' zb z^T, and its Laplacian maps a radial function u(t) to the
+radial function
 
-    metric profile   g(t)   = f'(t) + t f''(t)
-    Laplacian        L psi  = (1/g) * (psi' + t psi'')
+    Lap u = (n - 1) u' / F' + (t u')' / (t F')'
 
-This is a deliberately separate code path from the multivariate engine (no
-jets, no matrices); the two must agree exactly on Lap^k(t^m)(0), which is
-the anti-hallucination check behind all one-variable reference values used
-in the tests.
+(at n = 1 only the second term is left).  This module computes
+``Lap^s t^j (0)`` from that formula alone -- no jet, no matrix, no memo --
+so it is a code path apart from the multivariate engine, and the two must
+agree exactly.  :func:`unitary_profile` decides, in one pass over the packed
+keys of a potential, whether it is such an F(t) through a given degree and
+reads F off it; :func:`power_table` runs the chains.
+
+Since ``Lapc^i t^j (0)`` is ``j! (n)_j`` at i = j ((n)_j the rising
+factorial) and 0 otherwise, ``Lap^k t^j (0) = a_j j! (n)_j`` for the
+coefficient a_j of X^j in p_k whenever ``Lap^k = p_k(Lapc)`` at the origin;
+that identity is how ``verify_property`` re-checks a U(n)-invariant spec.
+
+The chains run on ints.  Let D be the common denominator of f_0..f_kmax,
+F = sum f_m t^m, with F'(0) = f_1 = 1 (g(0) = I).  Then 1/F' and 1/(tF')'
+have the t^i coefficients p_i / D^i and q_i / D^i with int p_i and q_i, and
+the t^i coefficient of ``Lap^s t^j`` is an int over D^(s+i-j): one step
+maps the numerators w to
+
+    w'_i = sum_{b <= i} (b + 1) ((n - 1) p_{i-b} + (b + 1) q_{i-b}) w_{b+1},
+
+with no division.  After s steps only the degrees up to kmax - s can still
+reach the origin, so each step drops the top one.
 """
 
 from __future__ import annotations
 
-from .jets import InsufficientOrderError, UniSeries
-from .rationals import rat
+import math
+
+from .jets import KahlapError, _SHIFT, _digits
+from .rationals import ZERO, rat
 
 
-def metric_profile(f: UniSeries) -> UniSeries:
-    """g(t) = f'(t) + t f''(t) for the potential f(|z|^2)."""
-    f1 = f.diff()
-    return f1 + f1.diff().times_t()
+def unitary_profile(phi, kmax: int) -> list | None:
+    """``[f_0, ..., f_kmax]`` when the terms of the potential jet ``phi``
+    through degree 2 kmax are those of F(t) = sum f_m t^m, t = |z|^2, else
+    None; ``Lap^k phi(0)`` for k <= kmax reads no other terms.  Exact, in
+    one pass over the packed keys: only balanced terms z^a zb^a, each at
+    ``f_m m! / a!`` with m = |a|, and every multi-index of each degree
+    present (f_m is read at z_1^m zb_1^m, whose weight is 1)."""
+    if phi._veff < 2 * kmax:
+        return None
+    n = phi.dim
+    shift = _SHIFT * n
+    low = (1 << shift) - 1
+    fact = [math.factorial(e) for e in range(kmax + 1)]
+    profile = []
+    for d in range(2 * kmax + 1):
+        bucket = phi._grades.get(d, {})
+        if d % 2:
+            if bucket:
+                return None
+            continue
+        m = d // 2
+        top = bucket.get(m | m << shift, 0)
+        if len(bucket) != (math.comb(m + n - 1, m) if top else 0):
+            return None
+        weight = top * fact[m]
+        for key, c in bucket.items():
+            hol = key & low
+            if key != hol | hol << shift:
+                return None
+            for _, e in _digits(hol):
+                c *= fact[e]
+            if c != weight:
+                return None
+        profile.append(rat(top, phi.den))
+    return profile
 
 
-def inverse_profile(f: UniSeries) -> UniSeries:
-    g = metric_profile(f)
-    if g.coefficient(0) == 0:
-        raise InsufficientOrderError("radial profile has degenerate metric at 0")
-    return g.inv1()
-
-
-def radial_laplacian(ginv: UniSeries, psi: UniSeries) -> UniSeries:
-    """One application of the metric Laplacian to psi(|z|^2)."""
-    p1 = psi.diff()
-    return ginv * (p1 + p1.diff().times_t())
-
-
-def power_at_origin(f: UniSeries, m: int, k: int):
-    """Lap^k (t^m)(0) for the one-variable radial metric with profile f."""
-    order = f.order
-    psi = UniSeries(order, {m: rat(1)})
-    ginv = inverse_profile(f)
-    for _ in range(k):
-        psi = radial_laplacian(ginv, psi)
-    return psi.eval0()
-
-
-def hyperbolic_profile(order: int) -> UniSeries:
-    """f(t) = sum t^m / m, the truncation of -log(1-t)."""
-    return UniSeries(
-        order, {m: rat(1, m) for m in range(1, order + 1)}, exact=False
+def inverse_profiles(profile, kmax: int) -> tuple[int, list, list]:
+    """``(D, p, q)`` with ``p[i] / D^i`` and ``q[i] / D^i`` the t^i
+    coefficients of 1/F' and 1/(tF')', i < kmax, for F = sum profile[m]
+    t^m (missing coefficients read 0); D is the common denominator of
+    ``profile[:kmax + 1]``.  Raises KahlapError unless F'(0) = 1."""
+    f = [rat(c) for c in profile[: kmax + 1]]
+    f += [ZERO] * (kmax + 1 - len(f))
+    if kmax and f[1] != 1:
+        raise KahlapError("radial profile needs F'(0) = 1")
+    den = math.lcm(*(c.denominator for c in f))
+    num = [c.numerator * (den // c.denominator) for c in f]
+    # D F' and D (tF')' have the t^m coefficients (m+1) f_{m+1} and
+    # (m+1)^2 f_{m+1}, over D, and the constant term f_1 D = D
+    return (
+        den,
+        _reciprocal([(m + 1) * num[m + 1] for m in range(kmax)], den),
+        _reciprocal([(m + 1) ** 2 * num[m + 1] for m in range(kmax)], den),
     )
 
 
-def fubini_study_profile(order: int) -> UniSeries:
-    """f(t) = sum (-1)^(m+1) t^m / m, the truncation of log(1+t)."""
-    return UniSeries(
-        order,
-        {m: rat((-1) ** (m + 1), m) for m in range(1, order + 1)},
-        exact=False,
-    )
+def _reciprocal(a: list, den: int) -> list:
+    """c with ``c[i] / den^i`` the t^i coefficient of den / A(t), for
+    A(t) = sum a[i] t^i with a[0] = den: from A c = den, term by term,
+    ``c[i] = -sum_{1 <= m <= i} a[m] c[i-m] den^(m-1)``."""
+    c = [1]
+    for i in range(1, len(a)):
+        c.append(-sum(a[m] * c[i - m] * den ** (m - 1) for m in range(1, i + 1)))
+    return c
 
 
-def flat_profile(order: int) -> UniSeries:
-    """f(t) = t."""
-    return UniSeries(order, {1: rat(1)})
+def power_table(profile, n: int, kmax: int) -> list[list]:
+    """``table[j-1][s-1] = Lap^s t^j (0)``, j, s = 1..kmax, for the metric
+    of the potential F(|z|^2) in n variables, F = sum profile[m] t^m with
+    F'(0) = 1: one chain of kmax Laplacian steps per j, on int numerators,
+    and one rational per entry (0 for s < j)."""
+    den, p, q = inverse_profiles(profile, kmax)
+    table = []
+    for j in range(1, kmax + 1):
+        w = [0] * (kmax + 1)
+        w[j] = 1
+        row = []
+        for s in range(1, kmax + 1):
+            w = [
+                sum(
+                    (b + 1) * ((n - 1) * p[i - b] + (b + 1) * q[i - b]) * w[b + 1]
+                    for b in range(i + 1)
+                )
+                for i in range(len(w) - 1)
+            ]
+            row.append(rat(w[0], den ** (s - j)) if s >= j else ZERO)
+        table.append(row)
+    return table
+
+
+def hyperbolic_profile(kmax: int) -> list:
+    """f_m = 1/m: the truncation of -log(1 - t), hyp:n in every n."""
+    return [ZERO] + [rat(1, m) for m in range(1, kmax + 1)]
+
+
+def fubini_study_profile(kmax: int) -> list:
+    """f_m = (-1)^(m+1)/m: the truncation of log(1 + t), fs:n in every n."""
+    return [ZERO] + [rat((-1) ** (m + 1), m) for m in range(1, kmax + 1)]
+
+
+def flat_profile() -> list:
+    """F(t) = t."""
+    return [ZERO, rat(1)]

@@ -365,6 +365,20 @@ _REJECTS = [
     ("polydisc:", "bad spec 'polydisc:': invalid literal for int() with base 10: ''"),
     ("type1dual:0,2", "dimension must be positive, got 0"),
     ("type3:-1", "dimension must be positive, got -1"),
+    ("type4:-1", "dimension must be positive, got -1"),
+    # fields are ASCII digits: none of the other spellings int() reads
+    ("hyp: 2", "bad spec 'hyp: 2': invalid literal for int() with base 10: ' 2'"),
+    ("hyp:+2", "bad spec 'hyp:+2': invalid literal for int() with base 10: '+2'"),
+    (
+        "type1: 2 , 2",
+        "bad spec 'type1: 2 , 2': invalid literal for int() with base 10: ' 2 '",
+    ),
+    (
+        "polydisc:1_0",
+        "bad spec 'polydisc:1_0': invalid literal for int() with base 10: '1_0'",
+    ),
+    ("fs:\u0663", "bad spec 'fs:\u0663': invalid literal for int() with base 10: '\u0663'"),
+    ("hyp:\uff12", "bad spec 'hyp:\uff12': invalid literal for int() with base 10: '\uff12'"),
 ]
 
 

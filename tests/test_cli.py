@@ -149,6 +149,18 @@ def test_check_radial_spec_end_to_end(capsys):
     assert code == 0 and "consistent" in out
 
 
+def test_invariant_spec_that_is_no_space_form_is_consistent_at_every_order(capsys):
+    # the documented example: F(t) = t + t^2/2 on C^2 is U(n)-invariant, so
+    # every order is consistent by symmetry, though the metric is not
+    # Einstein and so, by the paper, has no Delta-property
+    code, doc, _ = run_json(
+        capsys, "check", "radial:1,1/2:2", "--max-k", "5", "--expect", "consistent"
+    )
+    assert code == 0
+    assert [v["status"] for v in doc["verdicts"]] == ["consistent"] * 5
+    assert doc["einstein"]["is_einstein"] is False
+
+
 def test_check_dual_spec(capsys):
     code, _, _ = run(
         capsys, "check", "dual(hyp:1)", "--max-k", "3", "--expect", "consistent"
@@ -525,7 +537,8 @@ def test_commands_import_no_argparse_gettext_or_locale():
 
 
 @pytest.mark.parametrize(
-    "module", ["cli.py", "geometry.py", "catalog.py", "laplacian.py", "inference.py"]
+    "module",
+    ["cli.py", "geometry.py", "catalog.py", "laplacian.py", "inference.py", "radial.py"],
 )
 def test_command_path_modules_stay_under_the_parser_step(module):
     """Commands run without a bytecode cache compile these modules on every

@@ -21,7 +21,7 @@ from kahlap.catalog import (
     potential,
 )
 from kahlap.geometry import metric_from_potential
-from kahlap import inference
+from kahlap import inference, laplacian, radial
 from kahlap.inference import (
     CONSISTENT,
     REFUTED,
@@ -42,6 +42,8 @@ from kahlap.jets import (
     InsufficientOrderError,
     Jet,
     KahlapError,
+    _SHIFT,
+    _digit_sum,
     _pack_bi,
     _unpack,
 )
@@ -462,12 +464,14 @@ def test_consistency_stable_under_extension_seeds():
     assert pa == pb and a.all_consistent and b.all_consistent
 
 
-@pytest.mark.parametrize("bad_k", [1, 2, 3])
+@pytest.mark.parametrize("bad_k", [1, 2])
 def test_reverify_failure_downgrades_that_order(monkeypatch, bad_k):
-    # an engine fault at one order on the re-verification path alone: the
-    # value table never calls powers_at_origin, so inference stays
-    # consistent; every order, max_k = 3 included, is checked on the shared
-    # combinations, so the fault is caught wherever it sits
+    # an engine fault at one order on the memo re-verification path alone,
+    # on polydisc:2, which is not U(n)-invariant (so it takes that route)
+    # and is consistent through max_k = 2: the value table never calls
+    # powers_at_origin, so inference stays consistent; every order, max_k
+    # included, is checked on the shared combinations, so the fault is
+    # caught wherever it sits
     real = inference.powers_at_origin
 
     def off_by_one_at(m, phi, kmax):
@@ -476,7 +480,7 @@ def test_reverify_failure_downgrades_that_order(monkeypatch, bad_k):
         return values
 
     monkeypatch.setattr(inference, "powers_at_origin", off_by_one_at)
-    rep = verify_property(Hyperbolic(2), 3)
+    rep = verify_property(Polydisc(2), 2)
     assert rep.refuted_at == bad_k
     bad = rep.verdicts[bad_k - 1]
     assert bad.status == REFUTED and bad.witness is None
@@ -484,6 +488,53 @@ def test_reverify_failure_downgrades_that_order(monkeypatch, bad_k):
     assert all(v.status == CONSISTENT for v in rep.verdicts[: bad_k - 1])
     # no verdict after the refuted order
     assert len(rep.verdicts) == bad_k
+
+
+@pytest.mark.parametrize("bad_k", [1, 2, 3])
+def test_radial_reverify_failure_downgrades_that_order(monkeypatch, bad_k):
+    # a fault at one order of the radial oracle alone, on the U(n)-invariant
+    # hyp:2: the oracle reads no memo, so inference stays consistent, and
+    # the fault is caught at its order whichever it is
+    real = radial.power_table
+
+    def off_by_one_at(profile, n, kmax):
+        table = real(profile, n, kmax)
+        table[0][bad_k - 1] += 1
+        return table
+
+    monkeypatch.setattr(radial, "power_table", off_by_one_at)
+    monkeypatch.setattr(inference, "powers_at_origin", None)  # never read
+    rep = verify_property(Hyperbolic(2), 3)
+    assert rep.refuted_at == bad_k
+    bad = rep.verdicts[bad_k - 1]
+    assert bad.status == REFUTED and bad.witness is None
+    assert bad.note == "radial-oracle re-verification failed"
+    assert all(v.status == CONSISTENT for v in rep.verdicts[: bad_k - 1])
+    assert len(rep.verdicts) == bad_k
+
+
+def test_radial_oracle_catches_a_memo_fault_the_memo_route_cannot(monkeypatch):
+    # the mutant adds D^3 to N(|z_i|^2, 3) in the memo: the value table then
+    # infers p_3 = X^3 - 13*X^2 + 16*X on hyp:2, and the memo re-verification
+    # reads the same memo, so only an oracle apart from it can refute
+    real = laplacian._OriginValues.value
+
+    def mutant(self, key, s):
+        value = real(self, key, s)
+        hol = key & self.low
+        if s == 3 and key == hol | hol << _SHIFT * self.dim and _digit_sum(hol) == 1:
+            value += self.den**3
+        return value
+
+    monkeypatch.setattr(laplacian._OriginValues, "value", mutant)
+    m = metric_from_potential(potential(Hyperbolic(2), 8))
+    family = build_test_family(2, 3)
+    assert infer(m, 3, family).polynomial.text() == "X^3 - 13*X^2 + 16*X"
+    rep = verify_property(Hyperbolic(2), 3)
+    assert [v.status for v in rep.verdicts] == [CONSISTENT, CONSISTENT, REFUTED]
+    bad = rep.verdicts[2]
+    assert bad.witness is None
+    assert bad.note == "radial-oracle re-verification failed"
 
 
 def _draw_terms(family, rng):

@@ -9,6 +9,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from kahlap import inference, radial
 from kahlap.catalog import (
+    Custom,
     Flat,
     FubiniStudy,
     Hyperbolic,
@@ -25,6 +26,7 @@ from kahlap.jets import (
     DimensionMismatchError,
     InsufficientOrderError,
     Jet,
+    KahlapError,
     _pack_bi,
 )
 from kahlap.laplacian import (
@@ -527,51 +529,136 @@ FROZEN_HYP = {
 
 
 def test_oracle_frozen_values():
-    f = radial.hyperbolic_profile(12)
+    table = radial.power_table(radial.hyperbolic_profile(12), 1, 4)
     for m, column in FROZEN_HYP.items():
-        got = [radial.power_at_origin(f, m, k) for k in (1, 2, 3, 4)]
-        assert got == column
+        assert table[m - 1] == column
 
 
 def test_oracle_metric_profile_hyperbolic():
-    f = radial.hyperbolic_profile(8)
-    ginv = radial.inverse_profile(f)
-    # (1-t)^2
-    assert ginv.coefficient(0) == 1
-    assert ginv.coefficient(1) == -2
-    assert ginv.coefficient(2) == 1
+    # F = -log(1 - t): 1/F' = 1 - t and 1/(tF')' = (1-t)^2
+    den, p, q = radial.inverse_profiles(radial.hyperbolic_profile(8), 4)
+    assert [rat(c, den**i) for i, c in enumerate(p)] == [1, -1, 0, 0]
+    assert [rat(c, den**i) for i, c in enumerate(q)] == [1, -2, 1, 0]
 
 
 @pytest.mark.parametrize("name", ["hyp", "fs"])
 def test_oracle_agrees_with_engine(name, hyp1, fs1):
     profile = radial.hyperbolic_profile(12) if name == "hyp" else radial.fubini_study_profile(12)
     metric = hyp1 if name == "hyp" else fs1
+    table = radial.power_table(profile, 1, 4)
     for m in range(1, 5):
         phi = mono(1, 10, (m,), (m,))
         for k in range(1, 5):
-            assert radial.power_at_origin(profile, m, k) == power_at_origin(
-                metric, phi, k
-            ), (name, m, k)
+            assert table[m - 1][k - 1] == power_at_origin(metric, phi, k), (name, m, k)
 
 
 def test_oracle_flat_profile():
-    f = radial.flat_profile(10)
-    import math
-
-    for m in range(1, 4):
-        assert radial.power_at_origin(f, m, m) == math.factorial(m) ** 2
+    # Lap^m t^m (0) = Lapc^m t^m (0) = m! (n)_m, (n)_m the rising factorial
+    for n in (1, 2, 5):
+        table = radial.power_table(radial.flat_profile(), n, 4)
+        for m in range(1, 5):
+            assert table[m - 1][m - 1] == math.factorial(m) * math.prod(range(n, n + m))
+            assert table[m - 1][m:] == [0] * (4 - m)
 
 
 def test_oracle_agrees_with_engine_on_random_profile():
-    from kahlap.catalog import Radial, potential
-    from kahlap.jets import UniSeries
+    from kahlap.catalog import Radial
 
     coeffs = (rat(1), rat(-3, 4), rat(2, 5), rat(1, 7))
-    profile = UniSeries(12, {i + 1: c for i, c in enumerate(coeffs)})
+    table = radial.power_table([0, *coeffs], 1, 4)
     engine = metric_from_potential(potential(Radial(coeffs, 1), 10))
     for m in range(1, 5):
         phi = mono(1, 10, (m,), (m,))
         for k in range(1, 5):
-            assert radial.power_at_origin(profile, m, k) == power_at_origin(
-                engine, phi, k
-            ), (m, k)
+            assert table[m - 1][k - 1] == power_at_origin(engine, phi, k), (m, k)
+
+
+def test_oracle_rejects_a_profile_off_the_normalization():
+    with pytest.raises(KahlapError, match="F'\\(0\\) = 1"):
+        radial.power_table([0, rat(2)], 1, 2)
+
+
+# the potentials that are F(|z|^2) and their profiles, through t^5
+_HYP, _FS = radial.hyperbolic_profile(5), radial.fubini_study_profile(5)
+_UNITARY = [
+    ("hyp:1", _HYP),
+    ("hyp:2", _HYP),
+    ("hyp:3", _HYP),
+    ("fs:1", _FS),
+    ("fs:2", _FS),
+    ("fs:3", _FS),
+    ("flat:2", [0, 1, 0, 0, 0, 0]),
+    ("dual(hyp:2)", _FS),
+    ("radial:1,1/2:2", [0, 1, rat(1, 2), 0, 0, 0]),
+    ("radial:1,-2/5,3:3", [0, 1, rat(-2, 5), 3, 0, 0]),
+]
+
+
+@pytest.mark.parametrize("text, profile", _UNITARY, ids=[t for t, _ in _UNITARY])
+def test_unitary_profile_reads_f_and_the_oracle_gives_the_engines_p_k(text, profile):
+    # the oracle's Lap^k t^j (0) against a_j j! (n)_j, a_j read off the p_k
+    # that infer solves from the engine's value table
+    kmax = 5 if text == "radial:1,1/2:2" else 4
+    spec = parse_spec(text)
+    n = spec.dim
+    phi = potential(spec, 2 * kmax + 2)
+    got = radial.unitary_profile(phi, kmax)
+    assert got == profile[: kmax + 1] and got[1] == 1
+    table = radial.power_table(got, n, kmax)
+    m = metric_from_potential(phi)
+    family = inference.build_test_family(n, kmax)
+    den, levels = inference.kahler_value_table(m, family, kmax)
+    for k in range(1, kmax + 1):
+        p_k = inference.infer(m, k, family, levels[k - 1], den=den**k).polynomial
+        for j in range(1, k + 1):
+            moment = math.factorial(j) * math.prod(range(n, n + j))
+            assert table[j - 1][k - 1] == p_k.coefficient(j) * moment, (k, j)
+
+
+def _hyp2_with(change, name):
+    """A Custom copy of hyp:2 at order 10 with ``change`` applied to its
+    {BiIndex: coefficient} terms."""
+    terms = dict(potential(Hyperbolic(2), 10).terms())
+    change(terms)
+    return Custom(Jet(2, 10, terms.items()), name)
+
+
+def _off_weight(terms):
+    terms[bi((1, 1), (1, 1))] += 1  # |z1 z2|^2 at 2, not 1 = f_2 * 2!/(1! 1!)
+
+
+def _dropped(terms):
+    del terms[bi((2, 1), (2, 1))]  # |z1^2 z2|^2, at f_3 * 3!/(2! 1!) = 1
+
+
+def _odd(terms):
+    terms[bi((3, 0), (0, 0))] = 1  # z1^3: pluriharmonic, so the metric stays
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        parse_spec("polydisc:2"),
+        parse_spec("type1:2,2"),
+        parse_spec("type4:2"),
+        parse_spec("product(hyp:1,hyp:1)"),
+        parse_spec("product(flat:1,hyp:1)"),
+        _hyp2_with(_off_weight, "hyp:2 off weight"),
+        _hyp2_with(_dropped, "hyp:2 key dropped"),
+        _hyp2_with(_odd, "hyp:2 plus z1^3"),
+    ],
+    ids=lambda spec: spec.label(),
+)
+def test_unitary_profile_rejects(spec):
+    phi = potential(spec, 10)
+    assert radial.unitary_profile(phi, 4) is None
+
+
+def test_unitary_profile_rejects_an_unbalanced_key_in_place_of_a_balanced_one():
+    # the count and the weight read off the holomorphic half both hold:
+    # only the balance test sees it (no catalog gate passes this potential,
+    # whose mixed terms have no mirrors, so the detector is called directly)
+    terms = dict(potential(Hyperbolic(2), 10).terms())
+    del terms[bi((0, 2), (0, 2))]
+    terms[bi((1, 1), (2, 0))] = 1
+    assert radial.unitary_profile(Jet(2, 10, terms.items()), 4) is None
