@@ -16,7 +16,6 @@ from .jets import (
     InsufficientOrderError,
     Jet,
     KahlapError,
-    UniSeries,
     substitute,
 )
 from .geometry import (

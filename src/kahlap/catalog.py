@@ -26,7 +26,7 @@ import math
 import re
 
 from .geometry import metric_from_potential, normality_report, einstein_data, pullback
-from .jets import Jet, KahlapError, UniSeries, record, substitute, _SHIFT, _check_shape, _mac
+from .jets import Jet, KahlapError, record, substitute, _SHIFT, _check_shape, _mac
 from .rationals import rat, rat_from_str, rat_pretty
 
 
@@ -146,11 +146,6 @@ class Radial(PotentialSpec):
     def label(self):
         body = ",".join(rat_pretty(c) for c in self.coeffs)
         return f"radial:{body}:{self.n}"
-
-    def profile(self, order: int) -> UniSeries:
-        return UniSeries(
-            order, {i + 1: c for i, c in enumerate(self.coeffs) if i + 1 <= order}
-        )
 
 
 @record
@@ -295,10 +290,8 @@ def _raw_potential(spec: PotentialSpec, order: int) -> Jet:
             inner = one - s.scale(2) + quad * quad.conj()
             return inner.log1().scale(rat(-1, 2))
         case Radial(n=n):
-            f = spec.profile(order)
-            if f.coefficient(0) != 0:
-                raise CatalogGateError("radial profile must vanish at 0")
-            return substitute(f, Jet.abs_square_sum(n, order))
+            f = [0, *spec.coeffs][: order + 1]
+            return substitute(f, Jet.abs_square_sum(n, order), exact=True)
         case Product(left=left, right=right):
             lphi = potential(left, order)
             rphi = potential(right, order)
@@ -463,6 +456,7 @@ def diagonal_restriction_check(p: int, q: int, order: int) -> RestrictionCheck:
 
 _HEAD = re.compile(r"^([a-z0-9]+):(.*)$")
 _INT = re.compile(r"-?[0-9]+")
+_RATIO = re.compile(r"-?[0-9]+(/[0-9]+)?")
 # the int-field atoms by the head that names them in the grammar
 _ATOMS = {
     atom.head: atom
@@ -507,7 +501,7 @@ def parse_spec(text: str) -> PotentialSpec:
             coeff_part, _, n_part = rest.rpartition(":")
             if not coeff_part:
                 raise SpecParseError(f"radial spec needs coefficients: {text!r}")
-            coeffs = tuple(rat_from_str(c) for c in coeff_part.split(","))
+            coeffs = tuple(rat_from_str(_ascii_digits(_RATIO, c)) for c in coeff_part.split(","))
             return Radial(coeffs, _positive_int(n_part))
     except SpecParseError:
         raise
@@ -516,12 +510,16 @@ def parse_spec(text: str) -> PotentialSpec:
     raise SpecParseError(f"unknown spec {text!r}")
 
 
-def _positive_int(text: str) -> int:
+def _ascii_digits(pattern: re.Pattern, text: str) -> str:
     # ASCII digits only, as the grammar writes them: int() alone would also
     # read spaces, "+", "_" and non-ASCII digits; the message is int()'s
-    if not _INT.fullmatch(text):
+    if not pattern.fullmatch(text):
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    n = int(text)
+    return text
+
+
+def _positive_int(text: str) -> int:
+    n = int(_ascii_digits(_INT, text))
     if n < 1:
         raise SpecParseError(f"dimension must be positive, got {n}")
     return n

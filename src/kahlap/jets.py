@@ -32,8 +32,10 @@ constant polynomials for the kernel, they ran slower), and
 dropping the zeros it leaves, so that ``_reduced`` need not scan every
 numerator of every result for them.
 
-:class:`UniSeries` is the univariate analogue, used for radial profiles
-f(t) with potential f(|z|^2) and for the series of :meth:`Jet.log1`.
+A univariate series f(t) = f_0 + f_1 t + ... is a plain list
+``[f_0, f_1, ...]`` of rationals: the radial profiles f with potential
+f(|z|^2) and the series of :meth:`Jet.log1` and :meth:`Jet.inv1`, each
+composed with a jet by :func:`substitute`.
 """
 
 from __future__ import annotations
@@ -488,11 +490,8 @@ class Jet:
         if self.constant_term() != 1:
             raise ConstantTermError("log1 requires constant term exactly 1")
         u = self - Jet.one(self.dim, self.order)
-        series = _LOG1_SERIES.get(self.order)
-        if series is None:
-            coeffs = [0] + [rat((-1) ** (m + 1), m) for m in range(1, self.order + 1)]
-            series = _LOG1_SERIES[self.order] = UniSeries(self.order, coeffs, exact=False)
-        return substitute(series, u)
+        coeffs = [0] + [rat((-1) ** (m + 1), m) for m in range(1, self.order + 1)]
+        return substitute(coeffs, u, exact=False)
 
     def inv1(self) -> "Jet":
         """Multiplicative inverse of a jet with nonzero constant term."""
@@ -501,7 +500,7 @@ class Jet:
             raise ConstantTermError("inv1 requires a nonzero constant term")
         u = self.scale(rat(1) / c0) - Jet.one(self.dim, self.order)
         coeffs = [rat((-1) ** m) / c0 for m in range(self.order + 1)]
-        return substitute(UniSeries(self.order, coeffs, exact=False), u)
+        return substitute(coeffs, u, exact=False)
 
     # ------------------------------------------------------------------
     # structural transforms
@@ -640,164 +639,34 @@ def _mul_capped(a: Jet, b: Jet, out_order: int) -> Jet:
     return Jet._reduced(a.dim, out_order, valid, exact, grades, a.den * b.den)
 
 
-# the series of Jet.log1 by order, built once each: UniSeries is immutable
-_LOG1_SERIES: dict[int, "UniSeries"] = {}
-
-
-def substitute(f: "UniSeries", arg: Jet) -> Jet:
+def substitute(f: list, arg: Jet, exact: bool) -> Jet:
     """Compose a univariate series with a zero-constant jet: f(arg).
 
-    A zero argument yields the constant f(0), known as far as the argument
-    is: with the argument's validity and exactness.  Otherwise coefficients
-    of f beyond its validity are unknown, so the result's validity is
-    additionally capped at (f.valid+1)*mindeg(arg) - 1 when f is not an
-    exact polynomial.
+    ``f`` is the list ``[f_0, f_1, ...]`` of the series' coefficients: an
+    exact polynomial when ``exact``, otherwise a series known through
+    degree ``len(f) - 1``.  A zero argument yields the constant f(0), known
+    as far as the argument is: with the argument's validity and exactness.
+    Otherwise the unknown coefficients of an inexact f additionally cap the
+    result's validity at len(f)*mindeg(arg) - 1.
     """
     if arg.constant_term() != 0:
         raise ConstantTermError("substitute requires a zero-constant argument")
     order = arg.order
-    out = Jet.constant(arg.dim, order, f.coefficient(0))
+    out = Jet.constant(arg.dim, order, f[0])
     if arg.is_zero:
         return out._flagged(arg.valid, arg.exact)
     mindeg = arg.min_degree()
+    top = min(len(f) - 1, order // mindeg)
     power = arg
-    for m in range(1, min(f.order, order // mindeg) + 1):
+    for m in range(1, top + 1):
         if m > 1:
             power = _mul_capped(power, arg, order)
-        cm = f.coefficient(m)
-        if cm != 0:
-            out = out + power.scale(cm)
+        if f[m]:
+            out = out + power.scale(f[m])
     valid = min(arg._veff, order)
-    exact = False
-    if f.exact:
-        exact = out.exact and f.max_degree() * arg.max_degree() <= order
+    if exact:
+        # a nonzero term past the loop's last power is truncated away
+        exact = out.exact and not any(f[top + 1 :])
     else:
-        valid = min(valid, (f.valid + 1) * mindeg - 1)
+        valid = min(valid, len(f) * mindeg - 1)
     return out._flagged(valid, exact)
-
-
-class UniSeries:
-    """Univariate truncated series with exact rational coefficients.
-
-    Crops up in two places: radial potential profiles f with potential
-    f(|z|^2), and the series of :meth:`Jet.log1`, both composed with a jet
-    by :func:`substitute`.
-    """
-
-    __slots__ = ("order", "valid", "exact", "_coeffs")
-
-    def __init__(self, order, coeffs=(), *, exact=True, valid=None):
-        if order < 0:
-            raise DegreeOverflowError("order must be >= 0")
-        data = {}
-        if isinstance(coeffs, dict):
-            items = coeffs.items()
-        else:
-            items = enumerate(coeffs)
-        for m, c in items:
-            c = rat(c)
-            if c == 0:
-                continue
-            if m > order:
-                raise DegreeOverflowError(f"coefficient degree {m} > order {order}")
-            data[m] = c
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(
-            self, "valid", order if valid is None else min(valid, order)
-        )
-        object.__setattr__(self, "_coeffs", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UniSeries instances are immutable")
-
-    @property
-    def _veff(self):
-        return _INF if self.exact else self.valid
-
-    def coefficient(self, m: int):
-        return self._coeffs.get(m, ZERO)
-
-    def max_degree(self) -> int:
-        return max(self._coeffs) if self._coeffs else 0
-
-    def terms(self):
-        return sorted(self._coeffs.items())
-
-    def _with(self, coeffs, valid, exact) -> "UniSeries":
-        out = UniSeries.__new__(UniSeries)
-        object.__setattr__(out, "order", self.order)
-        object.__setattr__(out, "exact", exact)
-        object.__setattr__(
-            out, "valid", self.order if exact else max(min(valid, self.order), -1)
-        )
-        object.__setattr__(
-            out, "_coeffs", {m: c for m, c in coeffs.items() if c != 0}
-        )
-        return out
-
-    def _check(self, other: "UniSeries"):
-        if self.order != other.order:
-            raise DimensionMismatchError(
-                f"order mismatch: {self.order} vs {other.order}"
-            )
-
-    def __mul__(self, other):
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        self._check(other)
-        coeffs: dict[int, object] = {}
-        for ma, ca in self._coeffs.items():
-            for mb, cb in other._coeffs.items():
-                m = ma + mb
-                if m > self.order:
-                    continue
-                coeffs[m] = coeffs.get(m, ZERO) + ca * cb
-        dropped = (
-            self._coeffs
-            and other._coeffs
-            and self.max_degree() + other.max_degree() > self.order
-        )
-        exact = self.exact and other.exact and not dropped
-        return self._with(coeffs, min(self._veff, other._veff), exact)
-
-    def diff(self) -> "UniSeries":
-        coeffs = {m - 1: c * m for m, c in self._coeffs.items() if m}
-        valid = self.valid if self.exact else self.valid - 1
-        return self._with(coeffs, valid, self.exact)
-
-    def times_t(self) -> "UniSeries":
-        """Multiply by t (degree shift; drops a possible top coefficient)."""
-        dropped = self.max_degree() + 1 > self.order if self._coeffs else False
-        coeffs = {m + 1: c for m, c in self._coeffs.items() if m + 1 <= self.order}
-        exact = self.exact and not dropped
-        valid = self.valid if exact else min(self._veff + 1, self.order)
-        return self._with(coeffs, valid, exact)
-
-    def inv1(self) -> "UniSeries":
-        c0 = self.coefficient(0)
-        if c0 == 0:
-            raise ConstantTermError("inv1 requires a nonzero constant term")
-        inv_c0 = rat(1) / c0
-        out = {0: inv_c0}
-        # recurrence b_m = -(1/c0) * sum_{j=1..m} a_j b_{m-j}
-        for m in range(1, self.order + 1):
-            acc = ZERO
-            for j in range(1, m + 1):
-                aj = self._coeffs.get(j)
-                if aj is not None:
-                    acc += aj * out.get(m - j, ZERO)
-            if acc != 0:
-                out[m] = -inv_c0 * acc
-        return self._with(out, min(self._veff, self.order), False)
-
-    def __eq__(self, other):
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        return self.order == other.order and self._coeffs == other._coeffs
-
-    __hash__ = None
-
-    def __repr__(self):
-        body = " + ".join(f"({rat_str(c)})t^{m}" for m, c in self.terms())
-        return f"UniSeries(order={self.order}: {body or '0'})"

@@ -379,6 +379,31 @@ _REJECTS = [
     ),
     ("fs:\u0663", "bad spec 'fs:\u0663': invalid literal for int() with base 10: '\u0663'"),
     ("hyp:\uff12", "bad spec 'hyp:\uff12': invalid literal for int() with base 10: '\uff12'"),
+    # radial coefficients are p or p/q in the same digits, "-" only in front
+    (
+        "radial:1,1/2_0:2",
+        "bad spec 'radial:1,1/2_0:2': invalid literal for int() with base 10: '1/2_0'",
+    ),
+    (
+        "radial:1,\uff11/2:2",
+        "bad spec 'radial:1,\uff11/2:2': invalid literal for int() with base 10: '\uff11/2'",
+    ),
+    (
+        "radial: 1,1/2:2",
+        "bad spec 'radial: 1,1/2:2': invalid literal for int() with base 10: ' 1'",
+    ),
+    (
+        "radial:1, 1/2:2",
+        "bad spec 'radial:1, 1/2:2': invalid literal for int() with base 10: ' 1/2'",
+    ),
+    (
+        "radial:+1,1/2:2",
+        "bad spec 'radial:+1,1/2:2': invalid literal for int() with base 10: '+1'",
+    ),
+    (
+        "radial:1,1/-2:2",
+        "bad spec 'radial:1,1/-2:2': invalid literal for int() with base 10: '1/-2'",
+    ),
 ]
 
 
@@ -387,6 +412,13 @@ def test_parse_rejects(text, message):
     with pytest.raises(SpecParseError) as exc:
         parse_spec(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, label", [("hyp:007", "hyp:7"), ("radial:1,2/4:2", "radial:1,1/2:2")]
+)
+def test_parse_normalizes_leading_zeros_and_fractions(text, label):
+    assert parse_spec(text).label() == label
 
 
 def test_product_block_structure():

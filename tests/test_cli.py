@@ -382,6 +382,9 @@ ARGV_CONTRACT = [
     ("check fs:3 --max-k 3 --format json", 0, "cli_check_fs3.json", ""),
     ("check type1:2,2 --max-k 3 --format json", 0, "cli_check_type1_22.json", ""),
     ("check product(flat:1,hyp:1) --max-k 3 --format json", 0, "cli_check_product_flat1_hyp1.json", ""),
+    ("check radial:1,1/2:2 --max-k 5 --format json", 0, "cli_check_radial_n2_k5.json", ""),
+    ("check radial:1,-2/5,3:3 --max-k 4 --format json", 0, "cli_check_radial_n3_k4.json", ""),
+    ("check type4:2 --max-k 3 --format json", 0, "cli_check_type4_2.json", ""),
     ("catalog --format=json", 0, "cli_catalog.json", ""),
     ("catalog --f json", 0, "cli_catalog.json", ""),
     *(

@@ -591,6 +591,10 @@ _UNITARY = [
     ("dual(hyp:2)", _FS),
     ("radial:1,1/2:2", [0, 1, rat(1, 2), 0, 0, 0]),
     ("radial:1,-2/5,3:3", [0, 1, rat(-2, 5), 3, 0, 0]),
+    ("radial:1,0,-1/3:2", [0, 1, 0, rat(-1, 3), 0, 0]),
+    ("radial:1,-1,1/2,-1/4,2:3", [0, 1, -1, rat(1, 2), rat(-1, 4), 2]),
+    # longer than the order of 10: the t^12 term is cut
+    ("radial:1,1/3,1/5,0,0,0,0,0,0,0,0,7:1", [0, 1, rat(1, 3), rat(1, 5), 0, 0]),
 ]
 
 
