@@ -34,14 +34,12 @@ from .laplacian import (
     power_at_origin,
     powers_at_origin,
     second_power_check,
-    third_power_check,
     third_power_rhs,
 )
 from .catalog import (
     CatalogGateError,
     Custom,
     DualOf,
-    EmbeddingSpec,
     Flat,
     FubiniStudy,
     Hyperbolic,
@@ -54,7 +52,6 @@ from .catalog import (
     TypeIDual,
     TypeIII,
     TypeIV,
-    diagonal_embedding,
     diagonal_restriction_check,
     dual_potential,
     parse_spec,

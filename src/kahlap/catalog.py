@@ -262,8 +262,6 @@ def _dot(row, col) -> dict:
 
 
 def _raw_potential(spec: PotentialSpec, order: int) -> Jet:
-    if order < 2:
-        raise CatalogGateError("potential order must be >= 2")
     match spec:
         case Flat(n=n):
             return Jet.abs_square_sum(n, order)
@@ -333,11 +331,16 @@ def potential(spec: PotentialSpec, order: int) -> Jet:
     potential's terms by :func:`_reads_normal`; only a potential that read
     rejects has the metric of its degree-4 truncation built, whose checks
     name the offence.  Optional entries must additionally be Einstein at
-    the self-check order; their potential is built once, through degree 8
-    at least, and truncated for both gates.
+    the self-check order.  Their normal gate reads a build through degree
+    4, the truncation of the full build, so an entry it rejects is never
+    built further; the potential is then built once, through degree 8 at
+    least, and truncated for the Einstein gate and the result.
     """
-    full = _raw_potential(spec, max(order, 8) if spec.optional and order >= 2 else order)
-    phi = full.truncated(order)
+    if order < 2:
+        raise CatalogGateError("potential order must be >= 2")
+    # checked before an optional entry's degree-4 build, which cannot see it
+    _check_shape(spec.dim, order)
+    phi = _raw_potential(spec, min(order, 4) if spec.optional else order)
     if not _reads_normal(phi):
         report = normality_report(metric_from_potential(phi.truncated(min(order, 4))))
         if not report.ok:
@@ -346,6 +349,8 @@ def potential(spec: PotentialSpec, order: int) -> Jet:
                 f"normalized at the origin ({'; '.join(report.offenders)})"
             )
     if spec.optional:
+        full = _raw_potential(spec, max(order, 8))
+        phi = full.truncated(order)
         # Einstein self-check at a fixed depth (Ricci valid through degree 4)
         e = einstein_data(metric_from_potential(full.truncated(8)))
         if not e.is_einstein:
@@ -384,39 +389,7 @@ def _reads_normal(phi: Jet) -> bool:
 
 
 # ----------------------------------------------------------------------
-# the diagonal embedding and the restriction check
-
-
-@record
-class EmbeddingSpec:
-    """Polynomial map to a larger coordinate space, no constant terms."""
-
-    source_dim: int
-    target_dim: int
-    components: tuple  # one Jet over source_dim per target variable
-
-    def component_jets(self, order: int):
-        return tuple(
-            c.lifted(order) if c.order < order else c.truncated(order)
-            for c in self.components
-        )
-
-
-def diagonal_embedding(p: int, q: int, order: int = 8) -> EmbeddingSpec:
-    """(z_1..z_r) -> the p x q matrix diag(z_1..z_r), r = min(p,q).
-
-    With diagonal-first coordinate ordering this is simply z_i -> variable i
-    for i <= r and 0 for the off-diagonal entries.
-    """
-    r = min(p, q)
-    n = p * q
-    comps = []
-    for k in range(n):
-        if k < r:
-            comps.append(Jet.variable(r, order, k + 1))
-        else:
-            comps.append(Jet.zero(r, order))
-    return EmbeddingSpec(source_dim=r, target_dim=n, components=tuple(comps))
+# the diagonal restriction check
 
 
 @record
@@ -430,14 +403,19 @@ class RestrictionCheck:
 
 
 def diagonal_restriction_check(p: int, q: int, order: int) -> RestrictionCheck:
-    """Pull the matrix-domain potential back along the diagonal embedding and
-    compare with the polydisc potential (and likewise the metrics)."""
+    """Pull the matrix-domain potential back along the diagonal embedding
+    (z_1..z_r) -> diag(z_1..z_r), r = min(p, q), and compare with the
+    polydisc potential (and likewise the metrics).  With diagonal-first
+    coordinates the embedding sends variable k to z_k for k <= r and to 0
+    off the diagonal."""
     if order < 4:
         raise CatalogGateError("restriction check needs order >= 4")
     r = min(p, q)
     phi_big = potential(TypeI(p, q), order)
-    emb = diagonal_embedding(p, q, order)
-    pulled = pullback(phi_big, emb.component_jets(order))
+    diagonal = [
+        Jet.variable(r, order, k + 1) if k < r else Jet.zero(r, order) for k in range(p * q)
+    ]
+    pulled = pullback(phi_big, diagonal)
     phi_disc = potential(Polydisc(r), order)
     pot_ok = pulled.agrees(phi_disc, order)
     m_pulled = metric_from_potential(pulled)
@@ -457,6 +435,7 @@ def diagonal_restriction_check(p: int, q: int, order: int) -> RestrictionCheck:
 _HEAD = re.compile(r"^([a-z0-9]+):(.*)$")
 _INT = re.compile(r"-?[0-9]+")
 _RATIO = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_COEFF_START = re.compile(r"\s*[-0-9]")
 # the int-field atoms by the head that names them in the grammar
 _ATOMS = {
     atom.head: atom
@@ -526,13 +505,16 @@ def _positive_int(text: str) -> int:
 
 
 def _split_top_level(text: str) -> tuple[str, str]:
+    """Split at the first comma outside parentheses that does not lead a
+    radial coefficient: every spec head starts with a letter, and every
+    coefficient with a digit or "-"."""
     depth = 0
     for pos, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif ch == "," and depth == 0:
+        elif ch == "," and depth == 0 and not _COEFF_START.match(text, pos + 1):
             return text[:pos], text[pos + 1 :]
     raise SpecParseError(f"product needs two comma-separated specs: {text!r}")
 

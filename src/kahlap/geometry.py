@@ -273,8 +273,8 @@ class MetricJet:
     (filled by ``monomial_powers_at_origin`` of :mod:`kahlap.laplacian`,
     which every ``*_at_origin`` function reads through) and the weights of
     the expanded third-power formula (filled by the first
-    ``third_power_rhs``, ``third_power_check`` or ``third_power_checks``
-    call) are cached the same way; each fill is deterministic.
+    ``third_power_rhs`` or ``third_power_checks`` call) are cached the same
+    way; each fill is deterministic.
     """
 
     __slots__ = (

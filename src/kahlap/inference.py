@@ -46,6 +46,7 @@ from .jets import (
     BiIndex,
     DimensionMismatchError,
     InsufficientOrderError,
+    MAX_ORDER,
     Jet,
     KahlapError,
     _SHIFT,
@@ -495,6 +496,10 @@ def verify_property(
     if max_k < 1:
         raise KahlapError("max_k must be >= 1")
     required = 2 * max_k + 2
+    if required > MAX_ORDER:
+        raise KahlapError(
+            f"max_k={max_k} needs order {required}; orders must be in 0..{MAX_ORDER}"
+        )
     if order is None:
         order = required
     elif order < required:

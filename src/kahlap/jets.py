@@ -6,7 +6,7 @@ with exact rational coefficients.  Besides the order, every jet carries a
 validity degree ``valid``: coefficients of total degree <= valid agree with
 those of the represented function; higher stored coefficients are artifacts
 of truncated arithmetic and must not be trusted.  Exact polynomials are
-flagged ``exact`` so that, e.g., differentiation does not erode them.
+flagged ``exact``: arithmetic that truncates no term keeps them exact.
 
 Monomials are keyed by packed exponent vectors (5 bits per slot), so a
 monomial product is a single integer addition; coefficients are grouped by
@@ -34,8 +34,8 @@ numerator of every result for them.
 
 A univariate series f(t) = f_0 + f_1 t + ... is a plain list
 ``[f_0, f_1, ...]`` of rationals: the radial profiles f with potential
-f(|z|^2) and the series of :meth:`Jet.log1` and :meth:`Jet.inv1`, each
-composed with a jet by :func:`substitute`.
+f(|z|^2) and the series of :meth:`Jet.log1`, each composed with a jet by
+:func:`substitute`.
 """
 
 from __future__ import annotations
@@ -394,14 +394,6 @@ class Jet:
         out.sort(key=lambda item: _sort_key(item[0]))
         return iter(out)
 
-    def eval0(self):
-        """Constant coefficient; errors when validity is exhausted."""
-        if self._veff < 0:
-            raise InsufficientOrderError(
-                "validity exhausted: the jet no longer determines its value at 0"
-            )
-        return self.constant_term()
-
     # ------------------------------------------------------------------
     # ring operations
 
@@ -457,32 +449,6 @@ class Jet:
         return self.scale(other)
 
     # ------------------------------------------------------------------
-    # calculus
-
-    def _diff(self, i: int, slot_offset: int) -> "Jet":
-        if not 1 <= i <= self.dim:
-            raise IndexRangeError(f"variable index {i} outside 1..{self.dim}")
-        pos = slot_offset + (i - 1)
-        shift = _SHIFT * pos
-        grades: dict[int, dict[int, int]] = {}
-        for d, bucket in self._grades.items():
-            for key, c in bucket.items():
-                e = (key >> shift) & _MASK
-                if not e:
-                    continue
-                grades.setdefault(d - 1, {})[key - (1 << shift)] = c * e
-        valid = self.valid if self.exact else max(self.valid - 1, -1)
-        return Jet._reduced(self.dim, self.order, valid, self.exact, grades, self.den)
-
-    def diff_hol(self, i: int) -> "Jet":
-        """Formal d/dz_i; validity drops by one unless the jet is exact."""
-        return self._diff(i, 0)
-
-    def diff_anti(self, i: int) -> "Jet":
-        """Formal d/dzb_i; validity drops by one unless the jet is exact."""
-        return self._diff(i, self.dim)
-
-    # ------------------------------------------------------------------
     # series functions
 
     def log1(self) -> "Jet":
@@ -491,15 +457,6 @@ class Jet:
             raise ConstantTermError("log1 requires constant term exactly 1")
         u = self - Jet.one(self.dim, self.order)
         coeffs = [0] + [rat((-1) ** (m + 1), m) for m in range(1, self.order + 1)]
-        return substitute(coeffs, u, exact=False)
-
-    def inv1(self) -> "Jet":
-        """Multiplicative inverse of a jet with nonzero constant term."""
-        c0 = self.constant_term()
-        if c0 == 0:
-            raise ConstantTermError("inv1 requires a nonzero constant term")
-        u = self.scale(rat(1) / c0) - Jet.one(self.dim, self.order)
-        coeffs = [rat((-1) ** m) / c0 for m in range(self.order + 1)]
         return substitute(coeffs, u, exact=False)
 
     # ------------------------------------------------------------------

@@ -445,17 +445,9 @@ def _weights(m: MetricJet) -> dict:
     return m._third_power_weights
 
 
-def third_power_check(m: MetricJet, phi: Jet) -> PowerIdentity:
-    """Direct Lap^3 phi(0) against the expanded right-hand side, for any
-    test function phi: the public form, and the reference the keyed rows
-    of :func:`third_power_checks` are tested against."""
-    return PowerIdentity(
-        lhs=power_at_origin(m, phi, 3), rhs=third_power_rhs(m, phi)
-    )
-
-
 def third_power_checks(m: MetricJet, dim: int, keys) -> list:
-    """:func:`third_power_check` of the monomial z^alpha zb^beta packed as
+    """Direct Lap^3 phi(0) against the expanded right-hand side of
+    :func:`third_power_rhs`, for phi the monomial z^alpha zb^beta packed as
     each of ``keys`` (``_pack(alpha) | _pack(beta) << _SHIFT * dim``), in
     one keyed pass with no jet.  The direct side is level 3 of
     :func:`monomial_powers_at_origin`, which runs the budget and dimension

@@ -128,17 +128,3 @@ def power_table(profile, n: int, kmax: int) -> list[list]:
         table.append(row)
     return table
 
-
-def hyperbolic_profile(kmax: int) -> list:
-    """f_m = 1/m: the truncation of -log(1 - t), hyp:n in every n."""
-    return [ZERO] + [rat(1, m) for m in range(1, kmax + 1)]
-
-
-def fubini_study_profile(kmax: int) -> list:
-    """f_m = (-1)^(m+1)/m: the truncation of log(1 + t), fs:n in every n."""
-    return [ZERO] + [rat((-1) ** (m + 1), m) for m in range(1, kmax + 1)]
-
-
-def flat_profile() -> list:
-    """F(t) = t."""
-    return [ZERO, rat(1)]

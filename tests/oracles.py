@@ -23,6 +23,15 @@ engine's origin values, its metric and its Einstein data against them.
   :func:`trace_log_potential`, against the int power sums of
   :func:`kahlap.catalog._log_det_potential`.
 
+- :func:`diff_hol`, :func:`diff_anti`, :func:`eval0` and :func:`inv1` are
+  the whole-jet derivatives, origin value and inverse series that the
+  oracles here are written in; the engine reads origin values off packed
+  keys instead.  :func:`third_power_check` applies the expanded third-power
+  identity to any test jet, the reference for the keyed rows of
+  :func:`kahlap.laplacian.third_power_checks`, and
+  :func:`hyperbolic_profile`, :func:`fubini_study_profile` and
+  :func:`flat_profile` are the named profiles F of :mod:`kahlap.radial`.
+
 - :func:`newton_inverse` is the series inverse by Newton iteration,
   :func:`series_determinant` the pivoted determinant and
   :func:`dense_third_power_weights` the n^4 sum of origin derivatives
@@ -37,9 +46,10 @@ longer inputs.
 
 The helpers at the end have only test callers, so they live here and not
 in the package: :func:`to_normal_coordinates` (the quadratic change to
-normal coordinates), :func:`restrict` (set variables to zero), the
-fixture text form :func:`to_text`/:func:`from_text`, and
-:func:`gate_status` (a catalog entry's gate without raising).
+normal coordinates), :func:`restrict` (set variables to zero),
+:func:`diagonal_components` (the diagonal embedding of a polydisc in a
+matrix domain), the fixture text form :func:`to_text`/:func:`from_text`,
+and :func:`gate_status` (a catalog entry's gate without raising).
 """
 
 import itertools
@@ -69,6 +79,7 @@ from kahlap.jets import (
     _MASK,
     _SHIFT,
     BiIndex,
+    ConstantTermError,
     DimensionMismatchError,
     IndexRangeError,
     InsufficientOrderError,
@@ -76,8 +87,83 @@ from kahlap.jets import (
     KahlapError,
     _mul_capped,
     _pack,
+    substitute,
 )
-from kahlap.rationals import rat, rat_from_str, rat_str
+from kahlap.laplacian import PowerIdentity, power_at_origin, third_power_rhs
+from kahlap.rationals import ZERO, rat, rat_from_str, rat_str
+
+
+# ----------------------------------------------------------------------
+# whole-jet calculus
+
+
+def _diff(jet: Jet, i: int, slot_offset: int) -> Jet:
+    if not 1 <= i <= jet.dim:
+        raise IndexRangeError(f"variable index {i} outside 1..{jet.dim}")
+    pos = slot_offset + (i - 1)
+    shift = _SHIFT * pos
+    grades: dict[int, dict[int, int]] = {}
+    for d, bucket in jet._grades.items():
+        for key, c in bucket.items():
+            e = (key >> shift) & _MASK
+            if not e:
+                continue
+            grades.setdefault(d - 1, {})[key - (1 << shift)] = c * e
+    valid = jet.valid if jet.exact else max(jet.valid - 1, -1)
+    return Jet._reduced(jet.dim, jet.order, valid, jet.exact, grades, jet.den)
+
+
+def diff_hol(jet: Jet, i: int) -> Jet:
+    """Formal d/dz_i; validity drops by one unless the jet is exact."""
+    return _diff(jet, i, 0)
+
+
+def diff_anti(jet: Jet, i: int) -> Jet:
+    """Formal d/dzb_i; validity drops by one unless the jet is exact."""
+    return _diff(jet, i, jet.dim)
+
+
+def eval0(jet: Jet):
+    """Constant coefficient; errors when validity is exhausted."""
+    if jet._veff < 0:
+        raise InsufficientOrderError(
+            "validity exhausted: the jet no longer determines its value at 0"
+        )
+    return jet.constant_term()
+
+
+def inv1(jet: Jet) -> Jet:
+    """Multiplicative inverse of a jet with nonzero constant term."""
+    c0 = jet.constant_term()
+    if c0 == 0:
+        raise ConstantTermError("inv1 requires a nonzero constant term")
+    u = jet.scale(rat(1) / c0) - Jet.one(jet.dim, jet.order)
+    coeffs = [rat((-1) ** m) / c0 for m in range(jet.order + 1)]
+    return substitute(coeffs, u, exact=False)
+
+
+def third_power_check(m: MetricJet, phi: Jet) -> PowerIdentity:
+    """Direct Lap^3 phi(0) against the expanded right-hand side, for any
+    test function phi: the reference the keyed rows of
+    :func:`kahlap.laplacian.third_power_checks` are tested against."""
+    return PowerIdentity(
+        lhs=power_at_origin(m, phi, 3), rhs=third_power_rhs(m, phi)
+    )
+
+
+def hyperbolic_profile(kmax: int) -> list:
+    """f_m = 1/m: the truncation of -log(1 - t), hyp:n in every n."""
+    return [ZERO] + [rat(1, m) for m in range(1, kmax + 1)]
+
+
+def fubini_study_profile(kmax: int) -> list:
+    """f_m = (-1)^(m+1)/m: the truncation of log(1 + t), fs:n in every n."""
+    return [ZERO] + [rat((-1) ** (m + 1), m) for m in range(1, kmax + 1)]
+
+
+def flat_profile() -> list:
+    """F(t) = t."""
+    return [ZERO, rat(1)]
 
 
 # ----------------------------------------------------------------------
@@ -119,8 +205,8 @@ def metric_by_derivatives(phi: Jet) -> MetricJet:
             "potential must be valid at least to degree 2", required_order=2
         )
     n = phi.dim
-    rows = (phi.diff_hol(i + 1) for i in range(n))
-    g = tuple(tuple(d.diff_anti(j + 1) for j in range(n)) for d in rows)
+    rows = (diff_hol(phi, i + 1) for i in range(n))
+    g = tuple(tuple(diff_anti(d, j + 1) for j in range(n)) for d in rows)
     for i in range(n):
         for j in range(i, n):
             if g[i][j].conj() != g[j][i]:
@@ -139,8 +225,8 @@ def ricci(m):
     """
     logdet = _log_det(m)
     n = m.dim
-    rows = (logdet.diff_hol(i + 1) for i in range(n))
-    return tuple(tuple(-(d.diff_anti(j + 1)) for j in range(n)) for d in rows)
+    rows = (diff_hol(logdet, i + 1) for i in range(n))
+    return tuple(tuple(-(diff_anti(d, j + 1)) for j in range(n)) for d in rows)
 
 
 def einstein_by_ricci(m) -> EinsteinData:
@@ -153,7 +239,7 @@ def einstein_by_ricci(m) -> EinsteinData:
     with lam*g coefficient by coefficient instead of subtracted.
     """
     ric = ricci(m)
-    lam = ric[0][0].eval0() / m.g[0][0].eval0()
+    lam = eval0(ric[0][0]) / eval0(m.g[0][0])
     checked = min(m.valid - 2, m.order)
     is_e = all(
         ric[i][j].agrees(m.g[i][j].scale(lam), checked)
@@ -220,11 +306,11 @@ def ricci_contracted(m, cap: int | None = None):
     cap = m.order if cap is None else cap
     x = m.inverse(m.valid)
     da_g = [
-        tuple(tuple(m.g[i][c].diff_hol(b + 1) for c in range(n)) for i in range(n))
+        tuple(tuple(diff_hol(m.g[i][c], b + 1) for c in range(n)) for i in range(n))
         for b in range(n)
     ]
     db_g = [
-        tuple(tuple(m.g[d][j].diff_anti(a + 1) for j in range(n)) for d in range(n))
+        tuple(tuple(diff_anti(m.g[d][j], a + 1) for j in range(n)) for d in range(n))
         for a in range(n)
     ]
     #   P_b = (d_b g) X ;  Q_ab = P_b (dbar_a g)
@@ -235,7 +321,7 @@ def ricci_contracted(m, cap: int | None = None):
         for b in range(n):
             q = mat_mul(p[b], db_g[a], cap)
             hess = tuple(
-                tuple(m.g[i][j].diff_hol(b + 1).diff_anti(a + 1) for j in range(n))
+                tuple(diff_anti(diff_hol(m.g[i][j], b + 1), a + 1) for j in range(n))
                 for i in range(n)
             )
             for i in range(n):
@@ -256,7 +342,7 @@ def euclidean_laplacian(phi: Jet) -> Jet:
     """sum_i d^2 phi / dz_i dzb_i."""
     acc = None
     for i in range(1, phi.dim + 1):
-        term = phi.diff_hol(i).diff_anti(i)
+        term = diff_anti(diff_hol(phi, i), i)
         acc = term if acc is None else acc + term
     return acc
 
@@ -274,7 +360,7 @@ def kahler_laplacian(m, phi: Jet) -> Jet:
     acc = None
     for a in range(m.dim):
         for b in range(m.dim):
-            hess = phi.diff_hol(b + 1).diff_anti(a + 1)
+            hess = diff_anti(diff_hol(phi, b + 1), a + 1)
             if hess.is_zero and acc is not None:
                 continue
             term = _mul_capped(x[a][b], hess, phi.order)
@@ -346,7 +432,7 @@ def series_determinant(mat):
             sign = -sign
         pivot = work[k][k]
         det = _mul_capped(det, pivot, order)
-        pinv = pivot.inv1()
+        pinv = inv1(pivot)
         for i in range(k + 1, n):
             if work[i][k].is_zero:
                 continue
@@ -528,7 +614,7 @@ def to_normal_coordinates(phi: Jet) -> Jet:
         quad = Jet.zero(n, order)
         for k in range(n):
             for l in range(n):
-                a_jkl = -(m.g[l][j].diff_hol(k + 1).eval0())
+                a_jkl = -eval0(diff_hol(m.g[l][j], k + 1))
                 if a_jkl != 0:
                     wk = Jet.variable(n, order, k + 1)
                     wl = Jet.variable(n, order, l + 1)
@@ -563,6 +649,14 @@ def restrict(phi: Jet, keep) -> Jet:
                 new_key |= ((key >> (_SHIFT * pos)) & _MASK) << (_SHIFT * new_pos)
             grades.setdefault(d, {})[new_key] = c
     return Jet._reduced(len(keep), phi.order, phi.valid, phi.exact, grades, phi.den)
+
+
+def diagonal_components(p: int, q: int, order: int) -> list:
+    """The diagonal embedding (z_1..z_r) -> diag(z_1..z_r), r = min(p, q),
+    as one jet over r variables per coordinate of the p x q matrix domain:
+    z_k for the diagonal coordinates k <= r, 0 for the rest."""
+    r = min(p, q)
+    return [Jet.variable(r, order, k + 1) if k < r else Jet.zero(r, order) for k in range(p * q)]
 
 
 def to_text(phi: Jet) -> str:

@@ -37,9 +37,16 @@ from kahlap.inference import (
     verify_property,
 )
 from kahlap.jets import BiIndex, Jet
-from kahlap.laplacian import power_at_origin, third_power_check
+from kahlap.laplacian import power_at_origin
 from kahlap.rationals import rat
-from oracles import matrices_agree, ricci, ricci_contracted
+from oracles import (
+    fubini_study_profile,
+    hyperbolic_profile,
+    matrices_agree,
+    ricci,
+    ricci_contracted,
+    third_power_check,
+)
 
 EINSTEIN_ENTRIES = [
     (FubiniStudy(1), 2),
@@ -274,7 +281,7 @@ def test_criterion_11_radial_profiles():
     rep = verify_property(Hyperbolic(1), 3)
     assert rep.verdicts[2].polynomial.lower == (8, -10)  # X^3 - 10 X^2 + 8 X
     # the inferred polynomial's defining values agree with the radial oracle
-    table = radial.power_table(radial.hyperbolic_profile(4), 1, 4)
+    table = radial.power_table(hyperbolic_profile(4), 1, 4)
     engine = metric_from_potential(potential(Hyperbolic(1), 10))
     for m in range(1, 5):
         phi = mono(1, 10, (m,))
@@ -289,8 +296,8 @@ def test_criterion_11_radial_profiles():
 def test_criterion_12_engine_vs_oracle():
     checks = 0
     for profile, spec in (
-        (radial.hyperbolic_profile(4), Hyperbolic(1)),
-        (radial.fubini_study_profile(4), FubiniStudy(1)),
+        (hyperbolic_profile(4), Hyperbolic(1)),
+        (fubini_study_profile(4), FubiniStudy(1)),
     ):
         table = radial.power_table(profile, 1, 4)
         engine = metric_from_potential(potential(spec, 10))

@@ -21,7 +21,6 @@ from kahlap.catalog import (
     TypeIII,
     TypeIV,
     _raw_potential,
-    diagonal_embedding,
     diagonal_restriction_check,
     dual_potential,
     matrix_slots,
@@ -273,7 +272,25 @@ def test_optional_entry_builds_its_potential_once_from_order_8(monkeypatch, orde
 
     monkeypatch.setattr(catalog, "_raw_potential", counted)
     potential(TypeIV(2), order)
-    assert len(calls) == builds
+    # the normal gate's degree-4 probe, then the one build through degree 8
+    assert calls == [(TypeIV(2), 4)] + [(TypeIV(2), max(order, 8))] * builds
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("order", [6, 8])
+def test_rejected_optional_entry_is_never_built_past_degree_4(monkeypatch, m, order):
+    calls = []
+    real = catalog._raw_potential
+
+    def counted(spec, at):
+        calls.append(at)
+        return real(spec, at)
+
+    monkeypatch.setattr(catalog, "_raw_potential", counted)
+    rejected = rf"^catalog entry rejected by self-check: type3:{m} is not normalized"
+    with pytest.raises(CatalogGateError, match=rejected):
+        potential(TypeIII(m), order)
+    assert calls == [4]
 
 
 # ----------------------------------------------------------------------
@@ -304,18 +321,7 @@ def test_type1_restricts_to_polydisc_on_diagonal_variables():
 
 
 # ----------------------------------------------------------------------
-# embedding and restriction
-
-
-def test_diagonal_embedding_shapes():
-    emb = diagonal_embedding(2, 2, 6)
-    assert emb.source_dim == 2 and emb.target_dim == 4
-    comps = emb.component_jets(6)
-    assert comps[0] == Jet.variable(2, 6, 1)
-    assert comps[1] == Jet.variable(2, 6, 2)
-    assert comps[2].is_zero and comps[3].is_zero
-    emb = diagonal_embedding(2, 3, 6)
-    assert emb.source_dim == 2 and emb.target_dim == 6
+# the diagonal restriction
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 2), (2, 3)])
@@ -341,6 +347,10 @@ _ROUND_TRIPS = [
     ("product(flat:1,hyp:1)", 2),
     ("dual(type1:2,2)", 4),
     ("product(product(flat:1,flat:1),hyp:2)", 4),
+    # a comma that leads a radial coefficient does not split a product
+    ("product(radial:1,1/2:1,type4:2)", 3),
+    ("product(radial:1,-2/5,3:1,hyp:1)", 2),
+    ("product(product(radial:1,1/2:1,hyp:1),radial:1,1/2:1)", 3),
 ]
 
 
@@ -358,6 +368,8 @@ _REJECTS = [
     ("type1:2", "bad spec 'type1:2': not enough values to unpack (expected 2, got 1)"),
     ("radial::2", "radial spec needs coefficients: 'radial::2'"),
     ("product(flat:1)", "product needs two comma-separated specs: 'flat:1'"),
+    ("product(hyp:1,)", "unknown spec ''"),
+    ("product(hyp:1,2)", "product needs two comma-separated specs: 'hyp:1,2'"),
     ("hyp:x", "bad spec 'hyp:x': invalid literal for int() with base 10: 'x'"),
     ("type1:1,2,3", "bad spec 'type1:1,2,3': too many values to unpack (expected 2)"),
     ("flat:1,2", "bad spec 'flat:1,2': invalid literal for int() with base 10: '1,2'"),
@@ -415,7 +427,12 @@ def test_parse_rejects(text, message):
 
 
 @pytest.mark.parametrize(
-    "text, label", [("hyp:007", "hyp:7"), ("radial:1,2/4:2", "radial:1,1/2:2")]
+    "text, label",
+    [
+        ("hyp:007", "hyp:7"),
+        ("radial:1,2/4:2", "radial:1,1/2:2"),
+        ("product(hyp:1, radial:1,1/2:1)", "product(hyp:1,radial:1,1/2:1)"),
+    ],
 )
 def test_parse_normalizes_leading_zeros_and_fractions(text, label):
     assert parse_spec(text).label() == label

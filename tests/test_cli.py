@@ -309,14 +309,24 @@ def test_catalog_builds_one_potential_per_entry(capsys, monkeypatch):
     original = kahlap.catalog._raw_potential
 
     def counting(spec, order):
-        builds.append(spec.label())
+        builds.append((spec.label(), order))
         return original(spec, order)
 
     monkeypatch.setattr(kahlap.catalog, "_raw_potential", counting)
     code, doc, _ = run_json(capsys, "catalog")
     assert code == 0
-    assert builds == [e["spec"] for e in doc["entries"]]
-    assert len(builds) == 15
+    # an optional entry is read normal on a degree-4 probe first, and only an
+    # entry that passes is built through degree 8
+    want = []
+    for e in doc["entries"]:
+        if e["optional"]:
+            want.append((e["spec"], 4))
+            if e["gate"] == "ok":
+                want.append((e["spec"], 8))
+        else:
+            want.append((e["spec"], 6))
+    assert builds == want
+    assert len(builds) == 16
 
 
 def test_version_flag(capsys):
@@ -428,7 +438,8 @@ ARGV_CONTRACT = [
     (f"check {'product(' * 500}hyp:1{',hyp:1)' * 500}", 1, "", "error: spec nested deeper than 64\n"),
     # orders past the packed-key limit fail before any build
     ("check hyp:1 --order 32", 1, "", "error: order must be in 0..31, got 32\n"),
-    ("check hyp:1 --max-k 15", 1, "", "error: order must be in 0..31, got 32\n"),
+    ("check hyp:1 --max-k 15", 1, "", "error: max_k=15 needs order 32; orders must be in 0..31\n"),
+    ("check hyp:1 --max-k 15 --order 32", 1, "", "error: max_k=15 needs order 32; orders must be in 0..31\n"),
     ("check hyp:1 --order 64", 1, "", "error: order must be in 0..31, got 64\n"),
     ("check type3:2 --order 32", 1, "", "error: order must be in 0..31, got 32\n"),
     ("reproduce", 1, "", _usage("the following arguments are required: target")),
@@ -539,16 +550,22 @@ def test_commands_import_no_argparse_gettext_or_locale():
     assert done.stdout == "[]\n"
 
 
+_PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kahlap"
+# jets.py is the one module past the step, at 4,575 tokens: it holds the Jet
+# class with the packed-key kernels that catalog and geometry share, and
+# bringing it under would split that one representation over two modules
+_PARSER_STEP_EXEMPT = "jets.py"
+
+
 @pytest.mark.parametrize(
-    "module",
-    ["cli.py", "geometry.py", "catalog.py", "laplacian.py", "inference.py", "radial.py"],
+    "module", sorted(p.name for p in _PACKAGE.glob("*.py") if p.name != _PARSER_STEP_EXEMPT)
 )
 def test_command_path_modules_stay_under_the_parser_step(module):
-    """Commands run without a bytecode cache compile these modules on every
-    start, and CPython 3.11's parser peak memory steps up by about 0.25 MB
-    once a module passes 4,096 tokens (comments and blank lines do not
-    count)."""
-    path = Path(__file__).resolve().parents[1] / "src" / "kahlap" / module
+    """Commands run without a bytecode cache compile every module of the
+    package on every start (``kahlap/__init__.py`` imports them all), and
+    CPython 3.11's parser peak memory steps up by about 0.25 MB once a
+    module passes 4,096 tokens (comments and blank lines do not count)."""
+    path = _PACKAGE / module
     with path.open("rb") as f:
         tokens = [
             t for t in tokenize.tokenize(f.readline)
