@@ -479,12 +479,13 @@ usage: kahlap [-h] [--version] <command> ...
 kahlap check <spec> [--max-k K] [--order D] [--seed S] [--format text|json]
              [--expect consistent|refuted-at:K]
     decide the power property for a catalog spec, e.g. hyp:2 or
-    product(flat:1,hyp:1); each consistent p_k is re-checked by the
-    radial oracle on a U(n)-invariant spec (flat, fs, hyp, radial; such a
-    spec is consistent at every order by symmetry, which is no evidence of
-    the property) and on random combinations of the test monomials on any
-    other; --seed picks those combinations, so it matters only there, and
-    changes no verdict; --expect exits 2 on mismatch
+    product(flat:1,hyp:1); a U(n)-invariant spec (flat, fs, hyp, radial)
+    is decided from its radial profile alone, consistent at every order by
+    symmetry, which is no evidence of the property; any other spec is
+    decided over a test family, each consistent p_k re-checked on random
+    combinations of the test monomials; --seed picks those combinations,
+    so it matters only there, and changes no verdict; --expect exits 2 on
+    mismatch
 kahlap reproduce <target> [--format text|json]
     run a fixed verification suite: comp1 comp2 laplquad sumder2 laplcube
     duality lemma

@@ -395,28 +395,25 @@ def third_power_summary(m: MetricJet) -> ThirdPowerSummary:
     # z1 z2 as 33 = 1 | 1 << _SHIFT
     keys = [2 | 2 << _SHIFT * n, 33 | 33 << _SHIFT * n][: min(n, 2)]
     den, levels = monomial_powers_at_origin(m, n, keys, 3)
-    d3 = [rat(v, den**3) for v in levels[2]]
-    d3a = d3[0]
-    dev = d3a - 12 * e.lam
-    mag = dev if dev >= 0 else -dev
-    sign = 0 if dev == 0 else (1 if dev > 0 else -1)
-    d3b = relation = cross = None
-    if n >= 2:
-        d3b = d3[1]
-        relation = d3a == 2 * d3b
-        values = inverse_metric_cross_hessian(m, 1, 2)
-        total = sum(values, ZERO)
-        cross = CrossTermReport(
-            values=values, total=total, all_zero=all(v == 0 for v in values)
-        )
+    d3 = [rat(v, den**3) for v in levels[2]] + [None]
+    cross = inverse_metric_cross_hessian(m, 1, 2) if n >= 2 else None
+    return _summary(e.lam, d3[0], d3[1], cross)
+
+
+def _summary(lam, d3a, d3b, cross) -> ThirdPowerSummary:
+    """The k = 3 summary from lambda, Lap^3(|z1|^4)(0), Lap^3(|z1 z2|^2)(0)
+    and the four cross terms (the last two None at n = 1)."""
+    dev = d3a - 12 * lam
     return ThirdPowerSummary(
-        lam=e.lam,
+        lam=lam,
         d3_z1_4=d3a,
         d3_z1z2_sq=d3b,
-        relation_holds=relation,
-        comp_magnitude=mag,
-        comp_sign=sign,
-        cross_terms=cross,
+        relation_holds=None if d3b is None else d3a == 2 * d3b,
+        comp_magnitude=dev if dev >= 0 else -dev,
+        comp_sign=0 if dev == 0 else (1 if dev > 0 else -1),
+        cross_terms=None if cross is None else CrossTermReport(
+            values=cross, total=sum(cross, ZERO), all_zero=all(v == 0 for v in cross)
+        ),
     )
 
 
@@ -461,37 +458,24 @@ def verify_property(
     order: int | None = None,
     seed: int = 0,
 ) -> PropertyReport:
-    """Run inference for k = 1..max_k, stopping at the first refutation.
-
-    When every order is consistent, the inferred p_k are re-verified by one
-    of two routes, chosen by one exact pass over the potential's packed keys
+    """Decide the power property for k = 1..max_k, by one of two routes,
+    chosen by one exact pass over the potential's packed keys
     (:func:`radial.unitary_profile`):
 
-    - A U(n)-invariant spec, whose potential through degree 2 max_k is
-      F(|z|^2) (``flat``, ``fs``, ``hyp``, their duals, ``radial``), is
-      checked against the radial oracle: ``Lap^k t^j (0)``, t = |z|^2,
-      computed by :func:`radial.power_table` from the profile F alone, must
-      equal ``a_j j! (n)_j`` for j = 1..k.  That route reads no memo and
-      draws nothing, so it is independent of the engine that inferred p_k.
-      It cannot tell a space form from another invariant metric: on such a
-      potential ``Lap^k phi(0)`` is a U(n)-invariant functional, so every
-      order is consistent by symmetry (``radial:1,1/2:2`` is consistent
-      through k = 5 and not Einstein), and a consistent verdict there is no
-      evidence of the power property.
-    - Any other spec is checked on ``REVERIFY_COMBINATIONS`` seeded random
-      rational combinations of the family monomials (``seed`` picks them,
-      only on this route; no verdict depends on it), drawn once per run and
-      shared by every order.  For each combination phi and each k,
-      ``Lap^k phi(0)`` from :func:`powers_at_origin`, summed over the terms
-      of the multi-term jet at every level in one pass, must equal ``p_k``
-      applied to the closed-form moments of :func:`euclidean_moments`,
-      exactly.  That path reads the memo the value table read, so it checks
-      the arithmetic of :func:`infer` and of the sums, not the memo.
-
-    A failure on either route -- a fault of the engine, not a mathematical
-    possibility -- downgrades the lowest failing order to refuted, with no
-    witness and the route's note, and drops the later ones, so the report
-    ends there.
+    - A U(n)-invariant spec, whose potential through its whole validity
+      is F(|z|^2) (``flat``, ``fs``, ``hyp``, their duals, ``radial``),
+      takes the symmetry route.  There ``phi -> Lap^k phi(0)`` is a
+      U(n)-invariant functional, so every order is consistent, with
+      ``a_j = Lap^k t^j (0) / (j! (n)_j)`` read off
+      :func:`radial.power_table`; the Einstein data and the k = 3 summary
+      follow from F too (:func:`radial.einstein`; ``Lap^3 |z1|^4 (0) = 4
+      a_2``, ``Lap^3 |z1 z2|^2 (0) = 2 a_2``, and each cross term is
+      ``-2 f_2``, since g_inv = I - 2 f_2 (t I + zb z^T) + O(|z|^4)).  No
+      metric, test family or draw is built.  Such a verdict cannot tell a
+      space form from another invariant metric (``radial:1,1/2:2`` is
+      consistent through k = 5 and not Einstein), so it is no evidence of
+      the power property.
+    - Any other spec takes the family route, :func:`_family_route`.
     """
     if max_k < 1:
         raise KahlapError("max_k must be >= 1")
@@ -508,8 +492,46 @@ def verify_property(
             required_order=required,
         )
     phi = cat.potential(spec, order)
+    # the validity of the metric of phi; below max(2 max_k - 2, 2) it does
+    # not determine the report, and the family route raises for it
+    valid = order if phi.exact else phi.valid - 2
+    profile = None
+    if valid >= max(2 * max_k - 2, 2):
+        profile = radial.unitary_profile(phi, (valid + 2) // 2)
+    if profile is None:
+        einstein, verdicts, summary = _family_route(phi, max_k, seed)
+    else:
+        einstein, verdicts, summary = _symmetry_route(profile, phi.dim, max_k, valid)
+    return PropertyReport(
+        spec_label=spec.label(),
+        dim=spec.dim,
+        order=order,
+        max_k=max_k,
+        seed=seed,
+        einstein=einstein,
+        verdicts=tuple(verdicts),
+        summary=summary,
+    )
+
+
+def _family_route(phi: Jet, max_k: int, seed: int) -> tuple:
+    """``(einstein, verdicts, summary)`` of the potential ``phi`` from its
+    metric: :func:`infer` over the test family for k = 1..max_k, stopping
+    at the first refutation.  When every order is consistent, the inferred
+    p_k are re-verified on ``REVERIFY_COMBINATIONS`` seeded random rational
+    combinations of the family monomials (``seed`` picks them, only on this
+    route; no verdict depends on it), drawn once per run and shared by
+    every order.  For each combination phi and each k, ``Lap^k phi(0)``
+    from :func:`powers_at_origin`, summed over the terms of the multi-term
+    jet at every level in one pass, must equal ``p_k`` applied to the
+    closed-form moments of :func:`euclidean_moments`, exactly.  That path
+    reads the memo the value table read, so it checks the arithmetic of
+    :func:`infer` and of the sums, not the memo.  A failure -- a fault of
+    the engine, not a mathematical possibility -- downgrades the lowest
+    failing order to refuted, with no witness and a note, and drops the
+    later ones, so the report ends there."""
     m = metric_from_potential(phi)
-    family = build_test_family(spec.dim, max_k)
+    family = build_test_family(m.dim, max_k)
     den, levels = kahler_value_table(m, family, max_k)
     verdicts = []
     for k in range(1, max_k + 1):
@@ -518,20 +540,18 @@ def verify_property(
         if verdict.status == REFUTED:
             break
     if all(v.status == CONSISTENT for v in verdicts):
-        profile = radial.unitary_profile(phi, max_k)
-        if profile is None:
-            rng = random.Random(seed)
-            combinations = _random_combinations(
-                m, family.keys, rng, REVERIFY_COMBINATIONS
-            )
-            bad = _extended_reverify(m, verdicts, combinations)
-            note = "random-combination re-verification failed"
-        else:
-            bad = _radial_reverify(profile, m.dim, verdicts)
-            note = "radial-oracle re-verification failed"
+        combinations = _random_combinations(
+            m, family.keys, random.Random(seed), REVERIFY_COMBINATIONS
+        )
+        bad = _extended_reverify(m, verdicts, combinations)
         if bad is not None:
             verdicts[bad - 1 :] = [
-                Verdict(k=bad, status=REFUTED, witness=None, note=note)
+                Verdict(
+                    k=bad,
+                    status=REFUTED,
+                    witness=None,
+                    note="random-combination re-verification failed",
+                )
             ]
     summary = None
     if (
@@ -540,16 +560,35 @@ def verify_property(
         and all(v.status == CONSISTENT for v in verdicts[:2])
     ):
         summary = third_power_summary(m)
-    return PropertyReport(
-        spec_label=spec.label(),
-        dim=spec.dim,
-        order=order,
-        max_k=max_k,
-        seed=seed,
-        einstein=m.einstein,
-        verdicts=tuple(verdicts),
-        summary=summary,
-    )
+    return m.einstein, verdicts, summary
+
+
+def _symmetry_route(profile, n: int, max_k: int, valid: int) -> tuple:
+    """``(einstein, verdicts, summary)`` of the potential F(|z|^2) in n
+    variables, F = sum profile[m] t^m, whose metric is valid through degree
+    ``valid`` (see :func:`verify_property`)."""
+    table = radial.power_table(profile, n, max_k)
+    # moments[j] = j! (n)_j = Lapc^j t^j (0)
+    moments = [1]
+    for j in range(1, max_k):
+        moments.append(moments[-1] * j * (n + j - 1))
+    verdicts = [
+        Verdict(
+            k=k,
+            status=CONSISTENT,
+            polynomial=PowerPolynomial(
+                degree=k, lower=tuple(table[j - 1][k - 1] / moments[j] for j in range(1, k))
+            ),
+        )
+        for k in range(1, max_k + 1)
+    ]
+    lam, is_einstein = radial.einstein(profile, n, valid // 2)
+    summary = None
+    if is_einstein and max_k >= 3:
+        a2 = verdicts[2].polynomial.lower[1]
+        cross = (-2 * rat(profile[2]),) * 4 if n >= 2 else None
+        summary = _summary(lam, 4 * a2, 2 * a2 if n >= 2 else None, cross)
+    return EinsteinData(is_einstein, lam, valid - 2), verdicts, summary
 
 
 # random combinations that re-verify a consistent run
@@ -594,26 +633,6 @@ def _extended_reverify(m, verdicts, combinations) -> int | None:
     for v in verdicts:
         if any(
             lhs[v.k - 1] != v.polynomial.apply_to_moments(mom) for lhs, mom in checks
-        ):
-            return v.k
-    return None
-
-
-def _radial_reverify(profile, n: int, verdicts) -> int | None:
-    """Check every p_k of ``verdicts`` (k = 1..len(verdicts)) on the metric
-    of the potential F(|z|^2), F = sum profile[m] t^m, in n variables:
-    ``Lap^k t^j (0)`` from :func:`radial.power_table` must equal
-    ``a_j j! (n)_j`` for j = 1..k, a_j the coefficient of X^j in p_k and
-    ``j! (n)_j = Lapc^j t^j (0)``.  Returns the lowest failing order, or
-    None."""
-    table = radial.power_table(profile, n, len(verdicts))
-    moments = [1]
-    for j in range(len(verdicts)):
-        moments.append(moments[-1] * (j + 1) * (n + j))
-    for v in verdicts:
-        if any(
-            table[j - 1][v.k - 1] != v.polynomial.coefficient(j) * moments[j]
-            for j in range(1, v.k + 1)
         ):
             return v.k
     return None

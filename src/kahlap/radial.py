@@ -1,4 +1,4 @@
-"""Radial-reduction oracle for U(n)-invariant potentials.
+"""Radial reduction for U(n)-invariant potentials.
 
 A potential phi = F(t), t = |z|^2 = |z_1|^2 + ... + |z_n|^2, has the metric
 g = F' I + F'' zb z^T, and its Laplacian maps a radial function u(t) to the
@@ -7,16 +7,19 @@ radial function
     Lap u = (n - 1) u' / F' + (t u')' / (t F')'
 
 (at n = 1 only the second term is left).  This module computes
-``Lap^s t^j (0)`` from that formula alone -- no jet, no matrix, no memo --
-so it is a code path apart from the multivariate engine, and the two must
-agree exactly.  :func:`unitary_profile` decides, in one pass over the packed
-keys of a potential, whether it is such an F(t) through a given degree and
-reads F off it; :func:`power_table` runs the chains.
+``Lap^s t^j (0)`` from that formula alone -- no jet, no matrix, no memo.
+:func:`unitary_profile` decides, in one pass over the packed keys of a
+potential, whether it is such an F(t) through a given degree and reads F
+off it; :func:`power_table` runs the chains, and :func:`einstein` reads the
+Einstein data off ``det g = F'^(n-1) (tF')'``.
 
-Since ``Lapc^i t^j (0)`` is ``j! (n)_j`` at i = j ((n)_j the rising
-factorial) and 0 otherwise, ``Lap^k t^j (0) = a_j j! (n)_j`` for the
-coefficient a_j of X^j in p_k whenever ``Lap^k = p_k(Lapc)`` at the origin;
-that identity is how ``verify_property`` re-checks a U(n)-invariant spec.
+On such a potential ``phi -> Lap^k phi(0)`` is a U(n)-invariant functional,
+so it is ``p_k(Lapc) phi(0)`` for a monic p_k at every order.  Since
+``Lapc^i t^j (0)`` is ``j! (n)_j`` at i = j ((n)_j the rising factorial)
+and 0 otherwise, the coefficient a_j of X^j in p_k is ``Lap^k t^j (0) /
+(j! (n)_j)``: that is how ``verify_property`` decides a U(n)-invariant spec,
+with no metric and no test family.  Agreement with the multivariate engine
+is enforced by tests, not at run time.
 
 The chains run on ints.  Let D be the common denominator of f_0..f_kmax,
 F = sum f_m t^m, with F'(0) = f_1 = 1 (g(0) = I).  Then 1/F' and 1/(tF')'
@@ -80,18 +83,45 @@ def inverse_profiles(profile, kmax: int) -> tuple[int, list, list]:
     coefficients of 1/F' and 1/(tF')', i < kmax, for F = sum profile[m]
     t^m (missing coefficients read 0); D is the common denominator of
     ``profile[:kmax + 1]``.  Raises KahlapError unless F'(0) = 1."""
+    den, a, c = _derivatives(profile, kmax)
+    return den, _reciprocal(a, den), _reciprocal(c, den)
+
+
+def einstein(profile, n: int, top: int) -> tuple:
+    """``(lam, is_einstein)`` for the metric of the potential F(|z|^2) in n
+    variables, F = sum profile[m] t^m with F'(0) = 1, Einstein through
+    degree 2 top - 2.  L = log det g = (n - 1) log F' + log (tF')' is a
+    series in t whose every term is mixed, so Ric = -d dbar L = lam g
+    through degree 2 top - 2 exactly when L_m + lam f_m = 0 for 1 <= m <=
+    top; lam = -L_1, since g(0) = I.  L_m is an int over m D^m."""
+    den, a, c = _derivatives(profile, top + 1)
+    big = [
+        rat((n - 1) * x + y, m * den**m)
+        for m, x, y in zip(range(1, top + 1), _log(a, den)[1:], _log(c, den)[1:])
+    ]
+    lam = -big[0]
+    f = [rat(x) for x in profile[1 : top + 1]]
+    f += [ZERO] * (top - len(f))
+    return lam, all(x + lam * y == 0 for x, y in zip(big, f))
+
+
+def _derivatives(profile, kmax: int) -> tuple[int, list, list]:
+    """``(D, a, c)``: the t^m coefficients, m < kmax, of D F' and D (tF')'
+    as ints, for F = sum profile[m] t^m (missing coefficients read 0) and D
+    the common denominator of ``profile[:kmax + 1]``; ``a[0] = c[0] = D``.
+    Raises KahlapError unless F'(0) = 1."""
     f = [rat(c) for c in profile[: kmax + 1]]
     f += [ZERO] * (kmax + 1 - len(f))
     if kmax and f[1] != 1:
         raise KahlapError("radial profile needs F'(0) = 1")
     den = math.lcm(*(c.denominator for c in f))
     num = [c.numerator * (den // c.denominator) for c in f]
-    # D F' and D (tF')' have the t^m coefficients (m+1) f_{m+1} and
-    # (m+1)^2 f_{m+1}, over D, and the constant term f_1 D = D
+    # F' and (tF')' have the t^m coefficients (m+1) f_{m+1} and
+    # (m+1)^2 f_{m+1}, and the constant term f_1 = 1
     return (
         den,
-        _reciprocal([(m + 1) * num[m + 1] for m in range(kmax)], den),
-        _reciprocal([(m + 1) ** 2 * num[m + 1] for m in range(kmax)], den),
+        [(m + 1) * num[m + 1] for m in range(kmax)],
+        [(m + 1) ** 2 * num[m + 1] for m in range(kmax)],
     )
 
 
@@ -103,6 +133,20 @@ def _reciprocal(a: list, den: int) -> list:
     for i in range(1, len(a)):
         c.append(-sum(a[m] * c[i - m] * den ** (m - 1) for m in range(1, i + 1)))
     return c
+
+
+def _log(a: list, den: int) -> list:
+    """g with ``g[m] / (m den^m)`` the t^m coefficient of log(A(t) / den),
+    m >= 1, for A(t) = sum a[m] t^m with a[0] = den (g[0] = 0): from
+    (log A)' A = A', term by term, ``g[m] = m a[m] den^(m-1) - sum_{1 <= i
+    < m} g[i] a[m-i] den^(m-i-1)``."""
+    g = [0]
+    for m in range(1, len(a)):
+        g.append(
+            m * a[m] * den ** (m - 1)
+            - sum(g[i] * a[m - i] * den ** (m - i - 1) for i in range(1, m))
+        )
+    return g
 
 
 def power_table(profile, n: int, kmax: int) -> list[list]:

@@ -395,6 +395,13 @@ ARGV_CONTRACT = [
     ("check radial:1,1/2:2 --max-k 5 --format json", 0, "cli_check_radial_n2_k5.json", ""),
     ("check radial:1,-2/5,3:3 --max-k 4 --format json", 0, "cli_check_radial_n3_k4.json", ""),
     ("check type4:2 --max-k 3 --format json", 0, "cli_check_type4_2.json", ""),
+    ("check hyp:16 --max-k 3 --format json", 0, "cli_check_hyp16.json", ""),
+    ("check fs:4 --max-k 6 --format json", 0, "cli_check_fs4_k6.json", ""),
+    ("check dual(hyp:2) --max-k 3 --format json", 0, "cli_check_dual_hyp2.json", ""),
+    ("check flat:4 --max-k 3 --format json", 0, "cli_check_flat4.json", ""),
+    ("check hyp:2 --max-k 3 --order 9 --format json", 0, "cli_check_hyp2_order9.json", ""),
+    ("check radial:1,1/2:1 --max-k 2 --order 31 --format json", 0,
+     "cli_check_radial_n1_order31.json", ""),
     ("catalog --format=json", 0, "cli_catalog.json", ""),
     ("catalog --f json", 0, "cli_catalog.json", ""),
     *(

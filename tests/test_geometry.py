@@ -22,7 +22,7 @@ from kahlap.catalog import (
     parse_spec,
     potential,
 )
-from kahlap import geometry
+from kahlap import geometry, inference, laplacian
 from kahlap.geometry import (
     DegenerateMetricError,
     _log_det,
@@ -381,8 +381,9 @@ def test_inverse_and_log_det_claim_only_valid_coefficients(label, order, build):
 
 
 def test_one_elimination_of_g0_per_metric(monkeypatch):
-    counts = {"eliminations": 0, "metrics": 0}
+    counts = {"eliminations": 0, "metrics": 0, "families": 0, "memo reads": 0}
     eliminate, init = geometry._eliminate, geometry.MetricJet.__init__
+    family, memo = inference.build_test_family, laplacian.monomial_powers_at_origin
 
     def counting_eliminate(rows):
         counts["eliminations"] += 1
@@ -392,14 +393,31 @@ def test_one_elimination_of_g0_per_metric(monkeypatch):
         counts["metrics"] += 1
         init(self, g)
 
+    def counting_family(*args):
+        counts["families"] += 1
+        return family(*args)
+
+    def counting_memo(*args):
+        counts["memo reads"] += 1
+        return memo(*args)
+
     monkeypatch.setattr(geometry, "_eliminate", counting_eliminate)
     monkeypatch.setattr(geometry.MetricJet, "__init__", counting_init)
-    # consistent through k = 3 (inverse, Einstein data, re-verification and
-    # summary), refuted, and an optional entry whose gate builds a metric
-    for text, metrics in (("hyp:2", 1), ("type1:2,2", 1), ("type4:2", 2)):
-        counts.update(eliminations=0, metrics=0)
+    monkeypatch.setattr(inference, "build_test_family", counting_family)
+    monkeypatch.setattr(inference, "monomial_powers_at_origin", counting_memo)
+    monkeypatch.setattr(laplacian, "monomial_powers_at_origin", counting_memo)
+    # U(n)-invariant and consistent through k = 3, decided from its radial
+    # profile: no metric, no family, no memo; refuted at k = 3, with one
+    # family and its memo read by the value table and the k = 3 summary;
+    # and an optional entry whose gate builds a metric
+    for text, metrics, families, reads in (
+        ("hyp:2", 0, 0, 0), ("type1:2,2", 1, 1, 2), ("type4:2", 2, 1, 2)
+    ):
+        counts.update(dict.fromkeys(counts, 0))
         verify_property(parse_spec(text), 3)
-        assert counts == {"eliminations": metrics, "metrics": metrics}, text
+        assert counts == {
+            "eliminations": metrics, "metrics": metrics, "families": families, "memo reads": reads
+        }, text
 
 
 def _full_order_ricci(m):

@@ -6,9 +6,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from kahlap.catalog import (
+    CatalogGateError,
+    Custom,
+    DualOf,
     Flat,
     FubiniStudy,
     Hyperbolic,
@@ -18,7 +21,9 @@ from kahlap.catalog import (
     TypeI,
     dual_potential,
     einstein_catalog_entries,
+    parse_spec,
     potential,
+    standard_entries,
 )
 from kahlap.geometry import metric_from_potential
 from kahlap import inference, laplacian, radial
@@ -46,6 +51,7 @@ from kahlap.jets import (
     _digit_sum,
     _pack_bi,
     _unpack,
+    substitute,
 )
 from kahlap.laplacian import (
     _balanced_moment,
@@ -490,33 +496,225 @@ def test_reverify_failure_downgrades_that_order(monkeypatch, bad_k):
     assert len(rep.verdicts) == bad_k
 
 
-@pytest.mark.parametrize("bad_k", [1, 2, 3])
-def test_radial_reverify_failure_downgrades_that_order(monkeypatch, bad_k):
-    # a fault at one order of the radial oracle alone, on the U(n)-invariant
-    # hyp:2: the oracle reads no memo, so inference stays consistent, and
-    # the fault is caught at its order whichever it is
+# ----------------------------------------------------------------------
+# the symmetry route against the family route
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the symmetry route reads no metric, family or memo")
+
+
+def _symmetry_report(monkeypatch, spec, max_k, order=None):
+    """``verify_property`` on a U(n)-invariant spec, with every stage of the
+    family route made to fail: the report comes from the profile alone."""
+    with monkeypatch.context() as mp:
+        for name in (
+            "metric_from_potential",
+            "build_test_family",
+            "monomial_powers_at_origin",
+            "powers_at_origin",
+            "_family_route",
+        ):
+            mp.setattr(inference, name, _never)
+        mp.setattr(laplacian, "monomial_powers_at_origin", _never)
+        mp.setattr(random, "Random", _never)
+        return verify_property(spec, max_k, order=order)
+
+
+def _family_report(spec, max_k, order=None, seed=0):
+    """The report of the family route on ``spec``'s potential, whatever its
+    symmetry: what ``verify_property`` gave before the symmetry route."""
+    order = 2 * max_k + 2 if order is None else order
+    einstein, verdicts, summary = inference._family_route(
+        potential(spec, order), max_k, seed
+    )
+    return inference.PropertyReport(
+        spec.label(), spec.dim, order, max_k, seed, einstein, tuple(verdicts), summary
+    )
+
+
+def _outcome(run):
+    """The report of ``run()``, or the type and text of what it raised."""
+    try:
+        report = run()
+    except KahlapError as exc:
+        return type(exc).__name__, str(exc)
+    # repr tells an int from a rational, which == does not
+    return report, repr(report)
+
+
+_INVARIANT = [
+    parse_spec(text)
+    for head in ("flat:1", "flat:2", "fs:1", "fs:2", "fs:3", "hyp:1", "hyp:2", "hyp:3")
+    for text in (head, f"dual({head})")
+]
+
+
+def test_the_invariant_catalog_specs():
+    # every catalog entry and dual the detector finds U(n)-invariant
+    found = []
+    for spec in standard_entries():
+        for s in (spec, DualOf(spec)):
+            try:
+                phi = potential(s, 8)
+            except CatalogGateError:  # the dual of a bounded domain entry
+                continue
+            if radial.unitary_profile(phi, 4) is not None:
+                found.append(s)
+    assert found == _INVARIANT
+
+
+@pytest.mark.parametrize("spec", _INVARIANT, ids=lambda spec: spec.label())
+@pytest.mark.parametrize("max_k, order", [(1, None), (3, None), (3, 9), (4, 11)])
+def test_symmetry_route_gives_the_family_routes_report(monkeypatch, spec, max_k, order):
+    got = _symmetry_report(monkeypatch, spec, max_k, order)
+    assert (got, repr(got)) == _outcome(lambda: _family_report(spec, max_k, order))
+
+
+@st.composite
+def radial_cases(draw):
+    """A U(n)-invariant spec F(|z|^2), n <= 4, with max_k <= 4 and an order
+    past 2 max_k + 2 by 0..3: exact (``radial`` through degree <= order),
+    inexact at the order (``radial`` with a term past it) or inexact below
+    it (a ``custom`` jet vouched for through degree 2 max_k - 1 and up, on
+    both sides of the least validity that determines the report)."""
+    n = draw(st.integers(1, 4))
+    max_k = draw(st.integers(1, 4 if n < 4 else 3))
+    order = 2 * max_k + 2 + draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["exact", "past order", "custom"]))
+    size = order // 2 + (kind == "past order")
+    coeff = st.builds(rat, st.integers(-5, 5), st.integers(1, 4))
+    coeffs = [rat(1), *draw(st.lists(coeff, min_size=size - 1, max_size=size - 1))]
+    if kind == "past order":
+        coeffs[-1] = coeffs[-1] or rat(1)
+    if kind != "custom":
+        return Radial(tuple(coeffs), n), max_k, order
+    valid = draw(st.integers(2 * max_k - 1, order - 1))
+    jet = substitute([0, *coeffs], Jet.abs_square_sum(n, order), exact=True)
+    return Custom(jet._flagged(valid, False), f"custom:{n}@{valid}"), max_k, order
+
+
+@seed(20281020)
+@settings(max_examples=120, deadline=None)
+@given(radial_cases())
+@example((Radial((rat(1), rat(0), rat(2)), 2), 3, 8))  # f_2 = 0, exact
+@example((Radial((rat(1), rat(0), rat(1, 3), rat(-1), rat(1)), 3), 3, 8))  # f_2 = 0, inexact
+def test_symmetry_route_agrees_on_random_radial_profiles(case):
+    spec, max_k, order = case
+    want = _outcome(lambda: _family_report(spec, max_k, order))
+    if isinstance(want[0], str):
+        # a jet known too shallowly for max_k: the gate refuses it or the
+        # family route raises, as before the symmetry route
+        assert _outcome(lambda: verify_property(spec, max_k, order=order)) == want
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        got = _symmetry_report(mp, spec, max_k, order)
+    assert (got, repr(got)) == want, case
+
+
+def _plus_one(terms, d):
+    # the first balanced key of degree d other than the z_1^m zb_1^m that
+    # carries f_m, its coefficient plus 1
+    m = d // 2
+    key = next(
+        b for b in sorted(terms) if b.hol == b.anti and sum(b.hol) == m and b.hol[0] != m
+    )
+    terms[key] += 1
+
+
+def _unbalanced_pair(terms, d):
+    # two balanced keys z^a zb^a and z^b zb^b, a! = b!, give way to the
+    # mirror pair z^a zb^b, z^b zb^a at the same coefficient: the potential
+    # stays real and the metric Hermitian, with as many keys as before and
+    # every weight read off a holomorphic half kept; the z_1^m zb_1^m that
+    # carries f_m is one of the two only when no other pair will do
+    m = d // 2
+    balanced = [x for x in sorted(terms) if x.hol == x.anti and sum(x.hol) == m]
+    a, b = min(
+        ((a, b) for a in balanced for b in balanced if a != b and sorted(a.hol) == sorted(b.hol)),
+        key=lambda pair: m in (pair[0].hol[0], pair[1].hol[0]),
+    )
+    c = terms.pop(a)
+    del terms[b]
+    terms[bi(a.hol, b.hol)] = terms[bi(b.hol, a.hol)] = c
+
+
+_DETECTOR_BASES = [("hyp:2", 3, 8), ("fs:3", 3, 9), ("radial:1,1/2,-1/3,1/4,2:2", 3, 10)]
+
+
+def _detector_mutants():
+    for text, max_k, order in _DETECTOR_BASES:
+        for d in range(4, order + 1, 2):
+            for change in (_plus_one, _unbalanced_pair):
+                yield pytest.param(
+                    text, max_k, order, d, change, id=f"{text}@{d}-{change.__name__[1:]}"
+                )
+
+
+@pytest.mark.parametrize("text, max_k, order, d, change", _detector_mutants())
+def test_one_key_off_sends_the_spec_to_the_family_route(monkeypatch, text, max_k, order, d, change):
+    # at each even degree the metric's validity reaches, one key changed
+    # (degree 2 is the normalization the catalog gate pins)
+    terms = dict(potential(parse_spec(text), order).terms())
+    change(terms, d)
+    spec = Custom(Jet(parse_spec(text).dim, order, terms.items()), f"{text} mutant")
+    monkeypatch.setattr(inference, "_symmetry_route", _never)
+    got = verify_property(spec, max_k, order=order)
+    assert (got, repr(got)) == _outcome(lambda: _family_report(spec, max_k, order))
+
+
+@pytest.mark.parametrize("spec", [s for s in _INVARIANT if s.dim >= 2], ids=str)
+def test_summary_closed_forms_match_the_metric(spec):
+    # Lap^3 |z1|^4 (0) = 4 a_2 and Lap^3 |z1 z2|^2 (0) = 2 a_2, a_2 of p_3,
+    # and each cross term is -2 f_2: g_inv = I - 2 f_2 (t I + zb z^T) + ...
+    phi = potential(spec, 8)
+    f2 = radial.unitary_profile(phi, 4)[2]
+    summary = third_power_summary(metric_from_potential(phi))
+    a2 = verify_property(spec, 3).verdicts[2].polynomial.coefficient(2)
+    assert (summary.d3_z1_4, summary.d3_z1z2_sq) == (4 * a2, 2 * a2)
+    assert summary.cross_terms.values == (-2 * f2,) * 4
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0), (1, rat(1, 2), 3), (1, rat(-2, 5), 3), (1, 2, -1)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_forms_hold_off_einstein_too(coeffs, n):
+    # the same three values read off the metric where no summary is built
+    spec = Radial(tuple(map(rat, coeffs)), n)
+    m = metric_from_potential(potential(spec, 8))
+    den, levels = laplacian.monomial_powers_at_origin(
+        m, n, [2 | 2 << _SHIFT * n, 33 | 33 << _SHIFT * n], 3
+    )
+    a2 = verify_property(spec, 3).verdicts[2].polynomial.coefficient(2)
+    assert [rat(v, den**3) for v in levels[2]] == [4 * a2, 2 * a2]
+    f2 = rat(coeffs[1])
+    assert laplacian.inverse_metric_cross_hessian(m, 1, 2) == (-2 * f2,) * 4
+
+
+@pytest.mark.parametrize("j, k", [(1, 2), (1, 3), (2, 3)])
+def test_power_table_fault_breaks_route_equivalence(monkeypatch, j, k):
+    # a fault in one entry Lap^k t^j (0) that p_k reads (j < k; the diagonal
+    # j = k is k! (n)_k and read by no verdict) changes the symmetry
+    # route's report, so the comparison with the family route fails
     real = radial.power_table
 
     def off_by_one_at(profile, n, kmax):
         table = real(profile, n, kmax)
-        table[0][bad_k - 1] += 1
+        table[j - 1][k - 1] += 1
         return table
 
+    want = _family_report(Hyperbolic(2), 3)
+    assert verify_property(Hyperbolic(2), 3) == want
     monkeypatch.setattr(radial, "power_table", off_by_one_at)
-    monkeypatch.setattr(inference, "powers_at_origin", None)  # never read
-    rep = verify_property(Hyperbolic(2), 3)
-    assert rep.refuted_at == bad_k
-    bad = rep.verdicts[bad_k - 1]
-    assert bad.status == REFUTED and bad.witness is None
-    assert bad.note == "radial-oracle re-verification failed"
-    assert all(v.status == CONSISTENT for v in rep.verdicts[: bad_k - 1])
-    assert len(rep.verdicts) == bad_k
+    got = verify_property(Hyperbolic(2), 3)
+    assert got != want
+    assert [v.k for v in got.verdicts if v != want.verdicts[v.k - 1]] == [k]
 
 
 def test_radial_oracle_catches_a_memo_fault_the_memo_route_cannot(monkeypatch):
-    # the mutant adds D^3 to N(|z_i|^2, 3) in the memo: the value table then
-    # infers p_3 = X^3 - 13*X^2 + 16*X on hyp:2, and the memo re-verification
-    # reads the same memo, so only an oracle apart from it can refute
+    # the mutant adds D^3 to N(|z_i|^2, 3) in the memo: the family route
+    # then infers p_3 = X^3 - 13*X^2 + 16*X on hyp:2, and its random
+    # re-verification reads the same memo, so it passes; the symmetry
+    # route reads no memo and keeps X^3 - 13*X^2 + 15*X
     real = laplacian._OriginValues.value
 
     def mutant(self, key, s):
@@ -527,14 +725,12 @@ def test_radial_oracle_catches_a_memo_fault_the_memo_route_cannot(monkeypatch):
         return value
 
     monkeypatch.setattr(laplacian._OriginValues, "value", mutant)
-    m = metric_from_potential(potential(Hyperbolic(2), 8))
-    family = build_test_family(2, 3)
-    assert infer(m, 3, family).polynomial.text() == "X^3 - 13*X^2 + 16*X"
-    rep = verify_property(Hyperbolic(2), 3)
-    assert [v.status for v in rep.verdicts] == [CONSISTENT, CONSISTENT, REFUTED]
-    bad = rep.verdicts[2]
-    assert bad.witness is None
-    assert bad.note == "radial-oracle re-verification failed"
+    family = _family_report(Hyperbolic(2), 3)
+    symmetric = verify_property(Hyperbolic(2), 3)
+    assert family.all_consistent and symmetric.all_consistent
+    assert family.verdicts[2].polynomial.text() == "X^3 - 13*X^2 + 16*X"
+    assert symmetric.verdicts[2].polynomial.text() == "X^3 - 13*X^2 + 15*X"
+    assert family != symmetric
 
 
 def _draw_terms(family, rng):

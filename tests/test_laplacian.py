@@ -330,8 +330,10 @@ def test_budget_edge_extends_the_inverse_by_its_top_degree():
     [("hyp:2", 4, None), ("fs:3", 3, None), ("type1:2,2", 3, None), ("hyp:1", 3, 11)],
 )
 def test_check_builds_no_inverse_degree_it_does_not_read(monkeypatch, text, max_k, order):
-    # the deepest degree a check reads is max(m.valid - 1, 2k - 2): Jacobi's
-    # formula through m.valid, the Laplacian at level k through 2k - 2
+    # the deepest degree the family route reads is max(m.valid - 1, 2k - 2):
+    # Jacobi's formula through m.valid, the Laplacian at level k through
+    # 2k - 2; it is run directly, since check decides the U(n)-invariant
+    # hyp:2, fs:3 and hyp:1 from their radial profiles, with no metric
     metrics = []
     build = inference.metric_from_potential
 
@@ -340,7 +342,8 @@ def test_check_builds_no_inverse_degree_it_does_not_read(monkeypatch, text, max_
         return metrics[-1]
 
     monkeypatch.setattr(inference, "metric_from_potential", keeping)
-    inference.verify_property(parse_spec(text), max_k, order=order)
+    phi = potential(parse_spec(text), order or 2 * max_k + 2)
+    inference._family_route(phi, max_k, 0)
     (m,) = metrics
     built = len(m._graded.xs) - 1
     assert built == max(m.valid - 1, 2 * max_k - 2) < m.valid
