@@ -291,25 +291,25 @@ def _raw_potential(spec: PotentialSpec, order: int) -> Jet:
             f = [0, *spec.coeffs][: order + 1]
             return substitute(f, Jet.abs_square_sum(n, order), exact=True)
         case Product(left=left, right=right):
-            lphi = potential(left, order)
-            rphi = potential(right, order)
-            nl, nr = left.dim, right.dim
-            n = nl + nr
-            lterms = [
-                ((bi.hol + (0,) * nr, bi.anti + (0,) * nr), c)
-                for bi, c in lphi.terms()
-            ]
-            rterms = [
-                (((0,) * nl + bi.hol, (0,) * nl + bi.anti), c)
-                for bi, c in rphi.terms()
-            ]
-            out = Jet(n, order, lterms) + Jet(n, order, rterms)
-            exact = lphi.exact and rphi.exact
-            valid = min(
-                lphi.valid if not lphi.exact else order,
-                rphi.valid if not rphi.exact else order,
-            )
-            return out._flagged(valid, exact)
+            n = spec.dim
+            factors = []
+            # each factor's packed keys move to its slots in C^n: its
+            # holomorphic half to slot ``at`` on, its antiholomorphic half
+            # to slot n + at on; the left factor sits at 0, the right one
+            # past it
+            for factor, at in ((left, 0), (right, left.dim)):
+                phi = potential(factor, order)
+                shift = _SHIFT * factor.dim
+                low = (1 << shift) - 1
+                grades = {
+                    d: {
+                        (key & low) << _SHIFT * at | (key >> shift) << _SHIFT * (n + at): c
+                        for key, c in bucket.items()
+                    }
+                    for d, bucket in phi._grades.items()
+                }
+                factors.append(Jet._raw(n, order, phi.valid, phi.exact, grades, phi.den))
+            return factors[0] + factors[1]
         case DualOf(inner=inner):
             return dual_potential(potential(inner, order))
         case Custom(jet=jet):

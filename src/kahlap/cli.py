@@ -10,9 +10,11 @@ Three commands:
   designated catalog entries and report every exact value.
 * ``catalog`` -- list the built-in entries with live Einstein constants.
 
-Reports are deterministic for a fixed (config, seed): the only field that
-varies between runs is ``timing_ms``.  Exit codes: 0 success / expectation
-met, 1 usage or construction error, 2 expectation or suite failure.
+Reports are deterministic for a fixed config: the only field that varies
+between runs is ``timing_ms``.  ``--seed`` is parsed and echoed in the
+config and the text header, and changes nothing.  Exit codes: 0 success /
+expectation met, 1 usage or construction error, 2 expectation or suite
+failure.
 
 The argument list is read by one table-driven parser (``_parse_args``) in
 argparse's spellings and words: ``--opt value`` or ``--opt=value``, options
@@ -172,7 +174,7 @@ def _render_check_text(doc: dict) -> str:
 
 def cmd_check(args) -> tuple[int, dict]:
     spec = cat.parse_spec(args.spec)
-    report = verify_property(spec, args.max_k, order=args.order, seed=args.seed)
+    report = verify_property(spec, args.max_k, order=args.order)
     config = {
         "spec": spec.label(),
         "max_k": args.max_k,
@@ -482,10 +484,9 @@ kahlap check <spec> [--max-k K] [--order D] [--seed S] [--format text|json]
     product(flat:1,hyp:1); a U(n)-invariant spec (flat, fs, hyp, radial)
     is decided from its radial profile alone, consistent at every order by
     symmetry, which is no evidence of the property; any other spec is
-    decided over a test family, each consistent p_k re-checked on random
-    combinations of the test monomials; --seed picks those combinations,
-    so it matters only there, and changes no verdict; --expect exits 2 on
-    mismatch
+    decided over a test family, each consistent p_k re-checked against
+    every row of its value table; --seed is echoed in the report and
+    changes nothing; --expect exits 2 on mismatch
 kahlap reproduce <target> [--format text|json]
     run a fixed verification suite: comp1 comp2 laplquad sumder2 laplcube
     duality lemma

@@ -25,12 +25,16 @@ family order.  When there is none, each class fixes its coefficient and a
 class without rows leaves it free; rows that read 0 = 0 fix nothing and
 are skipped.  Rationals are built only for a witness pair, which is
 re-validated independently (proportional moment vectors, incompatible
-right-hand sides), and for the solved p_k.
+right-hand sides), and for the solved p_k.  When every order is
+consistent, each solved p_k is re-checked against every row of the value
+table on ints, with the row's moment read off its packed key rather than
+its class, so a fault in the scan, the solve or the moment classes cannot
+stand as a consistent verdict.
 """
 
 from __future__ import annotations
 
-import random
+import math
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -58,11 +62,10 @@ from .jets import (
 )
 from .laplacian import (
     NotEinsteinError,
-    euclidean_moments,
     inverse_metric_cross_hessian,
     monomial_powers_at_origin,
-    powers_at_origin,
     _balanced_moment,
+    _key_moment,
 )
 from .rationals import ZERO, rat, rat_pretty
 
@@ -89,14 +92,6 @@ class PowerPolynomial:
         if 1 <= j < self.degree:
             return self.lower[j - 1]
         return ZERO
-
-    def apply_to_moments(self, moments: Sequence):
-        """p(Lapc) phi(0) given moments[j-1] = Lapc^j phi(0)."""
-        total = moments[self.degree - 1]
-        for j, a in enumerate(self.lower, start=1):
-            if a != 0:
-                total = total + a * moments[j - 1]
-        return total
 
     def text(self) -> str:
         parts = [f"X^{self.degree}" if self.degree > 1 else "X"]
@@ -356,6 +351,30 @@ def kahler_value_table(m: MetricJet, family: TestFamily, kmax: int):
     return monomial_powers_at_origin(m, family.dim, family.keys, kmax)
 
 
+def _first_unmet_order(family: TestFamily, den, levels, verdicts) -> int | None:
+    """The lowest order k whose p_k some row of the value table ``(den,
+    levels)`` of ``family`` breaks, or None; ``verdicts`` are consistent
+    for k = 1..len(verdicts).  Row i, the monomial packed as
+    ``family.keys[i]``, must read ``levels[k-1][i] / den^k = a_j j! a!``
+    when it is z^a zb^a with j = |a| <= k (a_k = 1), and 0 otherwise.
+    The moment is read off the key by :func:`_key_moment`, not off
+    ``family.classes``, which :func:`infer` read."""
+    moments = [_key_moment(key, family.dim) for key in family.keys]
+    for v, level in zip(verdicts, levels):
+        # p_k = sum_j c_j X^j / q on ints, c_0 = 0 and c_k = q
+        q = math.lcm(*(a.denominator for a in v.polynomial.lower))
+        c = [0, *(a.numerator * (q // a.denominator) for a in v.polynomial.lower), q]
+        scale = den**v.k
+        for value, moment in zip(level, moments):
+            if moment is None or moment[0] > v.k:
+                want = 0
+            else:
+                want = c[moment[0]] * moment[1] * scale
+            if value * q != want:
+                return v.k
+    return None
+
+
 # ----------------------------------------------------------------------
 # whole-metric verification
 
@@ -429,7 +448,6 @@ class PropertyReport:
     dim: int
     order: int
     max_k: int
-    seed: int
     einstein: EinsteinData
     verdicts: tuple
     summary: ThirdPowerSummary | None
@@ -456,7 +474,6 @@ def verify_property(
     max_k: int,
     *,
     order: int | None = None,
-    seed: int = 0,
 ) -> PropertyReport:
     """Decide the power property for k = 1..max_k, by one of two routes,
     chosen by one exact pass over the potential's packed keys
@@ -471,7 +488,7 @@ def verify_property(
       follow from F too (:func:`radial.einstein`; ``Lap^3 |z1|^4 (0) = 4
       a_2``, ``Lap^3 |z1 z2|^2 (0) = 2 a_2``, and each cross term is
       ``-2 f_2``, since g_inv = I - 2 f_2 (t I + zb z^T) + O(|z|^4)).  No
-      metric, test family or draw is built.  Such a verdict cannot tell a
+      metric, test family or memo is built.  Such a verdict cannot tell a
       space form from another invariant metric (``radial:1,1/2:2`` is
       consistent through k = 5 and not Einstein), so it is no evidence of
       the power property.
@@ -499,7 +516,7 @@ def verify_property(
     if valid >= max(2 * max_k - 2, 2):
         profile = radial.unitary_profile(phi, (valid + 2) // 2)
     if profile is None:
-        einstein, verdicts, summary = _family_route(phi, max_k, seed)
+        einstein, verdicts, summary = _family_route(phi, max_k)
     else:
         einstein, verdicts, summary = _symmetry_route(profile, phi.dim, max_k, valid)
     return PropertyReport(
@@ -507,29 +524,24 @@ def verify_property(
         dim=spec.dim,
         order=order,
         max_k=max_k,
-        seed=seed,
         einstein=einstein,
         verdicts=tuple(verdicts),
         summary=summary,
     )
 
 
-def _family_route(phi: Jet, max_k: int, seed: int) -> tuple:
+def _family_route(phi: Jet, max_k: int) -> tuple:
     """``(einstein, verdicts, summary)`` of the potential ``phi`` from its
     metric: :func:`infer` over the test family for k = 1..max_k, stopping
-    at the first refutation.  When every order is consistent, the inferred
-    p_k are re-verified on ``REVERIFY_COMBINATIONS`` seeded random rational
-    combinations of the family monomials (``seed`` picks them, only on this
-    route; no verdict depends on it), drawn once per run and shared by
-    every order.  For each combination phi and each k, ``Lap^k phi(0)``
-    from :func:`powers_at_origin`, summed over the terms of the multi-term
-    jet at every level in one pass, must equal ``p_k`` applied to the
-    closed-form moments of :func:`euclidean_moments`, exactly.  That path
-    reads the memo the value table read, so it checks the arithmetic of
-    :func:`infer` and of the sums, not the memo.  A failure -- a fault of
-    the engine, not a mathematical possibility -- downgrades the lowest
-    failing order to refuted, with no witness and a note, and drops the
-    later ones, so the report ends there."""
+    at the first refutation.  When every order is consistent, each p_k is
+    re-checked against every row of the value table, on ints, by
+    :func:`_first_unmet_order`, with each row's moment read off its packed
+    key rather than off ``family.classes``.  That check reads the values
+    :func:`infer` read, so it checks the scan and the solve of
+    :func:`infer` and the moment classes of the family, not the memo.  A
+    failure -- a fault of the engine, not a mathematical possibility --
+    downgrades the lowest failing order to refuted, with no witness and a
+    note, and drops the later ones, so the report ends there."""
     m = metric_from_potential(phi)
     family = build_test_family(m.dim, max_k)
     den, levels = kahler_value_table(m, family, max_k)
@@ -540,18 +552,10 @@ def _family_route(phi: Jet, max_k: int, seed: int) -> tuple:
         if verdict.status == REFUTED:
             break
     if all(v.status == CONSISTENT for v in verdicts):
-        combinations = _random_combinations(
-            m, family.keys, random.Random(seed), REVERIFY_COMBINATIONS
-        )
-        bad = _extended_reverify(m, verdicts, combinations)
+        bad = _first_unmet_order(family, den, levels, verdicts)
         if bad is not None:
             verdicts[bad - 1 :] = [
-                Verdict(
-                    k=bad,
-                    status=REFUTED,
-                    witness=None,
-                    note="random-combination re-verification failed",
-                )
+                Verdict(k=bad, status=REFUTED, note="value-table re-check failed")
             ]
     summary = None
     if (
@@ -589,53 +593,6 @@ def _symmetry_route(profile, n: int, max_k: int, valid: int) -> tuple:
         cross = (-2 * rat(profile[2]),) * 4 if n >= 2 else None
         summary = _summary(lam, 4 * a2, 2 * a2 if n >= 2 else None, cross)
     return EinsteinData(is_einstein, lam, valid - 2), verdicts, summary
-
-
-# random combinations that re-verify a consistent run
-REVERIFY_COMBINATIONS = 3
-
-# numerator over 12 of p/q at draw cell i = 4 * (p + 9) + (q - 1)
-_DRAW_NUMERATORS = [p * (12 // q) for p in range(-9, 10) for q in range(1, 5)]
-
-
-def _random_combinations(m: MetricJet, keys, rng, count: int):
-    """Yield up to ``count`` random combinations of the monomials packed as
-    ``keys`` (those of a :class:`TestFamily`) as exact jets at the shape of
-    ``m``.  One ``rng.random()`` u per monomial: u < 1/2 skips it,
-    else cell i = floor((u - 1/2) * 152) gives it the coefficient p/q with
-    p = i // 4 - 9 in -9..9 and q = i % 4 + 1 in 1..4, each of the 76
-    cells equally likely up to float granularity; an empty draw yields
-    nothing.  The coefficient is the numerator ``p * (12 // q)`` over the
-    common denominator 12."""
-    monomials = [(_digit_sum(key), key) for key in keys]
-    for _ in range(count):
-        grades = {}
-        for degree, key in monomials:
-            u = rng.random()
-            if u < 0.5:
-                continue
-            c = _DRAW_NUMERATORS[int((u - 0.5) * 152)]
-            if c:
-                grades.setdefault(degree, {})[key] = c
-        if grades:
-            yield Jet._reduced(m.dim, m.order, m.order, True, grades, 12)
-
-
-def _extended_reverify(m, verdicts, combinations) -> int | None:
-    """Check every p_k of ``verdicts`` (k = 1..len(verdicts)) on the jets
-    ``combinations``: Lap^k phi(0) must equal p_k applied to the Euclidean
-    moments of phi.  Returns the lowest failing order, or None."""
-    max_k = len(verdicts)
-    checks = [
-        (powers_at_origin(m, phi, max_k), euclidean_moments(phi, max_k))
-        for phi in combinations
-    ]
-    for v in verdicts:
-        if any(
-            lhs[v.k - 1] != v.polynomial.apply_to_moments(mom) for lhs, mom in checks
-        ):
-            return v.k
-    return None
 
 
 # ----------------------------------------------------------------------

@@ -57,8 +57,10 @@ in no packed reachable set is in no reachable set.
 
 Euclidean moments need no iteration: Lapc^j (z^a zb^b)(0) is j! a! when
 a = b and |a| = j, and 0 otherwise, so a monomial's moment vector has at
-most one nonzero entry and :func:`euclidean_moments` reads it off the
-balanced terms, as ints over the denominator of phi.
+most one nonzero entry.  :func:`_key_moment` reads it off a packed key,
+for :func:`euclidean_moments` (summed over the balanced terms of phi, as
+ints over its denominator), for :func:`third_power_checks` and for the
+value-table re-check of :mod:`kahlap.inference`.
 
 The expanded origin formulas for the second and third powers on an Einstein
 metric in normal coordinates are implemented as independent cross-checks of
@@ -309,16 +311,27 @@ def euclidean_moments(phi: Jet, kmax: int) -> list:
         raise InsufficientOrderError(
             "validity exhausted: the jet no longer determines its value at 0"
         )
-    n = phi.dim
     values = []
     for j in range(1, kmax + 1):
         total = 0
         for key, c in phi._grades.get(2 * j, {}).items():
-            if _weight(key, n) == 0:
-                # j! a! for z^a zb^a, a! over the nonzero digits of a
-                total += c * _factorials(key >> _SHIFT * n)
-        values.append(rat(total * math.factorial(j), phi.den))
+            moment = _key_moment(key, phi.dim)
+            if moment is not None:
+                total += c * moment[1]
+        values.append(rat(total, phi.den))
     return values
+
+
+def _key_moment(key: int, dim: int) -> tuple[int, int] | None:
+    """``(j, j! a!)`` for the monomial z^a zb^a packed as ``key``, j = |a|:
+    its one nonzero Euclidean moment, Lapc^j (z^a zb^a)(0), with a! over
+    the nonzero digits of a; None for an unbalanced monomial, whose
+    moments all vanish."""
+    a = key >> _SHIFT * dim
+    if key != a | a << _SHIFT * dim:
+        return None
+    j = _digit_sum(a)
+    return j, math.factorial(j) * _factorials(a)
 
 
 # ----------------------------------------------------------------------
@@ -453,20 +466,18 @@ def third_power_checks(m: MetricJet, dim: int, keys) -> list:
     :func:`monomial_powers_at_origin`, which runs the budget and dimension
     checks; the expanded side reads no memo: the weight of the key plus the
     moment in closed form, j! a! at Lapc^j for alpha = beta = a with
-    |a| = j, read off the key's digits, times lam^2, 3 lam or 1 for
-    j = 1, 2, 3."""
+    |a| = j, read off the key by :func:`_key_moment`, times lam^2, 3 lam or
+    1 for j = 1, 2, 3."""
     den, levels = monomial_powers_at_origin(m, dim, keys, 3)
     lam = _require_einstein(m)
     weights = _weights(m)
     scale = (lam * lam, 3 * lam, 1)
-    shift = _SHIFT * dim
     checks = []
     for key, direct in zip(keys, levels[2]):
         rhs = weights.get(key, ZERO)
-        a = key >> shift
-        j = _digit_sum(a)
-        if key == a | a << shift and 1 <= j <= 3:
-            rhs += scale[j - 1] * math.factorial(j) * _factorials(a)
+        moment = _key_moment(key, dim)
+        if moment is not None and 1 <= moment[0] <= 3:
+            rhs += scale[moment[0] - 1] * moment[1]
         checks.append(PowerIdentity(lhs=rat(direct, den**3), rhs=rhs))
     return checks
 

@@ -21,7 +21,10 @@ engine's origin values, its metric and its Einstein data against them.
   (``fs``, ``hyp``, ``polydisc``, ``type1``, ``type1dual``, ``type3``) by
   ``Jet`` arithmetic, ``log1`` on |z|^2 or the trace series of
   :func:`trace_log_potential`, against the int power sums of
-  :func:`kahlap.catalog._log_det_potential`.
+  :func:`kahlap.catalog._log_det_potential`;
+  :func:`product_potential_by_terms` builds a ``product`` potential from
+  its factors' (BiIndex, coefficient) terms, the route that the packed-key
+  remap of :func:`kahlap.catalog._raw_potential` replaced.
 
 - :func:`diff_hol`, :func:`diff_anti`, :func:`eval0` and :func:`inv1` are
   the whole-jet derivatives, origin value and inverse series that the
@@ -691,3 +694,17 @@ def gate_status(spec, order: int = 6) -> tuple[bool, str]:
         return True, "ok"
     except KahlapError as exc:
         return False, str(exc)
+
+
+def product_potential_by_terms(spec, order: int) -> Jet:
+    """The potential of a ``product`` spec as the catalog built it before
+    it moved packed keys: each factor's (BiIndex, coefficient) terms padded
+    with zero exponents to C^n, summed through ``Jet.__init__``, under the
+    least validity of the two factors."""
+    lphi, rphi = potential(spec.left, order), potential(spec.right, order)
+    nl, nr = spec.left.dim, spec.right.dim
+    lterms = [((bi.hol + (0,) * nr, bi.anti + (0,) * nr), c) for bi, c in lphi.terms()]
+    rterms = [(((0,) * nl + bi.hol, (0,) * nl + bi.anti), c) for bi, c in rphi.terms()]
+    out = Jet(nl + nr, order, lterms) + Jet(nl + nr, order, rterms)
+    valid = min(phi.valid if not phi.exact else order for phi in (lphi, rphi))
+    return out._flagged(valid, lphi.exact and rphi.exact)

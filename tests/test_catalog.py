@@ -36,7 +36,14 @@ from kahlap.geometry import (
 )
 from kahlap.jets import BiIndex, DegreeOverflowError, InsufficientOrderError, Jet, KahlapError, MAX_ORDER
 from kahlap.rationals import rat
-from oracles import from_text, gate_status, log_det_potential_by_jets, restrict, to_text
+from oracles import (
+    from_text,
+    gate_status,
+    log_det_potential_by_jets,
+    product_potential_by_terms,
+    restrict,
+    to_text,
+)
 
 
 def bi(hol, anti):
@@ -239,6 +246,30 @@ def test_log_det_kernel_matches_the_jet_route(spec, order):
     # flags, as log1 on |z|^2 and the Jet-level trace series did
     a = _raw_potential(spec, order)
     b = log_det_potential_by_jets(spec, order)
+    assert (a.dim, a.order, a.valid, a.exact, a.den, a._grades) == (
+        b.dim, b.order, b.valid, b.exact, b.den, b._grades
+    )
+
+
+_PRODUCTS = [
+    "product(flat:1,hyp:1)",
+    "product(hyp:1,fs:1)",
+    "product(flat:2,radial:1,1/2:1)",
+    "product(radial:1,1/2:2,type4:2)",
+    "product(dual(hyp:2),type1:1,2)",
+    "product(product(hyp:1,fs:2),polydisc:2)",
+]
+
+
+@pytest.mark.parametrize("text", _PRODUCTS)
+@pytest.mark.parametrize("order", [4, 8, 9])
+def test_product_key_remap_matches_the_term_route(text, order):
+    # moving the factors' packed keys to their slots builds the same
+    # canonical jet, with the same flags, as padding their terms did: both
+    # factors exact, one inexact, both inexact, an optional factor and a
+    # nested product
+    a = _raw_potential(parse_spec(text), order)
+    b = product_potential_by_terms(parse_spec(text), order)
     assert (a.dim, a.order, a.valid, a.exact, a.den, a._grades) == (
         b.dim, b.order, b.valid, b.exact, b.den, b._grades
     )

@@ -187,9 +187,12 @@ def test_check_gated_entry_is_construction_error(capsys):
 
 
 def test_check_determinism_modulo_timing(capsys):
+    # a consistent run on the family route, whose re-check reads no seed:
+    # the documents differ only in the echoed config.seed
     docs = []
-    for _ in range(2):
-        _, doc, _ = run_json(capsys, "check", "hyp:2", "--max-k", "3", "--seed", "7")
+    for seed in ("0", "7"):
+        _, doc, _ = run_json(capsys, "check", "type1:2,2", "--max-k", "2", "--seed", seed)
+        assert doc["config"].pop("seed") == int(seed)
         doc["timing_ms"] = 0
         docs.append(json.dumps(doc, sort_keys=True))
     assert docs[0] == docs[1]
@@ -395,6 +398,11 @@ ARGV_CONTRACT = [
     ("check radial:1,1/2:2 --max-k 5 --format json", 0, "cli_check_radial_n2_k5.json", ""),
     ("check radial:1,-2/5,3:3 --max-k 4 --format json", 0, "cli_check_radial_n3_k4.json", ""),
     ("check type4:2 --max-k 3 --format json", 0, "cli_check_type4_2.json", ""),
+    # consistent on the family route, so re-checked on the value table
+    ("check type1:2,2 --max-k 2 --format json", 0, "cli_check_type1_22_k2.json", ""),
+    ("check polydisc:4 --max-k 2 --format json", 0, "cli_check_polydisc4_k2.json", ""),
+    ("check type4:2 --max-k 2 --format json", 0, "cli_check_type4_2_k2.json", ""),
+    ("check product(hyp:1,fs:1) --max-k 2 --format json", 0, "cli_check_product_hyp1_fs1_k2.json", ""),
     ("check hyp:16 --max-k 3 --format json", 0, "cli_check_hyp16.json", ""),
     ("check fs:4 --max-k 6 --format json", 0, "cli_check_fs4_k6.json", ""),
     ("check dual(hyp:2) --max-k 3 --format json", 0, "cli_check_dual_hyp2.json", ""),
@@ -539,7 +547,12 @@ def test_commands_import_no_argparse_gettext_or_locale():
         """
         import contextlib, io, sys
         from kahlap.cli import main
-        for argv in (["check", "polydisc:2", "--max-k", "3"], ["reproduce", "comp1"], ["catalog"]):
+        for argv in (
+            ["check", "polydisc:2", "--max-k", "3"],
+            ["check", "type1:2,2", "--max-k", "2"],
+            ["reproduce", "comp1"],
+            ["catalog"],
+        ):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0, argv
         guarded = ("argparse", "gettext", "locale", "dataclasses", "inspect", "ast", "dis", "tokenize")

@@ -2,7 +2,6 @@
 the k = 3 reference values."""
 
 import itertools
-import math
 import random
 
 import pytest
@@ -13,7 +12,6 @@ from kahlap.catalog import (
     Custom,
     DualOf,
     Flat,
-    FubiniStudy,
     Hyperbolic,
     Polydisc,
     Product,
@@ -32,6 +30,7 @@ from kahlap.inference import (
     REFUTED,
     PowerPolynomial,
     TestFamily as Family,
+    Verdict,
     Witness,
     WitnessRow,
     build_test_family,
@@ -462,38 +461,100 @@ def test_rows_at_slot_k_and_above_are_in_the_zero_class():
         assert w.second.moments == ((0, 2) if pair[1] == 1 else (0, 0))
 
 
-def test_consistency_stable_under_extension_seeds():
-    a = verify_property(Hyperbolic(1), 3, seed=0)
-    b = verify_property(Hyperbolic(1), 3, seed=123)
-    pa = [v.polynomial.lower for v in a.verdicts]
-    pb = [v.polynomial.lower for v in b.verdicts]
-    assert pa == pb and a.all_consistent and b.all_consistent
+# ----------------------------------------------------------------------
+# the value-table re-check of a consistent family-route run
 
 
-@pytest.mark.parametrize("bad_k", [1, 2])
-def test_reverify_failure_downgrades_that_order(monkeypatch, bad_k):
-    # an engine fault at one order on the memo re-verification path alone,
-    # on polydisc:2, which is not U(n)-invariant (so it takes that route)
-    # and is consistent through max_k = 2: the value table never calls
-    # powers_at_origin, so inference stays consistent; every order, max_k
-    # included, is checked on the shared combinations, so the fault is
-    # caught wherever it sits
-    real = inference.powers_at_origin
+_RECHECK_NOTE = "value-table re-check failed"
 
-    def off_by_one_at(m, phi, kmax):
-        values = real(m, phi, kmax)
-        values[bad_k - 1] += 1
-        return values
 
-    monkeypatch.setattr(inference, "powers_at_origin", off_by_one_at)
+def _no_refuting_pair(mp):
+    # the scan of infer finds no pair, so it solves each class from its
+    # last row and skips the zero class
+    mp.setattr(inference, "_first_refuting_pair", lambda rows, size: None)
+
+
+def _a1_off_by_one_at_2(mp):
+    # the solve of infer returns a_1 + 1 at k = 2
+    real = inference.infer
+
+    def off(m, k, family, kahler_values=None, *, den=1):
+        v = real(m, k, family, kahler_values, den=den)
+        if k == 2 and v.status == CONSISTENT:
+            lower = (v.polynomial.lower[0] + 1, *v.polynomial.lower[1:])
+            v = Verdict(k=k, status=CONSISTENT, polynomial=PowerPolynomial(k, lower))
+        return v
+
+    mp.setattr(inference, "infer", off)
+
+
+def _class_1_doubled(mp):
+    # every class-1 moment doubled in build_test_family
+    real = inference.build_test_family
+
+    def family(n, k):
+        f = real(n, k)
+        classes = tuple((1, 2 * c[1]) if c and c[0] == 1 else c for c in f.classes)
+        return Family(dim=f.dim, keys=f.keys, classes=classes)
+
+    mp.setattr(inference, "build_test_family", family)
+
+
+def _class_1_doubled_with_its_values(mp):
+    # every class-1 moment doubled, and the level-1 values of those rows
+    # doubled to match: infer reads classes and values that agree with each
+    # other, so it stays consistent, with a_1 halved at k = 2; only a check
+    # that reads the moments off the keys sees it
+    _class_1_doubled(mp)
+    real = inference.kahler_value_table
+
+    def table(m, family, kmax):
+        den, levels = real(m, family, kmax)
+        levels[0] = [2 * v if c and c[0] == 1 else v for v, c in zip(levels[0], family.classes)]
+        return den, levels
+
+    mp.setattr(inference, "kahler_value_table", table)
+
+
+_REFUTED_SPECS = [
+    ("type1:2,2", 3), ("polydisc:3", 3), ("polydisc:2", 3),
+    ("product(flat:1,hyp:1)", 3), ("type1dual:2,2", 3), ("type4:2", 3),
+]
+_RECHECK_MUTANTS = [
+    *(pytest.param(_no_refuting_pair, text, max_k, None, id=f"no-pair-{text}")
+      for text, max_k in _REFUTED_SPECS),
+    pytest.param(_a1_off_by_one_at_2, "polydisc:2", 2, 2, id="a1-off-by-one"),
+    pytest.param(_class_1_doubled_with_its_values, "polydisc:2", 2, 1, id="class-1-doubled"),
+]
+
+
+@pytest.mark.parametrize("mutant, text, max_k, order", _RECHECK_MUTANTS)
+def test_recheck_catches_a_fault_infer_cannot_see(monkeypatch, mutant, text, max_k, order):
+    # a fault that leaves every order consistent is caught by the re-check
+    # at the stated order -- a missed pair at the order the unmutated run
+    # refutes -- which becomes refuted with no witness and the re-check's
+    # note, and no verdict follows it
+    spec = parse_spec(text)
+    if order is None:
+        order = verify_property(spec, max_k).refuted_at
+        assert order is not None
+    with monkeypatch.context() as mp:
+        mutant(mp)
+        rep = verify_property(spec, max_k)
+    assert rep.refuted_at == order and len(rep.verdicts) == order
+    bad = rep.verdicts[-1]
+    assert (bad.status, bad.witness, bad.note) == (REFUTED, None, _RECHECK_NOTE)
+    assert all(v.status == CONSISTENT for v in rep.verdicts[:-1])
+
+
+def test_a_class_fault_alone_is_refuted_by_infer_at_its_order(monkeypatch):
+    # the class-1 moments doubled, the values left alone: at k = 1 a
+    # class-1 row is checked against its own value, so infer refutes there
+    # with a witness, and the re-check never runs
+    _class_1_doubled(monkeypatch)
     rep = verify_property(Polydisc(2), 2)
-    assert rep.refuted_at == bad_k
-    bad = rep.verdicts[bad_k - 1]
-    assert bad.status == REFUTED and bad.witness is None
-    assert bad.note == "random-combination re-verification failed"
-    assert all(v.status == CONSISTENT for v in rep.verdicts[: bad_k - 1])
-    # no verdict after the refuted order
-    assert len(rep.verdicts) == bad_k
+    assert rep.refuted_at == 1 and rep.verdicts[0].witness.validated()
+    assert rep.verdicts[0].note == ""
 
 
 # ----------------------------------------------------------------------
@@ -512,24 +573,22 @@ def _symmetry_report(monkeypatch, spec, max_k, order=None):
             "metric_from_potential",
             "build_test_family",
             "monomial_powers_at_origin",
-            "powers_at_origin",
             "_family_route",
         ):
             mp.setattr(inference, name, _never)
         mp.setattr(laplacian, "monomial_powers_at_origin", _never)
+        mp.setattr(laplacian, "powers_at_origin", _never)
         mp.setattr(random, "Random", _never)
         return verify_property(spec, max_k, order=order)
 
 
-def _family_report(spec, max_k, order=None, seed=0):
+def _family_report(spec, max_k, order=None):
     """The report of the family route on ``spec``'s potential, whatever its
     symmetry: what ``verify_property`` gave before the symmetry route."""
     order = 2 * max_k + 2 if order is None else order
-    einstein, verdicts, summary = inference._family_route(
-        potential(spec, order), max_k, seed
-    )
+    einstein, verdicts, summary = inference._family_route(potential(spec, order), max_k)
     return inference.PropertyReport(
-        spec.label(), spec.dim, order, max_k, seed, einstein, tuple(verdicts), summary
+        spec.label(), spec.dim, order, max_k, einstein, tuple(verdicts), summary
     )
 
 
@@ -712,8 +771,8 @@ def test_power_table_fault_breaks_route_equivalence(monkeypatch, j, k):
 
 def test_radial_oracle_catches_a_memo_fault_the_memo_route_cannot(monkeypatch):
     # the mutant adds D^3 to N(|z_i|^2, 3) in the memo: the family route
-    # then infers p_3 = X^3 - 13*X^2 + 16*X on hyp:2, and its random
-    # re-verification reads the same memo, so it passes; the symmetry
+    # then infers p_3 = X^3 - 13*X^2 + 16*X on hyp:2, and its value-table
+    # re-check reads the values infer read, so it passes; the symmetry
     # route reads no memo and keeps X^3 - 13*X^2 + 15*X
     real = laplacian._OriginValues.value
 
@@ -731,70 +790,6 @@ def test_radial_oracle_catches_a_memo_fault_the_memo_route_cannot(monkeypatch):
     assert family.verdicts[2].polynomial.text() == "X^3 - 13*X^2 + 16*X"
     assert symmetric.verdicts[2].polynomial.text() == "X^3 - 13*X^2 + 15*X"
     assert family != symmetric
-
-
-def _draw_terms(family, rng):
-    """The draw of one random combination, written plainly as
-    (BiIndex, Fraction) terms for ``Jet.__init__``: one random() u per
-    monomial, skipped when u < 1/2, else p/q read from the cell
-    floor((u - 1/2) * 152) of the grid p in -9..9 by q in 1..4."""
-    terms = []
-    for pos in range(len(family)):
-        u = rng.random()
-        if u < 0.5:
-            continue
-        cell = math.floor((u - 0.5) * 152)
-        c = rat(cell // 4 - 9, cell % 4 + 1)
-        if c != 0:
-            terms.append((family.index(pos), c))
-    return terms
-
-
-@pytest.mark.parametrize("spec, max_k", [(Hyperbolic(2), 4), (FubiniStudy(3), 3)])
-@pytest.mark.parametrize("draw_seed", [0, 5, 7])
-def test_random_combinations_are_the_terms_drawn(spec, max_k, draw_seed):
-    # the int-built jets must be the ones Jet(dim, order, terms) builds from
-    # the same draws, and the generator must leave the RNG where the term
-    # draw leaves it: the same calls, so the same combinations are checked
-    m = metric_from_potential(potential(spec, 2 * max_k + 2))
-    family = build_test_family(spec.dim, max_k)
-    ours, theirs = random.Random(draw_seed), random.Random(draw_seed)
-    jets = list(inference._random_combinations(m, family.keys, ours, 3))
-    want = [Jet(m.dim, m.order, terms) for terms in
-            (_draw_terms(family, theirs) for _ in range(3)) if terms]
-    assert len(jets) == 3 and jets == want
-    assert all(jet.exact for jet in jets)
-    assert ours.getstate() == theirs.getstate()
-
-
-class _Replay:
-    """Stands in for random.Random, returning the given values of random()."""
-
-    def __init__(self, values):
-        self._values = iter(values)
-
-    def random(self):
-        return next(self._values)
-
-
-def test_random_draw_maps_u_to_every_cell():
-    # u in [1/2, 1) splits into 76 slices of width 1/152, one per cell i of
-    # the 19 x 4 grid; each slice, read at its low end, middle and high end,
-    # gives p/q = (i // 4 - 9) / (i % 4 + 1), and a zero p drops the term
-    m = metric_from_potential(potential(Hyperbolic(1), 4))
-    bi = BiIndex((1,), (1,))
-    def drawn(u):
-        return list(inference._random_combinations(m, [_pack_bi(bi)], _Replay([u]), 1))
-
-    for cell in range(76):
-        p, q = cell // 4 - 9, cell % 4 + 1
-        want = [Jet(1, 4, [(bi, rat(p, q))])] if p else []
-        for t in (1e-9, 0.5, 1 - 1e-9):
-            assert drawn(0.5 + (cell + t) / 152) == want, (cell, t)
-    assert drawn(0.5) == [Jet(1, 4, [(bi, rat(-9))])]
-    assert drawn(math.nextafter(1.0, 0.0)) == [Jet(1, 4, [(bi, rat(9, 4))])]
-    for u in (0.0, 0.25, math.nextafter(0.5, 0.0)):
-        assert drawn(u) == []
 
 
 def test_radial_profiles_consistent_sample():
@@ -905,7 +900,6 @@ def test_duality_checks_are_powers_of_one_term_jets(name):
         assert (chk.value, chk.dual_value) == want, (i, j)
 
 
-def test_power_polynomial_text_and_apply():
+def test_power_polynomial_text():
     p = PowerPolynomial(degree=3, lower=(rat(8), rat(-10)))
     assert p.text() == "X^3 - 10*X^2 + 8*X"
-    assert p.apply_to_moments([rat(0), rat(4), rat(0)]) == -40

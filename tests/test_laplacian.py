@@ -343,7 +343,7 @@ def test_check_builds_no_inverse_degree_it_does_not_read(monkeypatch, text, max_
 
     monkeypatch.setattr(inference, "metric_from_potential", keeping)
     phi = potential(parse_spec(text), order or 2 * max_k + 2)
-    inference._family_route(phi, max_k, 0)
+    inference._family_route(phi, max_k)
     (m,) = metrics
     built = len(m._graded.xs) - 1
     assert built == max(m.valid - 1, 2 * max_k - 2) < m.valid
