@@ -24,8 +24,9 @@ over the int numerators of the value table finds the first such pair in
 family order.  When there is none, each class fixes its coefficient and a
 class without rows leaves it free; rows that read 0 = 0 fix nothing and
 are skipped.  Rationals are built only for a witness pair, which is
-re-validated independently (proportional moment vectors, incompatible
-right-hand sides), and for the solved p_k.  When every order is
+re-validated independently (proportional moment vectors, read off the
+rows' packed keys, and incompatible right-hand sides), and for the solved
+p_k.  When every order is
 consistent, each solved p_k is re-checked against every row of the value
 table on ints, with the row's moment read off its packed key rather than
 its class, so a fault in the scan, the solve or the moment classes cannot
@@ -315,8 +316,10 @@ def infer(
 
 def _witness_row(family: TestFamily, pos: int, value, den, k: int) -> WitnessRow:
     """The row ``pos`` of ``family`` at order k with Lap^k phi(0) =
-    value / den, as rationals."""
-    j, moment = family.classes[pos] or (0, 0)
+    value / den, as rationals.  The moments are read off the row's key by
+    :func:`_key_moment`, not off ``family.classes``, which :func:`infer`
+    read, so :meth:`Witness.validated` checks the classes too."""
+    j, moment = _key_moment(family.keys[pos], family.dim) or (0, 0)
     moments = tuple(rat(moment) if i == j else ZERO for i in range(1, k + 1))
     return WitnessRow(family.index(pos), rat(value, den), moments)
 

@@ -448,13 +448,17 @@ def test_infer_reads_values_over_their_denominator(polydisc2_k3):
 
 def test_rows_at_slot_k_and_above_are_in_the_zero_class():
     # at order k a row with j = k reads Lap^k phi(0) = j! a! and a row with
-    # j > k reads Lap^k phi(0) = 0; neither fixes a coefficient
-    keys = tuple(_pack_bi(bi((i + 1,), (0,))) for i in range(3))
-    family = Family(dim=1, keys=keys, classes=((1, 1), (2, 2), (3, 6)))
-    ok = infer(FLAT1, 2, family, [rat(3), rat(2), rat(0)])
+    # j > k reads Lap^k phi(0) = 0; neither fixes a coefficient.  The rows
+    # are z1 zb1, z1 z2 zb1 zb2 and z1 z2 z3 zb1 zb2 zb3, whose moment
+    # classes (j, j! a!) are the classes given
+    flat3 = metric_from_potential(potential(Flat(3), 4))
+    exps = ((1, 0, 0), (1, 1, 0), (1, 1, 1))
+    keys = tuple(_pack_bi(bi(a, a)) for a in exps)
+    family = Family(dim=3, keys=keys, classes=((1, 1), (2, 2), (3, 6)))
+    ok = infer(flat3, 2, family, [rat(3), rat(2), rat(0)])
     assert ok.status == CONSISTENT and ok.polynomial.lower == (3,)
     for values, pair in (([3, 5, 0], (0, 1)), ([3, 2, 7], (0, 2))):
-        v = infer(FLAT1, 2, family, [rat(x) for x in values])
+        v = infer(flat3, 2, family, [rat(x) for x in values])
         w = v.witness
         assert v.status == REFUTED and w.validated()
         assert (w.first.index, w.second.index) == tuple(map(family.index, pair))
@@ -549,12 +553,16 @@ def test_recheck_catches_a_fault_infer_cannot_see(monkeypatch, mutant, text, max
 
 def test_a_class_fault_alone_is_refuted_by_infer_at_its_order(monkeypatch):
     # the class-1 moments doubled, the values left alone: at k = 1 a
-    # class-1 row is checked against its own value, so infer refutes there
-    # with a witness, and the re-check never runs
+    # class-1 row is checked against its own value, so infer finds a pair
+    # there, and the re-check never runs; the witness rows read their
+    # moments off their keys, so the pair is no certificate and the order
+    # is refuted with no witness
     _class_1_doubled(monkeypatch)
     rep = verify_property(Polydisc(2), 2)
-    assert rep.refuted_at == 1 and rep.verdicts[0].witness.validated()
-    assert rep.verdicts[0].note == ""
+    assert rep.refuted_at == 1 and len(rep.verdicts) == 1
+    bad = rep.verdicts[0]
+    assert (bad.status, bad.witness) == (REFUTED, None)
+    assert bad.note == "inconsistent system without a two-row proportionality certificate"
 
 
 # ----------------------------------------------------------------------
