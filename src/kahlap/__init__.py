@@ -25,7 +25,6 @@ from .geometry import (
     einstein_data,
     metric_from_potential,
     normality_report,
-    pullback,
     trace_identity_check,
 )
 from .laplacian import (

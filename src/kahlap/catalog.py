@@ -17,7 +17,10 @@ packed-key int dicts and builds the jet once, over lcm(1..order // 2).
 Matrix-domain coordinates are ordered diagonal-first: variables 1..r are
 the diagonal entries (1,1)..(r,r) -- the directions spanned by the diagonal
 embedding of the r-fold polydisc -- followed by the remaining entries in
-row-major order.
+row-major order.  So the diagonal embedding of the r-fold polydisc keeps
+only the first r coordinate slots, and :func:`_diagonal_restriction`, the
+restriction that ``reproduce lemma`` checks, reads the restricted potential
+off the packed keys, with no map composition.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 
-from .geometry import metric_from_potential, normality_report, einstein_data, pullback
+from .geometry import metric_from_potential, normality_report, einstein_data
 from .jets import Jet, KahlapError, record, substitute, _SHIFT, _check_shape, _mac
 from .rationals import rat, rat_from_str, rat_pretty
 
@@ -402,20 +405,33 @@ class RestrictionCheck:
         return self.potential_matches and self.metric_matches
 
 
+def _diagonal_restriction(phi: Jet, p: int, q: int) -> Jet:
+    """The potential ``phi`` of ``TypeI(p, q)`` pulled back along the
+    diagonal embedding (z_1..z_r) -> diag(z_1..z_r), r = min(p, q).  With
+    diagonal-first coordinates the embedding sends variable k to z_k for
+    k <= r and to 0 off the diagonal, so it keeps the terms whose two
+    halves have digits only in slots 0..r-1, and moves the antiholomorphic
+    half down from slot p*q to slot r."""
+    r = min(p, q)
+    shift, keep = _SHIFT * p * q, _SHIFT * r
+    low = (1 << keep) - 1
+    outside = ~(low | low << shift)
+    grades = {
+        d: kept
+        for d, bucket in phi._grades.items()
+        if (kept := {k & low | k >> shift << keep: c for k, c in bucket.items() if not k & outside})
+    }
+    return Jet._reduced(r, phi.order, phi.valid, phi.exact, grades, phi.den)
+
+
 def diagonal_restriction_check(p: int, q: int, order: int) -> RestrictionCheck:
-    """Pull the matrix-domain potential back along the diagonal embedding
-    (z_1..z_r) -> diag(z_1..z_r), r = min(p, q), and compare with the
-    polydisc potential (and likewise the metrics).  With diagonal-first
-    coordinates the embedding sends variable k to z_k for k <= r and to 0
-    off the diagonal."""
+    """Restrict the matrix-domain potential to the diagonal embedding
+    (:func:`_diagonal_restriction`), r = min(p, q), and compare with the
+    polydisc potential (and likewise the metrics)."""
     if order < 4:
         raise CatalogGateError("restriction check needs order >= 4")
     r = min(p, q)
-    phi_big = potential(TypeI(p, q), order)
-    diagonal = [
-        Jet.variable(r, order, k + 1) if k < r else Jet.zero(r, order) for k in range(p * q)
-    ]
-    pulled = pullback(phi_big, diagonal)
+    pulled = _diagonal_restriction(potential(TypeI(p, q), order), p, q)
     phi_disc = potential(Polydisc(r), order)
     pot_ok = pulled.agrees(phi_disc, order)
     m_pulled = metric_from_potential(pulled)

@@ -1,4 +1,9 @@
-"""Kahler metric jets: inverse, log determinant and Einstein data.
+"""Kahler metric jets: the metric of a potential, its inverse, log
+determinant and Einstein data, the normal-coordinate test and the trace
+identity.  Nothing here composes a jet with a map: the one restriction a
+command runs, the diagonal lemma, is read off packed keys by the catalog,
+and the general composition ``pullback`` is a test reference
+(``tests/oracles.py``).
 
 The metric of a potential jet F is its mixed Hessian g[i][j] = d^2 F /
 dz_i dzb_j (both indices 0-based here, rows holomorphic).  The Laplacian
@@ -33,21 +38,15 @@ determinant.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from .jets import (
-    _INF,
     _MASK,
     _SHIFT,
-    ConstantTermError,
-    DimensionMismatchError,
     InsufficientOrderError,
     Jet,
     KahlapError,
     _digits,
     _mac,
-    _mul_capped,
-    _unpack,
     record,
 )
 from .rationals import rat
@@ -484,70 +483,6 @@ def normality_report(m: MetricJet) -> NormalityReport:
         first_order_vanishes=not tilted,
         offenders=tuple(scaled + tilted),
     )
-
-
-def pullback(phi: Jet, components: Sequence[Jet]) -> Jet:
-    """Compose phi with a holomorphic polynomial map.
-
-    ``components[i]`` is the jet (over the source variables) substituted for
-    z_{i+1}; conjugate components are substituted for zb_{i+1}.  All
-    components must have zero constant term so the composition is again a
-    jet around the origin.  Each term of phi is the capped product of cached
-    component powers, added as ints into one sum.  A term with a zero
-    component adds nothing, so when every component is exact it is skipped
-    once the sum is already inexact: its flags could change nothing then.
-    """
-    if len(components) != phi.dim:
-        raise DimensionMismatchError(
-            f"need {phi.dim} components, got {len(components)}"
-        )
-    order = components[0].order
-    src_dim = components[0].dim
-    for comp in components:
-        if comp.dim != src_dim or comp.order != order:
-            raise DimensionMismatchError("components must share dim and order")
-        if comp.constant_term() != 0:
-            raise ConstantTermError("embedding components must vanish at 0")
-    bases = list(components) + [c.conj() for c in components]
-    pow_cache = {}
-
-    def power(slot, e):
-        got = pow_cache.get((slot, e))
-        if got is None:
-            prev = Jet.one(src_dim, order) if e == 1 else power(slot, e - 1)
-            got = _mul_capped(prev, bases[slot], order)
-            pow_cache[(slot, e)] = got
-        return got
-
-    # the sum of the term products as numerators over den * phi.den; its flags
-    acc = {}
-    den, veff, exact = 1, _INF, phi.exact
-    # packed-key mask of the slots of zero components, when all are exact
-    zeros = 0
-    if all(c.exact for c in components):
-        zeros = sum(_MASK << (_SHIFT * s) for s, b in enumerate(bases) if b.is_zero)
-    limit = min(phi._veff, phi.order)
-    for d, bucket in phi._grades.items():
-        if d > limit:
-            continue
-        for key, c in bucket.items():
-            if key & zeros and not exact:
-                continue
-            factors = [power(slot, e) for slot, e in enumerate(_unpack(key, 2 * phi.dim)) if e]
-            prod = factors[0] if factors else Jet.one(src_dim, order)
-            for p in factors[1:]:
-                prod = _mul_capped(prod, p, order)
-            veff, exact = min(veff, prod._veff), exact and prod.exact
-            new_den = math.lcm(den, prod.den)
-            if new_den != den:
-                lift = new_den // den
-                acc = {g: {k: v * lift for k, v in b.items()} for g, b in acc.items()}
-                den = new_den
-            for g, b in prod._grades.items():
-                _mac(acc.setdefault(g, {}), {0: c * (den // prod.den)}, b)
-    grades = {g: nz for g, b in acc.items() if (nz := {k: v for k, v in b.items() if v})}
-    valid = min(limit, veff, order)
-    return Jet._reduced(src_dim, order, valid, exact, grades, den * phi.den)
 
 
 # ----------------------------------------------------------------------

@@ -143,8 +143,9 @@ def build_test_family(n: int, k: int) -> TestFamily:
     """All monomials z^alpha zb^beta with |alpha|, |beta| <= k supported on
     at most min(n, 3) variables, in graded z1-major order: by total degree,
     then by alpha and by beta in descending lexicographic order.  Unbalanced
-    monomials are kept: their equations must read 0 = 0 and catch degree
-    bookkeeping bugs."""
+    monomials are kept: their Euclidean moments are 0, so one whose Kahler
+    power is nonzero refutes.  Most of them are never read: the weight rule
+    of :mod:`kahlap.laplacian` decides them 0 from their keys alone."""
     if n < 1 or k < 1:
         raise KahlapError("family needs n >= 1 and k >= 1")
     shift = _SHIFT * n
@@ -472,6 +473,27 @@ class PropertyReport:
     )
 
 
+def check_order(max_k: int, order: int | None) -> int:
+    """The truncation order of a check through ``max_k``: ``order``, or
+    2 max_k + 2 when it is None.  Raises for a ``max_k`` below 1 or past
+    ``MAX_ORDER``, and for an ``order`` below 2 max_k + 2; builds nothing."""
+    if max_k < 1:
+        raise KahlapError("max_k must be >= 1")
+    required = 2 * max_k + 2
+    if required > MAX_ORDER:
+        raise KahlapError(
+            f"max_k={max_k} needs order {required}; orders must be in 0..{MAX_ORDER}"
+        )
+    if order is None:
+        return required
+    if order < required:
+        raise InsufficientOrderError(
+            f"order {order} too small for max_k={max_k}; need >= {required}",
+            required_order=required,
+        )
+    return order
+
+
 def verify_property(
     spec: cat.PotentialSpec,
     max_k: int,
@@ -496,21 +518,10 @@ def verify_property(
       consistent through k = 5 and not Einstein), so it is no evidence of
       the power property.
     - Any other spec takes the family route, :func:`_family_route`.
+
+    ``max_k`` and ``order`` are checked by :func:`check_order` first.
     """
-    if max_k < 1:
-        raise KahlapError("max_k must be >= 1")
-    required = 2 * max_k + 2
-    if required > MAX_ORDER:
-        raise KahlapError(
-            f"max_k={max_k} needs order {required}; orders must be in 0..{MAX_ORDER}"
-        )
-    if order is None:
-        order = required
-    elif order < required:
-        raise InsufficientOrderError(
-            f"order {order} too small for max_k={max_k}; need >= {required}",
-            required_order=required,
-        )
+    order = check_order(max_k, order)
     phi = cat.potential(spec, order)
     # the validity of the metric of phi; below max(2 max_k - 2, 2) it does
     # not determine the report, and the family route raises for it

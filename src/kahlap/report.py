@@ -16,7 +16,8 @@ command prints.  Documents are deterministic for a fixed config: the one
 field that varies between runs is ``timing_ms``, stamped by :func:`run`.
 ``seed`` is echoed in the check config and the text header, and changes
 nothing.  Exit codes: 0 success / expectation met, 2 expectation or suite
-failure; a bad ``expect`` raises :class:`UsageError`.
+failure; a bad ``expect`` raises :class:`UsageError`, before anything is
+built.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .inference import (
     Verdict,
     Witness,
     build_test_family,
+    check_order,
     duality_negation_checks,
     infer,
     laplcube_rows,
@@ -163,8 +165,26 @@ def _render_check_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
+def _expectation(expect: str) -> str | int:
+    """``"consistent"``, or the order K of ``refuted-at:K``, that ``expect``
+    names; :class:`UsageError` for any other spelling."""
+    want = expect.strip().lower()
+    if want == "consistent":
+        return want
+    if want.startswith("refuted-at:"):
+        try:
+            return int(want.split(":", 1)[1])
+        except ValueError as exc:
+            raise UsageError(f"bad --expect value {expect!r}") from exc
+    raise UsageError(f"bad --expect value {expect!r}")
+
+
 def _check(spec, max_k, order, seed, expect) -> tuple[int, dict]:
+    # every setting is read before the build: a bad spec, max_k or order
+    # first, then a malformed expect
     parsed = cat.parse_spec(spec)
+    order = check_order(max_k, order)
+    want = None if expect is None else _expectation(expect)
     report = verify_property(parsed, max_k, order=order)
     config = {
         "spec": parsed.label(),
@@ -176,17 +196,7 @@ def _check(spec, max_k, order, seed, expect) -> tuple[int, dict]:
     doc = _check_document(report, config)
     code = 0
     if expect is not None:
-        want = expect.strip().lower()
-        if want == "consistent":
-            ok = report.all_consistent
-        elif want.startswith("refuted-at:"):
-            try:
-                at = int(want.split(":", 1)[1])
-            except ValueError as exc:
-                raise UsageError(f"bad --expect value {expect!r}") from exc
-            ok = report.refuted_at == at
-        else:
-            raise UsageError(f"bad --expect value {expect!r}")
+        ok = report.all_consistent if want == "consistent" else report.refuted_at == want
         code = 0 if ok else 2
         doc["expectation_met"] = ok
     return code, doc

@@ -48,15 +48,20 @@ comparison: what a jet claims against the same quantity recomputed from
 longer inputs.
 
 The helpers at the end have only test callers, so they live here and not
-in the package: :func:`to_normal_coordinates` (the quadratic change to
+in the package: :func:`pullback` (composition with a holomorphic
+polynomial map: the reference for the slot restriction
+``kahlap.catalog._diagonal_restriction``, and the coordinate change of the
+metamorphic tests), :func:`to_normal_coordinates` (the quadratic change to
 normal coordinates), :func:`restrict` (set variables to zero),
 :func:`diagonal_components` (the diagonal embedding of a polydisc in a
-matrix domain), the fixture text form :func:`to_text`/:func:`from_text`,
-and :func:`gate_status` (a catalog entry's gate without raising).
+matrix domain, as :func:`pullback` reads it), the fixture text form
+:func:`to_text`/:func:`from_text`, and :func:`gate_status` (a catalog
+entry's gate without raising).
 """
 
 import itertools
 import math
+from typing import Sequence
 
 from kahlap.catalog import (
     FubiniStudy,
@@ -75,7 +80,6 @@ from kahlap.geometry import (
     _log_det,
     metric_from_potential,
     normality_report,
-    pullback,
 )
 from kahlap.jets import (
     _INF,
@@ -88,8 +92,10 @@ from kahlap.jets import (
     InsufficientOrderError,
     Jet,
     KahlapError,
+    _mac,
     _mul_capped,
     _pack,
+    _unpack,
     substitute,
 )
 from kahlap.laplacian import PowerIdentity, power_at_origin, third_power_rhs
@@ -587,6 +593,70 @@ def log_det_potential_by_jets(spec, order: int) -> Jet:
 
 # ----------------------------------------------------------------------
 # helpers with only test callers
+
+
+def pullback(phi: Jet, components: Sequence[Jet]) -> Jet:
+    """Compose phi with a holomorphic polynomial map.
+
+    ``components[i]`` is the jet (over the source variables) substituted for
+    z_{i+1}; conjugate components are substituted for zb_{i+1}.  All
+    components must have zero constant term so the composition is again a
+    jet around the origin.  Each term of phi is the capped product of cached
+    component powers, added as ints into one sum.  A term with a zero
+    component adds nothing, so when every component is exact it is skipped
+    once the sum is already inexact: its flags could change nothing then.
+    """
+    if len(components) != phi.dim:
+        raise DimensionMismatchError(
+            f"need {phi.dim} components, got {len(components)}"
+        )
+    order = components[0].order
+    src_dim = components[0].dim
+    for comp in components:
+        if comp.dim != src_dim or comp.order != order:
+            raise DimensionMismatchError("components must share dim and order")
+        if comp.constant_term() != 0:
+            raise ConstantTermError("embedding components must vanish at 0")
+    bases = list(components) + [c.conj() for c in components]
+    pow_cache = {}
+
+    def power(slot, e):
+        got = pow_cache.get((slot, e))
+        if got is None:
+            prev = Jet.one(src_dim, order) if e == 1 else power(slot, e - 1)
+            got = _mul_capped(prev, bases[slot], order)
+            pow_cache[(slot, e)] = got
+        return got
+
+    # the sum of the term products as numerators over den * phi.den; its flags
+    acc = {}
+    den, veff, exact = 1, _INF, phi.exact
+    # packed-key mask of the slots of zero components, when all are exact
+    zeros = 0
+    if all(c.exact for c in components):
+        zeros = sum(_MASK << (_SHIFT * s) for s, b in enumerate(bases) if b.is_zero)
+    limit = min(phi._veff, phi.order)
+    for d, bucket in phi._grades.items():
+        if d > limit:
+            continue
+        for key, c in bucket.items():
+            if key & zeros and not exact:
+                continue
+            factors = [power(slot, e) for slot, e in enumerate(_unpack(key, 2 * phi.dim)) if e]
+            prod = factors[0] if factors else Jet.one(src_dim, order)
+            for p in factors[1:]:
+                prod = _mul_capped(prod, p, order)
+            veff, exact = min(veff, prod._veff), exact and prod.exact
+            new_den = math.lcm(den, prod.den)
+            if new_den != den:
+                lift = new_den // den
+                acc = {g: {k: v * lift for k, v in b.items()} for g, b in acc.items()}
+                den = new_den
+            for g, b in prod._grades.items():
+                _mac(acc.setdefault(g, {}), {0: c * (den // prod.den)}, b)
+    grades = {g: nz for g, b in acc.items() if (nz := {k: v for k, v in b.items() if v})}
+    valid = min(limit, veff, order)
+    return Jet._reduced(src_dim, order, valid, exact, grades, den * phi.den)
 
 
 class NormalizationError(KahlapError):

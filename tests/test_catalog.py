@@ -37,10 +37,12 @@ from kahlap.geometry import (
 from kahlap.jets import BiIndex, DegreeOverflowError, InsufficientOrderError, Jet, KahlapError, MAX_ORDER
 from kahlap.rationals import rat
 from oracles import (
+    diagonal_components,
     from_text,
     gate_status,
     log_det_potential_by_jets,
     product_potential_by_terms,
+    pullback,
     restrict,
     to_text,
 )
@@ -346,7 +348,7 @@ def test_type1_rank_one_degeneration():
 
 def test_type1_restricts_to_polydisc_on_diagonal_variables():
     # setting the off-diagonal entries to zero (variables 3, 4) leaves the
-    # polydisc potential -- same content as the pullback route, via restrict
+    # polydisc potential -- what the slot restriction of the lemma reads
     phi = potential(TypeI(2, 2), 8)
     assert restrict(phi, [1, 2]).agrees(potential(Polydisc(2), 8))
 
@@ -359,6 +361,39 @@ def test_type1_restricts_to_polydisc_on_diagonal_variables():
 def test_diagonal_restriction(p, q):
     rc = diagonal_restriction_check(p, q, 8)
     assert rc.potential_matches and rc.metric_matches
+
+
+def _same_jet(a, b):
+    return a == b and (a.valid, a.exact, a.den) == (b.valid, b.exact, b.den)
+
+
+@pytest.mark.parametrize("order", [4, 6, 8, 9, 12])
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (1, 3)])
+def test_slot_restriction_is_the_diagonal_pullback(p, q, order):
+    phi = potential(TypeI(p, q), order)
+    want = pullback(phi, diagonal_components(p, q, order))
+    assert _same_jet(catalog._diagonal_restriction(phi, p, q), want)
+
+
+# on type1:2,3 slots 1, 2 are the diagonal and 3..6 the rest
+@pytest.mark.parametrize(
+    "hol,anti,kept",
+    [
+        ((0, 0, 1, 0, 0, 0), (0, 0, 1, 0, 0, 0), False),
+        ((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1), False),
+        ((0, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 0), False),
+        ((1, 1, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0), True),
+        ((2, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), True),
+    ],
+)
+def test_slot_restriction_reads_only_the_diagonal_slots(hol, anti, kept):
+    """A term with an off-diagonal digit in either half leaves the
+    restriction as it is; a term on the diagonal slots changes it."""
+    phi = potential(TypeI(2, 3), 8)
+    bumped = phi + Jet(6, 8, [(bi(hol, anti), rat(1, 7))])
+    got = catalog._diagonal_restriction(bumped, 2, 3)
+    assert (got != catalog._diagonal_restriction(phi, 2, 3)) == kept
+    assert _same_jet(got, pullback(bumped, diagonal_components(2, 3, 8)))
 
 
 # ----------------------------------------------------------------------

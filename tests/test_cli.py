@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from kahlap import laplacian, report
+from kahlap import catalog, laplacian, report
 from kahlap.catalog import parse_spec
 from kahlap.cli import main
 from kahlap.inference import laplcube_rows
@@ -99,6 +99,29 @@ def test_check_non_normal_radial_is_construction_error(capsys, spec, line):
 def test_bad_expect_value(capsys):
     code, _, err = run(capsys, "check", "hyp:1", "--expect", "perhaps")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        # a malformed --expect is read after the cheap checks and before the
+        # build, so type3:2 gives the usage error, not its gate's rejection
+        ("check type1:4,4 --max-k 3 --expect perhaps", "usage error: bad --expect value 'perhaps'"),
+        ("check type3:2 --expect perhaps", "usage error: bad --expect value 'perhaps'"),
+        ("check hyp:1 --expect refuted-at:x", "usage error: bad --expect value 'refuted-at:x'"),
+        # a bad spec, max_k or order is still reported first
+        ("check nope:1 --expect perhaps", "error: unknown spec 'nope:1'"),
+        ("check hyp:1 --max-k 0 --expect perhaps", "error: max_k must be >= 1"),
+        ("check hyp:1 --max-k 15 --expect perhaps", "error: max_k=15 needs order 32; orders must be in 0..31"),
+        ("check hyp:1 --max-k 2 --order 5 --expect perhaps", "error: order 5 too small for max_k=2; need >= 6"),
+    ],
+)
+def test_bad_settings_exit_before_the_build(monkeypatch, capsys, argv, err):
+    def build(*args):
+        raise AssertionError("the potential was built")
+
+    monkeypatch.setattr(catalog, "potential", build)
+    assert run(capsys, *shlex.split(argv)) == (1, "", err + "\n")
 
 
 def test_unknown_command(capsys):

@@ -1,5 +1,6 @@
-"""Metric construction, Ricci (two routes), Einstein data, normal
-coordinates, and pullbacks."""
+"""Metric construction, the series inverse and its Bergman-operator
+degrees, Ricci (two routes), Einstein data, normal coordinates, and the
+composition oracle ``pullback``."""
 
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
 from kahlap.catalog import (
+    DualOf,
     Flat,
     FubiniStudy,
     Hyperbolic,
@@ -17,10 +19,12 @@ from kahlap.catalog import (
     TypeIDual,
     TypeIII,
     TypeIV,
+    _ATOMS,
     _raw_potential,
     einstein_catalog_entries,
     parse_spec,
     potential,
+    standard_entries,
 )
 from kahlap import geometry, inference, laplacian
 from kahlap.geometry import (
@@ -30,7 +34,6 @@ from kahlap.geometry import (
     inverse_metric_second_trace,
     metric_from_potential,
     normality_report,
-    pullback,
     series_matrix_inverse,
     trace_identity_check,
 )
@@ -44,11 +47,13 @@ from oracles import (
     diff_anti,
     diff_hol,
     eval0,
+    gate_status,
     inv1,
     kahler_laplacian,
     mat_mul,
     matrices_agree,
     newton_inverse as _newton_inverse,
+    pullback,
     ricci,
     ricci_contracted,
     series_determinant,
@@ -164,6 +169,40 @@ def test_metric_inverse_identity_property():
                     acc = p if acc is None else acc + p
                 target = Jet.constant(acc.dim, acc.order, 1 if i == j else 0)
                 assert acc.agrees(target)
+
+
+# every standard entry the gate accepts (all but type3:2), type3:1 (the
+# type3 entry it accepts), a larger type1, a dual and a product
+_BERGMAN_SPECS = [
+    spec.label() for spec in standard_entries() if gate_status(spec)[0]
+] + ["type3:1", "type1:3,3", "dual(type4:3)", "product(hyp:1,fs:2)"]
+
+
+def _inverse_degrees(spec: str, order: int = 10) -> set:
+    """The degrees in which the series inverse through ``m.valid - 1``, the
+    one the memo and log det(g) read, has a nonzero term."""
+    m = metric_from_potential(potential(parse_spec(spec), order))
+    return {d for row in m.inverse(m.valid - 1) for e in row for d in e._grades}
+
+
+@pytest.mark.parametrize("spec", _BERGMAN_SPECS)
+def test_inverse_metric_of_a_catalog_entry_is_quadratic_in_z_and_zb(spec):
+    """On a bounded symmetric domain with potential -log h(z, z), h the
+    generic norm, g^{-1} is the Bergman operator B(z, z), quadratic in z
+    and in zb (Loos 1977); compact duals flip a sign, and products are
+    block-diagonal.  So every term of the series inverse has degree 0, 2
+    or 4, through every degree the inverse is valid."""
+    assert _inverse_degrees(spec) <= {0, 2, 4}
+
+
+def test_bergman_cases_cover_every_catalog_kind_but_radial_and_custom():
+    kinds = {type(parse_spec(spec)) for spec in _BERGMAN_SPECS}
+    assert kinds == set(_ATOMS.values()) | {Product, DualOf}
+
+
+def test_inverse_metric_of_a_radial_metric_is_not_quadratic():
+    # the negative control: a U(n)-invariant metric that is no space form
+    assert max(_inverse_degrees("radial:1,1/2:2")) > 4
 
 
 @pytest.mark.parametrize("spec", [Polydisc(3), Product(Flat(1), Hyperbolic(1))])
@@ -586,7 +625,7 @@ def test_second_trace_needs_an_inverse_valid_through_degree_2():
 
 
 # ----------------------------------------------------------------------
-# pullback
+# pullback, the composition oracle of tests/oracles.py
 
 
 def test_pullback_identity_map():

@@ -12,13 +12,12 @@ from kahlap.geometry import (
     _eliminate,
     einstein_data,
     metric_from_potential,
-    pullback,
 )
 from kahlap.inference import build_test_family
 from kahlap.jets import _digit_sum, _pack, _unpack, BiIndex, Jet, KahlapError
 from kahlap.laplacian import monomial_powers_at_origin, powers_at_origin
 from kahlap.rationals import rat
-from oracles import einstein_by_ricci, metric_by_derivatives, rational_eliminate
+from oracles import einstein_by_ricci, metric_by_derivatives, pullback, rational_eliminate
 from test_laplacian import _bent, _sheared
 
 

@@ -217,17 +217,18 @@ def test_flip_anti_sign_examples():
 def test_whole_jet_references_are_not_package_api():
     # the engine reads origin values off packed keys; the whole-jet
     # derivatives, origin value and inverse series, the jet form of the
-    # third-power check, the named radial profiles and the diagonal
-    # embedding are test references, in tests/oracles.py
+    # third-power check, the named radial profiles, the diagonal embedding
+    # and the map composition are test references, in tests/oracles.py
     import kahlap
-    from kahlap import radial
+    from kahlap import geometry, radial
 
     for name in ("_diff", "diff_hol", "diff_anti", "eval0", "inv1"):
         assert not hasattr(Jet, name), name
-    for name in ("third_power_check", "EmbeddingSpec", "diagonal_embedding"):
+    for name in ("third_power_check", "EmbeddingSpec", "diagonal_embedding", "pullback"):
         assert name not in kahlap.__all__ and not hasattr(kahlap, name), name
     for name in ("hyperbolic_profile", "fubini_study_profile", "flat_profile"):
         assert not hasattr(radial, name), name
+    assert not hasattr(geometry, "pullback")
 
 
 def test_eval0():

@@ -20,7 +20,7 @@ from kahlap.catalog import (
     parse_spec,
     potential,
 )
-from kahlap.geometry import metric_from_potential, pullback
+from kahlap.geometry import metric_from_potential
 from kahlap.jets import (
     BiIndex,
     DimensionMismatchError,
@@ -53,6 +53,7 @@ from oracles import (
     fubini_study_profile,
     hyperbolic_profile,
     kahler_laplacian,
+    pullback,
     third_power_check,
 )
 
