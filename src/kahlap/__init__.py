@@ -16,7 +16,6 @@ from .jets import (
     InsufficientOrderError,
     Jet,
     KahlapError,
-    substitute,
 )
 from .geometry import (
     DegenerateMetricError,

@@ -13,6 +13,10 @@ tr((ZZ*)^m)/m: ``hyp`` and ``fs`` (Z a 1 x n row), ``polydisc`` (Z
 diagonal), ``type1``, ``type1dual`` and ``type3``.  Every tr((ZZ*)^m) has
 int coefficients, so :func:`_log_det_potential` forms the powers of ZZ* as
 packed-key int dicts and builds the jet once, over lcm(1..order // 2).
+Two more entries are power series sum_m f_m x^m in an int polynomial x,
+built the same way by :func:`_power_series`: ``type4`` is -1/2 log(1 - x)
+with x = 2|z|^2 - |z^T z|^2, and ``radial`` is its profile f at
+x = |z|^2.
 
 Matrix-domain coordinates are ordered diagonal-first: variables 1..r are
 the diagonal entries (1,1)..(r,r) -- the directions spanned by the diagonal
@@ -29,7 +33,7 @@ import math
 import re
 
 from .geometry import metric_from_potential, normality_report, einstein_data
-from .jets import Jet, KahlapError, record, substitute, _SHIFT, _check_shape, _mac
+from .jets import Jet, KahlapError, record, _SHIFT, _check_shape, _mac
 from .rationals import rat, rat_from_str, rat_pretty
 
 
@@ -260,6 +264,34 @@ def _dot(row, col) -> dict:
     return out
 
 
+def _power_series(n: int, x: dict, f: list, order: int, exact: bool) -> Jet:
+    """sum_{m>=1} f[m] x^m for a packed-key int polynomial ``x`` keyed by
+    degree, with no constant term, and a list ``f`` of rationals.
+
+    The powers of x are formed through degree ``order``, each product
+    skipping the degree pairs past it, and summed over one int denominator,
+    the lcm of the denominators of f, up to the last power the order
+    reaches.  The jet is an exact polynomial when ``exact`` and no nonzero
+    f[m] lies past that power, otherwise a series valid through ``order``."""
+    top = min(len(f) - 1, order // min(x))
+    den = math.lcm(*(c.denominator for c in f[1 : top + 1]))
+    grades = {}
+    power = {0: {0: 1}}
+    for m in range(1, top + 1):
+        step = {}
+        for da, a in power.items():
+            for db, b in x.items():
+                if da + db <= order:
+                    _mac(step.setdefault(da + db, {}), a, b)
+        power = step
+        if f[m]:
+            w = {0: int(f[m] * den)}
+            for d, b in power.items():
+                _mac(grades.setdefault(d, {}), w, b)
+    grades = {d: nz for d, b in grades.items() if (nz := {k: c for k, c in b.items() if c})}
+    return Jet._reduced(n, order, order, exact and not any(f[top + 1 :]), grades, den)
+
+
 # ----------------------------------------------------------------------
 # potential construction
 
@@ -282,17 +314,16 @@ def _raw_potential(spec: PotentialSpec, order: int) -> Jet:
         case TypeIII(m=m):
             return _log_det_potential(spec.dim, _symmetric_matrix_keys(m), order)
         case TypeIV(n=n):
-            one = Jet.one(n, order)
-            s = Jet.abs_square_sum(n, order)
-            quad = Jet.zero(n, order)
-            for i in range(1, n + 1):
-                zi = Jet.variable(n, order, i)
-                quad = quad + zi * zi
-            inner = one - s.scale(2) + quad * quad.conj()
-            return inner.log1().scale(rat(-1, 2))
+            # -1/2 log(1 - x) = sum_m x^m / 2m, x = 2|z|^2 - |z^T z|^2
+            x = {
+                2: {k: 2 for k in Jet.abs_square_sum(n, order)._grades[2]},
+                4: {2 << _SHIFT * i | 2 << _SHIFT * (n + j): -1 for i in range(n) for j in range(n)},
+            }
+            f = [0, *(rat(1, 2 * m) for m in range(1, order // 2 + 1))]
+            return _power_series(n, x, f, order, False)
         case Radial(n=n):
-            f = [0, *spec.coeffs][: order + 1]
-            return substitute(f, Jet.abs_square_sum(n, order), exact=True)
+            x = Jet.abs_square_sum(n, order)._grades
+            return _power_series(n, x, [0, *spec.coeffs][: order + 1], order, True)
         case Product(left=left, right=right):
             n = spec.dim
             factors = []

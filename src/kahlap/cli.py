@@ -14,7 +14,8 @@ Three commands, whose documents and text :mod:`.report` builds:
 :func:`report.text` renders it; it reads no key of the document.
 ``--seed`` is parsed and echoed in the config and the text header, and
 changes nothing.  Exit codes: 0 success / expectation met, 1 usage or
-construction error or memory exhausted, 2 expectation or suite failure.
+construction error, memory exhausted or stdout closed by its reader, 2
+expectation or suite failure.
 
 The argument list is read by one table-driven parser (``_parse_args``) in
 argparse's spellings and words: ``--opt value`` or ``--opt=value``, options
@@ -29,6 +30,7 @@ parser cost a few ms of start-up, more than some whole commands.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 
@@ -124,7 +126,7 @@ def _parse_args(tokens):
         opt, value = option or (None, None)
         j += 1
         if opt and not options.get(opt) and value is None:  # -h, --help, --version
-            print(__version__ if opt == "--version" else _USAGE)
+            print(__version__ if opt == "--version" else _USAGE, flush=True)
             raise SystemExit(0)
         if options.get(opt):
             if value is None:
@@ -160,8 +162,14 @@ def main(argv=None) -> int:
         command, settings = _parse_args(sys.argv[1:] if argv is None else list(argv))
         form = settings.pop("format")
         code, doc = report.run(command, **settings)
-        print(json.dumps(doc, indent=2) if form == "json" else report.text(doc))
+        print(json.dumps(doc, indent=2) if form == "json" else report.text(doc), flush=True)
         return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is left of it goes to devnull, so
+        # the interpreter's flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: broken pipe", file=sys.stderr)
+        return 1
     except report.UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

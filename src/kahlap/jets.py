@@ -32,10 +32,8 @@ constant polynomials for the kernel, they ran slower), and
 dropping the zeros it leaves, so that ``_reduced`` need not scan every
 numerator of every result for them.
 
-A univariate series f(t) = f_0 + f_1 t + ... is a plain list
-``[f_0, f_1, ...]`` of rationals: the radial profiles f with potential
-f(|z|^2) and the series of :meth:`Jet.log1`, each composed with a jet by
-:func:`substitute`.
+Series of jets, such as the log series of a potential, are not built here:
+the catalog sums them on packed-key int dicts with the same kernel.
 """
 
 from __future__ import annotations
@@ -316,10 +314,6 @@ class Jet:
                 }
         return Jet._raw(dim, order, valid, exact, grades, den)
 
-    def _flagged(self, valid, exact) -> "Jet":
-        """The same coefficients under new validity flags."""
-        return Jet._raw(self.dim, self.order, valid, exact, self._grades, self.den)
-
     @classmethod
     def zero(cls, dim, order) -> "Jet":
         _check_shape(dim, order)
@@ -367,10 +361,6 @@ class Jet:
     def max_degree(self) -> int:
         """Largest total degree with a stored nonzero coefficient (-1 if zero)."""
         return max(self._grades) if self._grades else -1
-
-    def min_degree(self) -> int:
-        """Smallest total degree with a stored nonzero coefficient (order+1 if zero)."""
-        return min(self._grades) if self._grades else self.order + 1
 
     def coefficient(self, bi: BiIndex):
         bi = BiIndex(tuple(bi[0]), tuple(bi[1]))
@@ -449,17 +439,6 @@ class Jet:
         return self.scale(other)
 
     # ------------------------------------------------------------------
-    # series functions
-
-    def log1(self) -> "Jet":
-        """log of a unit-constant jet: log(1+u) = sum (-1)^(m+1) u^m / m."""
-        if self.constant_term() != 1:
-            raise ConstantTermError("log1 requires constant term exactly 1")
-        u = self - Jet.one(self.dim, self.order)
-        coeffs = [0] + [rat((-1) ** (m + 1), m) for m in range(1, self.order + 1)]
-        return substitute(coeffs, u, exact=False)
-
-    # ------------------------------------------------------------------
     # structural transforms
 
     def flip_anti_sign(self) -> "Jet":
@@ -469,19 +448,6 @@ class Jet:
             d: {k: -c if _digit_sum(k >> shift) % 2 else c for k, c in b.items()}
             for d, b in self._grades.items()
         }
-        return Jet._raw(self.dim, self.order, self.valid, self.exact, grades, self.den)
-
-    def conj(self) -> "Jet":
-        """Swap holomorphic and antiholomorphic exponents (coefficients are
-        rational, hence fixed by conjugation)."""
-        n = self.dim
-        grades: dict[int, dict[int, int]] = {}
-        for d, bucket in self._grades.items():
-            tgt = grades.setdefault(d, {})
-            for key, c in bucket.items():
-                lo = key & ((1 << (_SHIFT * n)) - 1)
-                hi = key >> (_SHIFT * n)
-                tgt[hi | (lo << (_SHIFT * n))] = c
         return Jet._raw(self.dim, self.order, self.valid, self.exact, grades, self.den)
 
     def drop_constant(self) -> "Jet":
@@ -595,35 +561,3 @@ def _mul_capped(a: Jet, b: Jet, out_order: int) -> Jet:
     valid = min(a._veff, b._veff, out_order)
     return Jet._reduced(a.dim, out_order, valid, exact, grades, a.den * b.den)
 
-
-def substitute(f: list, arg: Jet, exact: bool) -> Jet:
-    """Compose a univariate series with a zero-constant jet: f(arg).
-
-    ``f`` is the list ``[f_0, f_1, ...]`` of the series' coefficients: an
-    exact polynomial when ``exact``, otherwise a series known through
-    degree ``len(f) - 1``.  A zero argument yields the constant f(0), known
-    as far as the argument is: with the argument's validity and exactness.
-    Otherwise the unknown coefficients of an inexact f additionally cap the
-    result's validity at len(f)*mindeg(arg) - 1.
-    """
-    if arg.constant_term() != 0:
-        raise ConstantTermError("substitute requires a zero-constant argument")
-    order = arg.order
-    out = Jet.constant(arg.dim, order, f[0])
-    if arg.is_zero:
-        return out._flagged(arg.valid, arg.exact)
-    mindeg = arg.min_degree()
-    top = min(len(f) - 1, order // mindeg)
-    power = arg
-    for m in range(1, top + 1):
-        if m > 1:
-            power = _mul_capped(power, arg, order)
-        if f[m]:
-            out = out + power.scale(f[m])
-    valid = min(arg._veff, order)
-    if exact:
-        # a nonzero term past the loop's last power is truncated away
-        exact = out.exact and not any(f[top + 1 :])
-    else:
-        valid = min(valid, len(f) * mindeg - 1)
-    return out._flagged(valid, exact)

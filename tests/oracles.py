@@ -17,19 +17,23 @@ engine's origin values, its metric and its Einstein data against them.
 - :func:`ricci_contracted` computes Ricci from the curvature-style
   contraction of metric derivatives, with no logarithm, against
   :func:`ricci`.
-- :func:`log_det_potential_by_jets` builds the log-det catalog potentials
-  (``fs``, ``hyp``, ``polydisc``, ``type1``, ``type1dual``, ``type3``) by
-  ``Jet`` arithmetic, ``log1`` on |z|^2 or the trace series of
-  :func:`trace_log_potential`, against the int power sums of
-  :func:`kahlap.catalog._log_det_potential`;
+- :func:`series_potential_by_jets` builds the series catalog potentials
+  (``fs``, ``hyp``, ``polydisc``, ``type1``, ``type1dual``, ``type3``,
+  ``type4``, ``radial``) by ``Jet`` arithmetic, :func:`log1` on |z|^2, the
+  trace series of :func:`trace_log_potential`, or :func:`substitute`,
+  against the int power sums of :func:`kahlap.catalog._log_det_potential`
+  and :func:`kahlap.catalog._power_series`;
   :func:`product_potential_by_terms` builds a ``product`` potential from
   its factors' (BiIndex, coefficient) terms, the route that the packed-key
   remap of :func:`kahlap.catalog._raw_potential` replaced.
 
-- :func:`diff_hol`, :func:`diff_anti`, :func:`eval0` and :func:`inv1` are
-  the whole-jet derivatives, origin value and inverse series that the
-  oracles here are written in; the engine reads origin values off packed
-  keys instead.  :func:`third_power_check` applies the expanded third-power
+- :func:`diff_hol`, :func:`diff_anti`, :func:`eval0`, :func:`inv1`,
+  :func:`log1` and :func:`conj` are the whole-jet derivatives, origin
+  value, inverse and log series and conjugation that the oracles here are
+  written in; the engine reads origin values off packed keys instead.
+  :func:`substitute` composes a univariate series ``[f_0, f_1, ...]`` with
+  a zero-constant jet, under the validity flags that :func:`min_degree`
+  and :func:`flagged` set.  :func:`third_power_check` applies the expanded third-power
   identity to any test jet, the reference for the keyed rows of
   :func:`kahlap.laplacian.third_power_checks`, and
   :func:`hyperbolic_profile`, :func:`fubini_study_profile` and
@@ -67,9 +71,11 @@ from kahlap.catalog import (
     FubiniStudy,
     Hyperbolic,
     Polydisc,
+    Radial,
     TypeI,
     TypeIDual,
     TypeIII,
+    TypeIV,
     matrix_slots,
     potential,
 )
@@ -96,7 +102,6 @@ from kahlap.jets import (
     _mul_capped,
     _pack,
     _unpack,
-    substitute,
 )
 from kahlap.laplacian import PowerIdentity, power_at_origin, third_power_rhs
 from kahlap.rationals import ZERO, rat, rat_from_str, rat_str
@@ -149,6 +154,72 @@ def inv1(jet: Jet) -> Jet:
     u = jet.scale(rat(1) / c0) - Jet.one(jet.dim, jet.order)
     coeffs = [rat((-1) ** m) / c0 for m in range(jet.order + 1)]
     return substitute(coeffs, u, exact=False)
+
+
+def log1(jet: Jet) -> Jet:
+    """log of a unit-constant jet: log(1+u) = sum (-1)^(m+1) u^m / m."""
+    if jet.constant_term() != 1:
+        raise ConstantTermError("log1 requires constant term exactly 1")
+    u = jet - Jet.one(jet.dim, jet.order)
+    coeffs = [0] + [rat((-1) ** (m + 1), m) for m in range(1, jet.order + 1)]
+    return substitute(coeffs, u, exact=False)
+
+
+def conj(jet: Jet) -> Jet:
+    """Swap holomorphic and antiholomorphic exponents (coefficients are
+    rational, hence fixed by conjugation)."""
+    n = jet.dim
+    grades: dict[int, dict[int, int]] = {}
+    for d, bucket in jet._grades.items():
+        tgt = grades.setdefault(d, {})
+        for key, c in bucket.items():
+            lo = key & ((1 << (_SHIFT * n)) - 1)
+            hi = key >> (_SHIFT * n)
+            tgt[hi | (lo << (_SHIFT * n))] = c
+    return Jet._raw(jet.dim, jet.order, jet.valid, jet.exact, grades, jet.den)
+
+
+def min_degree(jet: Jet) -> int:
+    """Smallest total degree with a stored nonzero coefficient (order+1 if zero)."""
+    return min(jet._grades) if jet._grades else jet.order + 1
+
+
+def flagged(jet: Jet, valid, exact) -> Jet:
+    """The same coefficients under new validity flags."""
+    return Jet._raw(jet.dim, jet.order, valid, exact, jet._grades, jet.den)
+
+
+def substitute(f: list, arg: Jet, exact: bool) -> Jet:
+    """Compose a univariate series with a zero-constant jet: f(arg).
+
+    ``f`` is the list ``[f_0, f_1, ...]`` of the series' coefficients: an
+    exact polynomial when ``exact``, otherwise a series known through
+    degree ``len(f) - 1``.  A zero argument yields the constant f(0), known
+    as far as the argument is: with the argument's validity and exactness.
+    Otherwise the unknown coefficients of an inexact f additionally cap the
+    result's validity at len(f)*mindeg(arg) - 1.
+    """
+    if arg.constant_term() != 0:
+        raise ConstantTermError("substitute requires a zero-constant argument")
+    order = arg.order
+    out = Jet.constant(arg.dim, order, f[0])
+    if arg.is_zero:
+        return flagged(out, arg.valid, arg.exact)
+    mindeg = min_degree(arg)
+    top = min(len(f) - 1, order // mindeg)
+    power = arg
+    for m in range(1, top + 1):
+        if m > 1:
+            power = _mul_capped(power, arg, order)
+        if f[m]:
+            out = out + power.scale(f[m])
+    valid = min(arg._veff, order)
+    if exact:
+        # a nonzero term past the loop's last power is truncated away
+        exact = out.exact and not any(f[top + 1 :])
+    else:
+        valid = min(valid, len(f) * mindeg - 1)
+    return flagged(out, valid, exact)
 
 
 def third_power_check(m: MetricJet, phi: Jet) -> PowerIdentity:
@@ -218,7 +289,7 @@ def metric_by_derivatives(phi: Jet) -> MetricJet:
     g = tuple(tuple(diff_anti(d, j + 1) for j in range(n)) for d in rows)
     for i in range(n):
         for j in range(i, n):
-            if g[i][j].conj() != g[j][i]:
+            if conj(g[i][j]) != g[j][i]:
                 raise DegenerateMetricError(
                     f"metric not Hermitian: entry ({i + 1},{j + 1})"
                 )
@@ -294,7 +365,7 @@ def mat_mul(a, b, cap: int):
             if acc is None:
                 acc = Jet._raw(dim, ambient, veff, exact, {})
             elif not exact:
-                acc = acc._flagged(min(acc._veff, veff), False)
+                acc = flagged(acc, min(acc._veff, veff), False)
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
@@ -416,7 +487,7 @@ def newton_inverse(g, target_valid):
         corr = tuple(tuple(two_i[i][j] - gx[i][j] for j in range(n)) for i in range(n))
         x = mat_mul(x, corr, v)
     valid = min(target_valid, min(e._veff for row in g for e in row))
-    return tuple(tuple(e._flagged(valid, False) for e in row) for row in x)
+    return tuple(tuple(flagged(e, valid, False) for e in row) for row in x)
 
 
 def series_determinant(mat):
@@ -526,7 +597,7 @@ def trace_log_potential(z_rows, order, signs=False) -> Jet:
     p = len(z_rows)
     q = len(z_rows[0])
     n = z_rows[0][0].dim
-    zstar = [[z_rows[i][j].conj() for i in range(p)] for j in range(q)]  # q x p
+    zstar = [[conj(z_rows[i][j]) for i in range(p)] for j in range(q)]  # q x p
     zz = [
         [
             sum(
@@ -556,29 +627,42 @@ def trace_log_potential(z_rows, order, signs=False) -> Jet:
         c = rat((-1) ** (m + 1), m) if signs else rat(1, m)
         phi = phi + trace.scale(c)
     # truncation of a log series: valid to order, not exact
-    return phi._flagged(order, False)
+    return flagged(phi, order, False)
 
 
-def log_det_potential_by_jets(spec, order: int) -> Jet:
-    """The unreduced potential of a log-det catalog entry, as the catalog
-    built it by Jet arithmetic: ``log1`` of 1 +- |z|^2 for ``fs``/``hyp``,
-    one ``log1`` per disc for ``polydisc``, :func:`trace_log_potential` for
-    the matrix domains."""
+def series_potential_by_jets(spec, order: int) -> Jet:
+    """The unreduced potential of a log-det, ``type4`` or ``radial`` catalog
+    entry, as the catalog built it by Jet arithmetic: :func:`log1` of
+    1 +- |z|^2 for ``fs``/``hyp``, one :func:`log1` per disc for
+    ``polydisc``, :func:`trace_log_potential` for the matrix domains,
+    -1/2 :func:`log1` of 1 - 2|z|^2 + |z^T z|^2 for ``type4`` and
+    :func:`substitute` of the profile into |z|^2 for ``radial``."""
     match spec:
         case FubiniStudy(n=n):
             s = Jet.abs_square_sum(n, order)
-            return (Jet.one(n, order) + s).log1()
+            return log1(Jet.one(n, order) + s)
         case Hyperbolic(n=n):
             s = Jet.abs_square_sum(n, order)
-            return -((Jet.one(n, order) - s).log1())
+            return -log1(Jet.one(n, order) - s)
         case Polydisc(r=r):
             phi = Jet.zero(r, order)
             one = Jet.one(r, order)
             for j in range(1, r + 1):
                 zj = Jet.variable(r, order, j)
-                tj = zj * zj.conj()
-                phi = phi + (-((one - tj).log1()))
+                tj = zj * conj(zj)
+                phi = phi + (-log1(one - tj))
             return phi
+        case TypeIV(n=n):
+            s = Jet.abs_square_sum(n, order)
+            quad = Jet.zero(n, order)
+            for i in range(1, n + 1):
+                zi = Jet.variable(n, order, i)
+                quad = quad + zi * zi
+            inner = Jet.one(n, order) - s.scale(2) + quad * conj(quad)
+            return log1(inner).scale(rat(-1, 2))
+        case Radial(n=n):
+            f = [0, *spec.coeffs][: order + 1]
+            return substitute(f, Jet.abs_square_sum(n, order), exact=True)
         case TypeI(p=p, q=q):
             z, _ = matrix_of_variables(p, q, order)
             return trace_log_potential(z, order, signs=False)
@@ -588,7 +672,7 @@ def log_det_potential_by_jets(spec, order: int) -> Jet:
         case TypeIII(m=m):
             z = symmetric_matrix_of_variables(m, order)
             return trace_log_potential(z, order, signs=False)
-    raise ValueError(f"not a log-det catalog entry: {spec!r}")
+    raise ValueError(f"not a series catalog entry: {spec!r}")
 
 
 # ----------------------------------------------------------------------
@@ -617,7 +701,7 @@ def pullback(phi: Jet, components: Sequence[Jet]) -> Jet:
             raise DimensionMismatchError("components must share dim and order")
         if comp.constant_term() != 0:
             raise ConstantTermError("embedding components must vanish at 0")
-    bases = list(components) + [c.conj() for c in components]
+    bases = list(components) + [conj(c) for c in components]
     pow_cache = {}
 
     def power(slot, e):
@@ -777,4 +861,4 @@ def product_potential_by_terms(spec, order: int) -> Jet:
     rterms = [(((0,) * nl + bi.hol, (0,) * nl + bi.anti), c) for bi, c in rphi.terms()]
     out = Jet(nl + nr, order, lterms) + Jet(nl + nr, order, rterms)
     valid = min(phi.valid if not phi.exact else order for phi in (lphi, rphi))
-    return out._flagged(valid, lphi.exact and rphi.exact)
+    return flagged(out, valid, lphi.exact and rphi.exact)

@@ -37,10 +37,12 @@ from kahlap.geometry import (
 from kahlap.jets import BiIndex, DegreeOverflowError, InsufficientOrderError, Jet, KahlapError, MAX_ORDER
 from kahlap.rationals import rat
 from oracles import (
+    conj,
     diagonal_components,
+    flagged,
     from_text,
     gate_status,
-    log_det_potential_by_jets,
+    series_potential_by_jets,
     product_potential_by_terms,
     pullback,
     restrict,
@@ -160,7 +162,7 @@ def test_custom_gate_rejects_non_normal():
     z1 = Jet.variable(2, 6, 1)
     z2 = Jet.variable(2, 6, 2)
     f2 = z2 + z1 * z1
-    crooked = z1 * z1.conj() + f2 * f2.conj()  # not normal at 0
+    crooked = z1 * conj(z1) + f2 * conj(f2)  # not normal at 0
     with pytest.raises(CatalogGateError):
         potential(Custom(crooked), 6)
 
@@ -174,7 +176,7 @@ def _crooked(order):
     z1 = Jet.variable(2, order, 1)
     z2 = Jet.variable(2, order, 2)
     f2 = z2 + z1 * z1
-    return z1 * z1.conj() + f2 * f2.conj()
+    return z1 * conj(z1) + f2 * conj(f2)
 
 
 def _lone(order):
@@ -197,7 +199,7 @@ def _gate_cases():
             yield pytest.param(_raw_potential(spec, order), order, id=f"{spec}@{order}")
     yield pytest.param(_crooked(6), 6, id="crooked")
     yield pytest.param(_lone(6), 6, id="lone")
-    yield pytest.param(Jet.abs_square_sum(2, 6)._flagged(1, False), 6, id="degree-1")
+    yield pytest.param(flagged(Jet.abs_square_sum(2, 6), 1, False), 6, id="degree-1")
 
 
 @pytest.mark.parametrize("phi, order", list(_gate_cases()))
@@ -211,7 +213,7 @@ def test_gate_rejections_keep_their_errors():
     with pytest.raises(DegenerateMetricError, match=r"^metric not Hermitian: entry \(1,1\)$"):
         potential(Custom(_lone(6)), 6)
     with pytest.raises(InsufficientOrderError):
-        potential(Custom(Jet.abs_square_sum(2, 6)._flagged(1, False)), 6)
+        potential(Custom(flagged(Jet.abs_square_sum(2, 6), 1, False)), 6)
 
 
 @pytest.mark.parametrize("spec", [TypeIV(2), TypeIV(3), TypeIII(1), TypeIII(2)])
@@ -227,30 +229,75 @@ def test_optional_gate_probe_is_the_truncated_potential(spec, order):
     )
 
 
-_LOG_DET_SPECS = (
-    [f(n) for n in range(1, 6) for f in (FubiniStudy, Hyperbolic, Polydisc)]
+_RADIAL_SPECS = [
+    Radial((rat(1),), 1),
+    Radial((rat(1), rat(1, 2)), 2),
+    Radial((rat(1), rat(-2, 5), rat(3)), 3),
+    Radial((rat(1), rat(1, 3), rat(1, 5)), 2),
+    Radial((rat(1), 0, 0, rat(1)), 1),
+    Radial((rat(1), 0, 0, 0, 0, 0, rat(1)), 1),
+    Radial((rat(0), rat(1)), 2),
+]
+_SERIES_SPECS = (
+    [f(n) for n in range(1, 6) for f in (FubiniStudy, Hyperbolic, Polydisc, TypeIV)]
     + [f(p, q) for p in range(1, 4) for q in range(1, 4) for f in (TypeI, TypeIDual)]
     + [TypeIII(m) for m in range(1, 4)]
+    + _RADIAL_SPECS
 )
 
 
 @seed(20201030)
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(_LOG_DET_SPECS), st.integers(2, 12))
+@given(st.sampled_from(_SERIES_SPECS), st.integers(2, 12))
 @example(TypeI(3, 3), 12)
 @example(TypeIDual(3, 2), 11)
 @example(TypeIII(3), 12)
 @example(FubiniStudy(5), 12)
 @example(Hyperbolic(5), 3)
 @example(Polydisc(5), 2)
+@example(TypeIV(5), 12)
+@example(TypeIV(2), 31)
+@example(TypeIV(1), 31)
+@example(_RADIAL_SPECS[1], 31)
+@example(_RADIAL_SPECS[5], 31)
+# below order 4 every product with the degree-4 part of type4's
+# x = 2|z|^2 - |z^T z|^2 passes the order, and radial profiles lose their
+# terms past the order
+@example(TypeIV(5), 3)
+@example(TypeIV(3), 2)
+@example(TypeIV(1), 3)
+@example(_RADIAL_SPECS[2], 3)
+@example(_RADIAL_SPECS[4], 2)
+@example(_RADIAL_SPECS[6], 3)
 def test_log_det_kernel_matches_the_jet_route(spec, order):
     # the int power sums build the same canonical jet, with the same
-    # flags, as log1 on |z|^2 and the Jet-level trace series did
+    # flags, as log1 on |z|^2, the Jet-level trace series and substitute
+    # did
+    _assert_kernel_matches_the_jet_route(spec, order)
+
+
+def _assert_kernel_matches_the_jet_route(spec, order):
     a = _raw_potential(spec, order)
-    b = log_det_potential_by_jets(spec, order)
+    b = series_potential_by_jets(spec, order)
     assert (a.dim, a.order, a.valid, a.exact, a.den, a._grades) == (
         b.dim, b.order, b.valid, b.exact, b.den, b._grades
     )
+
+
+@st.composite
+def _radial_profiles(draw):
+    coeff = st.builds(rat, st.integers(-4, 4), st.integers(1, 6))
+    rest = draw(st.lists(coeff, max_size=7))
+    return Radial((rat(1), *rest), draw(st.integers(1, 3))), draw(st.integers(2, 14))
+
+
+@seed(20261021)
+@settings(max_examples=40, deadline=None)
+@given(_radial_profiles())
+def test_power_series_kernel_matches_substitute_on_random_profiles(case):
+    # exact profiles, cut by the order or not: the same canonical jet and
+    # flags as substitute into |z|^2
+    _assert_kernel_matches_the_jet_route(*case)
 
 
 _PRODUCTS = [

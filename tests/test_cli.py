@@ -479,6 +479,15 @@ ARGV_CONTRACT = [
     ("check hyp:1 -max-k 2", 1, "", _usage("unrecognized arguments: -max-k 2")),
     ("check hyp:1 -- --max-k", 1, "", _usage("unrecognized arguments: --max-k")),
     ("check -5", 1, "", "error: unknown spec '-5'\n"),
+    # bad type4 and radial specs, each rejected before or by its build
+    ("check type4:0", 1, "", "error: dimension must be positive, got 0\n"),
+    ("check dual(type4:0)", 1, "", "error: dimension must be positive, got 0\n"),
+    ("check type4:-1", 1, "", "error: dimension must be positive, got -1\n"),
+    ("check radial:0,1:1", 1, "", "error: degenerate metric at origin\n"),
+    ("check radial:2:1", 1, "", "error: catalog entry rejected by self-check: radial:2:1 is not "
+     "normalized at the origin (g[1][1](0) != 1)\n"),
+    ("check radial:1,1/0:1", 1, "", "error: bad spec 'radial:1,1/0:1': zero denominator\n"),
+    ("check product(type4:2,)", 1, "", "error: unknown spec ''\n"),
     # spec nesting is bounded before any recursion runs deep
     (f"check {'dual(' * 64}hyp:1{')' * 64} --max-k 1", 0, _hyp1(1, spec=f"{'dual(' * 64}hyp:1{')' * 64}"), ""),
     (f"check {'dual(' * 500}hyp:1{')' * 500}", 1, "", "error: spec nested deeper than 64\n"),
@@ -592,6 +601,33 @@ def test_main_hands_report_its_settings_by_keyword_and_maps_memory_exhaustion(
     ]
 
 
+@pytest.mark.parametrize("argv", ["check hyp:1 --max-k 1", "--help"])
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "block-buffered"])
+def test_closed_stdout_ends_in_one_error_line(unbuffered, argv):
+    # a reader that closed the pipe before the report or the usage text was
+    # written: one error line and exit 1, with no traceback and no failed
+    # flush at exit
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "kahlap.cli", *argv.split()],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "error: broken pipe\n")
+
+
 def test_commands_import_no_argparse_gettext_or_locale():
     """The start-up cost argparse carries (its gettext pulls in locale) stays
     out of every command path, and so does dataclasses with the modules it
@@ -625,15 +661,9 @@ def test_commands_import_no_argparse_gettext_or_locale():
 
 
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kahlap"
-# jets.py is the one module past the step, at 4,575 tokens: it holds the Jet
-# class with the packed-key kernels that catalog and geometry share, and
-# bringing it under would split that one representation over two modules
-_PARSER_STEP_EXEMPT = "jets.py"
 
 
-@pytest.mark.parametrize(
-    "module", sorted(p.name for p in _PACKAGE.glob("*.py") if p.name != _PARSER_STEP_EXEMPT)
-)
+@pytest.mark.parametrize("module", sorted(p.name for p in _PACKAGE.glob("*.py")))
 def test_command_path_modules_stay_under_the_parser_step(module):
     """Commands run without a bytecode cache compile every module of the
     package on every start (``kahlap/__init__.py`` imports the engine

@@ -17,7 +17,7 @@ from kahlap.inference import build_test_family
 from kahlap.jets import _digit_sum, _pack, _unpack, BiIndex, Jet, KahlapError
 from kahlap.laplacian import monomial_powers_at_origin, powers_at_origin
 from kahlap.rationals import rat
-from oracles import einstein_by_ricci, metric_by_derivatives, pullback, rational_eliminate
+from oracles import einstein_by_ricci, flagged, metric_by_derivatives, pullback, rational_eliminate
 from test_laplacian import _bent, _sheared
 
 
@@ -116,7 +116,7 @@ def potentials(draw, mirror=True, dims=st.integers(1, 3)):
             terms[(anti, hol)] = terms.get((anti, hol), 0) + mirrored
     phi = Jet(n, order, [(BiIndex(h, a), c) for (h, a), c in terms.items()])
     if draw(st.booleans()):
-        phi = phi._flagged(draw(st.integers(2, order)), False)
+        phi = flagged(phi, draw(st.integers(2, order)), False)
     return phi
 
 

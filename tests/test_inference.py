@@ -50,7 +50,6 @@ from kahlap.jets import (
     _digit_sum,
     _pack_bi,
     _unpack,
-    substitute,
 )
 from kahlap.laplacian import (
     _balanced_moment,
@@ -59,6 +58,7 @@ from kahlap.laplacian import (
     powers_at_origin,
 )
 from kahlap.rationals import rat
+from oracles import flagged, substitute
 from test_laplacian import _bent, _sheared
 
 
@@ -658,7 +658,7 @@ def radial_cases(draw):
         return Radial(tuple(coeffs), n), max_k, order
     valid = draw(st.integers(2 * max_k - 1, order - 1))
     jet = substitute([0, *coeffs], Jet.abs_square_sum(n, order), exact=True)
-    return Custom(jet._flagged(valid, False), f"custom:{n}@{valid}"), max_k, order
+    return Custom(flagged(jet, valid, False), f"custom:{n}@{valid}"), max_k, order
 
 
 @seed(20281020)
