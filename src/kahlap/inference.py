@@ -8,9 +8,12 @@ exact linear equation in the unknown lower coefficients a_1..a_{k-1}:
     Lap^k phi(0) - Lapc^k phi(0) = sum_j a_j * Lapc^j phi(0).
 
 A *Consistent* verdict therefore means "no refutation over the shipped
-finite family" -- honest but not a proof.  A *Refuted* verdict, by
-contrast, exhibits two test functions whose equations admit no common
-solution, which is a proof that no polynomial works.
+finite family" -- honest but not a proof.  Given the metric, the family is
+built over the rows its torus can see (:func:`build_test_family`): every
+other row reads 0 = 0, so dropping it changes no verdict, witness or p_k.
+A *Refuted* verdict, by contrast, exhibits two test functions whose
+equations admit no common solution, which is a proof that no polynomial
+works.
 
 A monomial's Euclidean moment vector has at most one nonzero entry
 (Lapc^j (z^a zb^b)(0) = j! a! when a = b and |a| = j), so the family keeps
@@ -55,9 +58,6 @@ from .jets import (
     Jet,
     KahlapError,
     _SHIFT,
-    _digit_sum,
-    _digits,
-    _pack,
     _unpack,
     record,
 )
@@ -65,8 +65,8 @@ from .laplacian import (
     NotEinsteinError,
     inverse_metric_cross_hessian,
     monomial_powers_at_origin,
-    _balanced_moment,
     _key_moment,
+    torus_weights,
 )
 from .rationals import ZERO, rat, rat_pretty
 
@@ -139,64 +139,92 @@ class TestFamily:
         return tuple(map(FamilyRow, map(self.index, range(len(self))), self.classes))
 
 
-def build_test_family(n: int, k: int) -> TestFamily:
-    """All monomials z^alpha zb^beta with |alpha|, |beta| <= k supported on
+def build_test_family(n: int, k: int, m: MetricJet | None = None) -> TestFamily:
+    """The monomials z^alpha zb^beta with |alpha|, |beta| <= k supported on
     at most min(n, 3) variables, in graded z1-major order: by total degree,
     then by alpha and by beta in descending lexicographic order.  Unbalanced
-    monomials are kept: their Euclidean moments are 0, so one whose Kahler
-    power is nonzero refutes.  Most of them are never read: the weight rule
-    of :mod:`kahlap.laplacian` decides them 0 from their keys alone."""
+    monomials have Euclidean moments 0, so one whose Kahler power is nonzero
+    refutes.
+
+    Given the metric ``m``, only the rows its torus can see are built, in
+    the same order: the balanced ones, and the unbalanced ones whose weight
+    beta - alpha lies in the live set of the memo at levels 1..k
+    (:func:`laplacian.torus_weights`).  Every other row reads 0 at every
+    level and has moment 0, so it reads 0 = 0: :func:`infer` skips it, it
+    is in no witness and the re-check wants 0 of it.  Row 0, ``z1``, is
+    kept, since a witness may pair it with a zero-class row.  The pairs are
+    not visited: the antiholomorphic halves are grouped by degree and by
+    their image under the kernel of the memo's steps, and a holomorphic half
+    reads only the group of its own image.  When the kernel is empty (no
+    torus symmetry) every row is built."""
     if n < 1 or k < 1:
         raise KahlapError("family needs n >= 1 and k >= 1")
-    shift = _SHIFT * n
-    # per exponent vector v, z1-major: v as holomorphic and as
-    # antiholomorphic half of a key, its support bitmask, |v| and j! v!
-    # (j = |v|); by_sum[j] holds the antiholomorphic halves of sum j
-    vecs = []
-    by_sum = [[] for _ in range(k + 1)]
-    for v in reversed(_exponent_vectors(n, k)):
-        hol = _pack(v)
-        mask = sum(1 << i for i, e in enumerate(v) if e)
-        vecs.append((hol, hol << shift, mask, sum(v), _balanced_moment(v)))
-        by_sum[sum(v)].append((hol << shift, mask))
-    keys, classes = [], []
-    for d in range(1, 2 * k + 1):
-        for hol, balanced, mask, j, moment in vecs:
-            if not 0 <= d - j <= k:
-                continue
-            antis = by_sum[d - j]
-            if n > 3:
-                antis = [a for a in antis if (mask | a[1]).bit_count() <= 3]
-            for anti, _ in antis:
-                keys.append(hol | anti)
-                classes.append((j, moment) if anti == balanced else None)
+    live, u = (None, [0] * n) if m is None else torus_weights(m, n, k)
+    keys, classes = _monomials(n, k, u, live if any(u) else None, 3)
+    if keys[:1] != [1]:
+        keys.insert(0, 1)
+        classes.insert(0, None)
     return TestFamily(dim=n, keys=tuple(keys), classes=tuple(classes))
 
 
 def laplcube_rows(n: int) -> tuple[TestFamily, list]:
-    """The family :func:`build_test_family` (n, 2) and the positions of its
-    balanced rows, |alpha| = |beta|, supported on at most two variables (any
-    two of the n, not just the first pair), in family order: the rows that
-    ``reproduce laplcube`` checks.  A row is read off its packed key; the
-    nonzero digits of alpha | beta are its support."""
-    family = build_test_family(n, 2)
+    """The rows that ``reproduce laplcube`` checks and their positions: the
+    rows of :func:`build_test_family` (n, 2) with |alpha| = |beta| supported
+    on at most two variables (any two of the n, not just the first pair),
+    in family order.  They are the rows the diagonal circle sees, the
+    kernel (1, ..., 1), so no other row is visited."""
+    keys, classes = _monomials(n, 2, [1] * n, None, 2)
+    return TestFamily(dim=n, keys=tuple(keys), classes=tuple(classes)), list(range(len(keys)))
+
+
+def _monomials(n: int, k: int, u, live, cap: int) -> tuple[list, list]:
+    """Keys and moment classes, in family order, of the rows z^alpha zb^beta
+    with |alpha|, |beta| <= k on at most ``cap`` variables, with
+    u . alpha = u . beta for the int functional ``u`` and, unless ``live``
+    is None, alpha = beta or ``_pack(beta) - _pack(alpha)`` in ``live``.
+    The halves are grouped by image u . v and by degree, and each
+    holomorphic half is paired only with the halves of its own image."""
+    halves = _halves(n, k, u)
+    groups = {}
+    for half in halves:
+        groups.setdefault(half[3], {}).setdefault(half[2], []).append(half)
+    # per total degree, each holomorphic half with its antiholomorphic ones
+    by_degree = [[] for _ in range(2 * k + 1)]
+    for half in halves:
+        for degree, antis in groups[half[3]].items():
+            by_degree[half[2] + degree].append((half, antis))
+    keys, classes = [], []
     shift = _SHIFT * n
-    low = (1 << shift) - 1
-    return family, [
-        pos
-        for pos, key in enumerate(family.keys)
-        if _digit_sum(key & low) == _digit_sum(key >> shift)
-        and len(_digits(key & low | key >> shift)) <= 2
-    ]
+    for pairs in by_degree[1:]:
+        for (hol, mask, j, _, factorials), antis in pairs:
+            for anti, anti_mask, _, _, _ in antis:
+                if (mask | anti_mask).bit_count() <= cap and (
+                    live is None or anti == hol or anti - hol in live
+                ):
+                    keys.append(hol | anti << shift)
+                    classes.append((j, math.factorial(j) * factorials) if anti == hol else None)
+    return keys, classes
 
 
-def _exponent_vectors(n: int, k: int) -> list[tuple[int, ...]]:
-    """Length-n exponent vectors with sum at most k, in lexicographic order;
-    each prefix is extended only by what its sum leaves of k."""
-    out = [()]
-    for _ in range(n):
-        out = [v + (e,) for v in out for e in range(k + 1 - sum(v))]
-    return out
+def _halves(n: int, k: int, u) -> list:
+    """``(packed v, support mask, |v|, u . v, v!)`` for every exponent
+    vector v of length n with |v| <= k, in descending lexicographic order
+    (z1-major).  Built from the last slot back: ``rows[r]`` holds the
+    vectors over slots i..n-1 with sum at most r, those with v_i = e > 0
+    first, e descending, then those with v_i = 0."""
+    rows = [[(0, 0, 0, 0, 1)]] * (k + 1)
+    for i in reversed(range(n)):
+        rows = [
+            [
+                (half + (e << _SHIFT * i), mask | 1 << i, j + e, image + e * u[i],
+                 factorials * math.factorial(e))
+                for e in range(r, 0, -1)
+                for half, mask, j, image, factorials in rows[r - e]
+            ]
+            + rows[r]
+            for r in range(k + 1)
+        ]
+    return rows[k]
 
 
 # ----------------------------------------------------------------------
@@ -557,7 +585,7 @@ def _family_route(phi: Jet, max_k: int) -> tuple:
     downgrades the lowest failing order to refuted, with no witness and a
     note, and drops the later ones, so the report ends there."""
     m = metric_from_potential(phi)
-    family = build_test_family(m.dim, max_k)
+    family = build_test_family(m.dim, max_k, m)
     den, levels = kahler_value_table(m, family, max_k)
     verdicts = []
     for k in range(1, max_k + 1):

@@ -55,6 +55,17 @@ Weights and steps are packed like monomial keys, with signed digits
 packs to the sum of their packed forms, and a weight whose packed form is
 in no packed reachable set is in no reachable set.
 
+The same rule lets the test family skip those monomials before they are
+built (:func:`torus_weights`, read by ``inference.build_test_family``).
+Every reachable weight lies in the lattice of the steps, so it is
+orthogonal to the int kernel W of the steps at levels 1..k: the rotations
+z_j -> e^(i theta_j) z_j that keep every term those levels read, theta
+in W (:meth:`_OriginValues.kernel`, fraction-free on ints; empty once the
+steps span Q^n).  A monomial with
+W alpha != W beta reads 0 at every level; grouping the halves of the
+family by their image under W visits only the pairs with W alpha = W beta,
+and the live set, the union of the reachable sets, then decides each pair.
+
 Euclidean moments need no iteration: Lapc^j (z^a zb^b)(0) is j! a! when
 a = b and |a| = j, and 0 otherwise, so a monomial's moment vector has at
 most one nonzero entry.  :func:`_key_moment` reads it off a packed key,
@@ -83,6 +94,7 @@ from .jets import (
     InsufficientOrderError,
     Jet,
     KahlapError,
+    _MASK,
     _SHIFT,
     _digit_sum,
     _digits,
@@ -122,7 +134,7 @@ class _OriginValues:
     D and the weight rule.  It reads g_inv through degree ``top``, which
     serves every level s with 2s - 2 <= ``top``."""
 
-    __slots__ = ("dim", "top", "low", "den", "terms", "units", "memo", "reach")
+    __slots__ = ("dim", "top", "low", "den", "terms", "units", "memo", "reach", "stepsets", "lives")
 
     def __init__(self, m: MetricJet, top: int):
         n = m.dim
@@ -154,18 +166,23 @@ class _OriginValues:
             for row, units in zip(x, self.units)
         ]
         self.reach = [{0}]
+        self.stepsets = {}
+        self.lives = {}
         self.memo = {}
 
     def steps(self, s: int) -> set:
         """The packed steps of the terms that ``value(mu, s)`` can read,
-        those of bidegree at most (s-1, s-1)."""
-        return {
-            step
-            for row in self.terms
-            for terms in row
-            for th, ta, _, step, _ in terms
-            if th < s and ta < s
-        }
+        those of bidegree at most (s-1, s-1), kept per level."""
+        got = self.stepsets.get(s)
+        if got is None:
+            got = self.stepsets[s] = {
+                step
+                for row in self.terms
+                for terms in row
+                for th, ta, _, step, _ in terms
+                if th < s and ta < s
+            }
+        return got
 
     def reachable(self, s: int) -> set:
         """The packed weights of the monomials mu that ``value(mu, s)`` can
@@ -175,6 +192,41 @@ class _OriginValues:
             steps = self.steps(len(reach))
             reach.append({w + d for w in reach[-1] for d in steps})
         return reach[s]
+
+    def live(self, kmax: int) -> set:
+        """The packed weights some level 1..kmax reaches, kept per kmax."""
+        got = self.lives.get(kmax)
+        if got is None:
+            got = self.lives[kmax] = set().union(*map(self.reachable, range(1, kmax + 1)))
+        return got
+
+    def kernel(self, s: int) -> list:
+        """An int basis of the vectors w of Z^n with w . d = 0 for every step
+        d that ``value(mu, s)`` can read, found fraction-free on ints.  It
+        starts from the unit vectors; a step that some basis vector does not
+        annihilate spends one of them, p, and every other w with w . d != 0
+        becomes (p . d) w - (w . d) p over its gcd.  Whether every w
+        annihilates d is one product with the basis read as one functional
+        (:func:`_functional`).  Empty once the steps span Q^n, and then no
+        further step is read."""
+        n = self.dim
+        bias = sum(16 << _SHIFT * i for i in range(n))
+        basis = [[int(i == j) for j in range(n)] for i in range(n)]
+        u = _functional(basis, n, s)
+        for step in self.steps(s):
+            if not basis:
+                break
+            d = _signed_digits(step, bias)
+            if sum(u[i] * e for i, e in d):
+                dots = [sum(w[i] * e for i, e in d) for w in basis]
+                p = next(i for i, x in enumerate(dots) if x)
+                wp, xp = basis.pop(p), dots.pop(p)
+                basis = [
+                    _primitive([xp * a - x * b for a, b in zip(w, wp)]) if x else w
+                    for w, x in zip(basis, dots)
+                ]
+                u = _functional(basis, n, s)
+        return basis
 
     def powers(self, key: int, kmax: int) -> list:
         """[N(mu, 1), ..., N(mu, kmax)] for the monomial mu packed as
@@ -235,6 +287,34 @@ def _weight(key: int, n: int) -> int:
     return (key >> shift) - (key & ((1 << shift) - 1))
 
 
+def _signed_digits(w: int, bias: int) -> list:
+    """(slot, digit) for each nonzero digit of a packed weight whose digits
+    lie in -16..15, as a step's do (|digit| <= s <= 15 under the budget).
+    ``bias`` packs 16 in every slot, so ``w + bias`` packs the digits
+    d + 16 with no borrow, and the slots where d = 0 read 0 in
+    ``(w + bias) ^ bias``."""
+    w += bias
+    return [(slot, (w >> _SHIFT * slot & _MASK) - 16) for slot, _ in _digits(w ^ bias)]
+
+
+def _primitive(v: list) -> list:
+    g = math.gcd(*v)
+    return [x // g for x in v]
+
+
+def _functional(basis: list, n: int, kmax: int) -> list:
+    """The vectors w of ``basis``, each of length n, as one int functional
+    u = sum_r w_r M^r with M = 4 kmax max|w| + 1: for an int vector v with
+    |v|_1 <= 2 kmax each |w_r . v| < M / 2, so u . v is (w_r . v)_r in
+    balanced base M, and u . v = 0 exactly when every w_r . v = 0."""
+    base = 4 * kmax * max((max(map(abs, w)) for w in basis), default=0) + 1
+    u, scale = [0] * n, 1
+    for w in basis:
+        u = [a + x * scale for a, x in zip(u, w)]
+        scale *= base
+    return u
+
+
 def _factorials(key: int) -> int:
     """The product of the factorials of the digits of a packed key."""
     return math.prod(math.factorial(e) for _, e in _digits(key))
@@ -281,8 +361,7 @@ def monomial_powers_at_origin(m: MetricJet, dim: int, keys, kmax: int):
     one passes or fails them alike."""
     _require_metric_budget(m, kmax)
     origin = _memo(m, dim, kmax)
-    # the packed weights some level 1..kmax reaches
-    live = set().union(*map(origin.reachable, range(1, kmax + 1)))
+    live = origin.live(kmax)
     shift = _SHIFT * dim
     low = origin.low
     levels = [[0] * len(keys) for _ in range(kmax)]
@@ -293,14 +372,23 @@ def monomial_powers_at_origin(m: MetricJet, dim: int, keys, kmax: int):
     return origin.den, levels
 
 
+def torus_weights(m: MetricJet, dim: int, kmax: int) -> tuple[set, list]:
+    """``(live, u)`` of the memo of ``m`` at levels up to ``kmax``, for test
+    functions in ``dim`` variables, after the budget and dimension checks of
+    :func:`monomial_powers_at_origin`: ``live`` is the set of packed weights
+    that reader keeps, and ``u`` the kernel of the steps those levels read
+    (:meth:`_OriginValues.kernel`) as one functional (:func:`_functional`),
+    all zero when the kernel is empty.  A monomial z^alpha zb^beta with
+    ``u . alpha != u . beta`` has a weight in no lattice of steps, so in no
+    live set: it reads 0 at every level."""
+    _require_metric_budget(m, kmax)
+    origin = _memo(m, dim, kmax)
+    return origin.live(kmax), _functional(origin.kernel(kmax), dim, kmax)
+
+
 def power_at_origin(m: MetricJet, phi: Jet, k: int):
     """Lap^k phi(0) exactly: level k of :func:`powers_at_origin`."""
     return powers_at_origin(m, phi, k)[k - 1]
-
-
-def _balanced_moment(a) -> int:
-    """j! a!, with j = |a|: Lapc^j (z^a zb^a)(0)."""
-    return math.factorial(sum(a)) * math.prod(map(math.factorial, a))
 
 
 def euclidean_moments(phi: Jet, kmax: int) -> list:

@@ -252,8 +252,7 @@ def _suite_laplquad() -> list[dict]:
         phi = cat.potential(spec, 6)
         m = metric_from_potential(phi)
         lam = m.einstein.lam
-        family = build_test_family(spec.dim, 2)
-        verdict = infer(m, 2, family)
+        verdict = infer(m, 2, build_test_family(spec.dim, 2, m))
         ok = (
             verdict.status == CONSISTENT
             and verdict.polynomial.lower == (lam,)

@@ -59,8 +59,10 @@ metamorphic tests), :func:`to_normal_coordinates` (the quadratic change to
 normal coordinates), :func:`restrict` (set variables to zero),
 :func:`diagonal_components` (the diagonal embedding of a polydisc in a
 matrix domain, as :func:`pullback` reads it), the fixture text form
-:func:`to_text`/:func:`from_text`, and :func:`gate_status` (a catalog
-entry's gate without raising).
+:func:`to_text`/:func:`from_text`, :func:`gate_status` (a catalog
+entry's gate without raising) and :func:`balanced_moment` (the moment
+class of a balanced row from its exponent vector, which the family builds
+from its own halves).
 """
 
 import itertools
@@ -862,3 +864,8 @@ def product_potential_by_terms(spec, order: int) -> Jet:
     out = Jet(nl + nr, order, lterms) + Jet(nl + nr, order, rterms)
     valid = min(phi.valid if not phi.exact else order for phi in (lphi, rphi))
     return flagged(out, valid, lphi.exact and rphi.exact)
+
+
+def balanced_moment(a) -> int:
+    """j! a!, with j = |a|: Lapc^j (z^a zb^a)(0)."""
+    return math.factorial(sum(a)) * math.prod(map(math.factorial, a))

@@ -2,6 +2,7 @@
 the k = 3 reference values."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -48,18 +49,18 @@ from kahlap.jets import (
     KahlapError,
     _SHIFT,
     _digit_sum,
+    _pack,
     _pack_bi,
     _unpack,
 )
 from kahlap.laplacian import (
-    _balanced_moment,
     euclidean_moments,
     power_at_origin,
     powers_at_origin,
 )
 from kahlap.rationals import rat
-from oracles import flagged, substitute
-from test_laplacian import _bent, _sheared
+from oracles import balanced_moment, flagged, substitute
+from test_laplacian import _bent, _no_torus_fs3, _sheared
 
 
 def bi(hol, anti):
@@ -86,7 +87,7 @@ def _sorted_family(n, k):
         if sum(a) + sum(b) and sum(1 for x, y in zip(a, b) if x or y) <= min(n, 3)
     )
     return [
-        (bi(a, b), (sum(a), _balanced_moment(a)) if a == b else None)
+        (bi(a, b), (sum(a), balanced_moment(a)) if a == b else None)
         for _, a, b in rows
     ]
 
@@ -161,16 +162,28 @@ def test_family_entries_view_is_built_once_from_the_rows():
     assert tuple(e.moment_class for e in entries) == fam.classes
 
 
-def test_exponent_vectors_enumerate_bounded_sums_directly():
-    from kahlap.inference import _exponent_vectors
+def test_halves_enumerate_bounded_sums_directly():
+    # every exponent vector v with |v| <= k, in descending lexicographic
+    # order, packed, with its support, |v|, its image under u and v!
+    from kahlap.inference import _halves
 
     for n in range(1, 5):
+        u = [3**i - 2 for i in range(n)]
         for k in range(0, 5):
             product = itertools.product(range(k + 1), repeat=n)
-            brute = [v for v in product if sum(v) <= k]
-            assert _exponent_vectors(n, k) == brute, (n, k)
+            brute = [v for v in product if sum(v) <= k][::-1]
+            assert _halves(n, k, u) == [
+                (
+                    _pack(v),
+                    sum(1 << i for i, e in enumerate(v) if e),
+                    sum(v),
+                    sum(a * e for a, e in zip(u, v)),
+                    math.prod(map(math.factorial, v)),
+                )
+                for v in brute
+            ], (n, k)
     # C(15, 3): the (k+1)^n = 4^12 product is never built
-    assert len(_exponent_vectors(12, 3)) == 455
+    assert len(_halves(12, 3, [0] * 12)) == 455
 
 
 def test_family_moments_match_direct_computation():
@@ -181,6 +194,117 @@ def test_family_moments_match_direct_computation():
     row = inference._witness_row(fam, pos, 0, 1, 3)
     assert list(row.moments) == [0, 4, 0]
     assert list(inference._witness_row(fam, pos, 0, 1, 1).moments) == [0]
+
+
+# ----------------------------------------------------------------------
+# the family a metric's torus can see
+
+_VISIBLE = [
+    ("type1:2,2", 3), ("polydisc:3", 3), ("type4:3", 3),
+    ("product(hyp:1,type4:2)", 3), ("type1:2,3", 4), ("type1:3,3", 2),
+]
+
+
+def _metric(text, k):
+    return metric_from_potential(potential(parse_spec(text), 2 * k + 2))
+
+
+class _Everywhere:
+    """A reachable set holding every weight: the memo with no weight rule."""
+
+    def __contains__(self, weight):
+        return True
+
+
+@pytest.mark.parametrize("text, k", _VISIBLE)
+def test_rows_the_torus_cannot_see_read_zero_at_every_level(text, k):
+    # every row of the full family that the visible family drops reads 0
+    # at every level of the full value table, and of the recursion run
+    # with no weight rule
+    m = _metric(text, k)
+    full = build_test_family(m.dim, k)
+    seen = set(build_test_family(m.dim, k, m).keys)
+    dropped = [key for key in full.keys if key not in seen]
+    assert len(dropped) > len(seen)
+    _, levels = kahler_value_table(m, full, k)
+    assert not any(v for level in levels for key, v in zip(full.keys, level) if key not in seen)
+    origin = laplacian._OriginValues(m, max(2 * k - 2, m.valid - 1))
+    origin.reach = [_Everywhere()] * (k + 1)
+    assert not any(origin.value(key, s) for s in range(1, k + 1) for key in dropped)
+
+
+@pytest.mark.parametrize("text, k", _VISIBLE)
+def test_the_visible_family_is_the_full_family_filtered_in_order(text, k):
+    # the rows whose weight beta - alpha is 0 or live, and row 0 (z1), with
+    # their classes, in family order
+    m = _metric(text, k)
+    n = m.dim
+    full = build_test_family(n, k)
+    live = laplacian._memo(m, n, k).live(k) | {0}
+    shift = _SHIFT * n
+    want = [
+        (key, cls)
+        for pos, (key, cls) in enumerate(zip(full.keys, full.classes))
+        if pos == 0 or (key >> shift) - (key & (1 << shift) - 1) in live
+    ]
+    visible = build_test_family(n, k, m)
+    assert list(zip(visible.keys, visible.classes)) == want
+    assert visible.index(0) == bi((1,) + (0,) * (n - 1), (0,) * n)
+
+
+_ROUTE_RUNS = [
+    *((text, 3) for text in (
+        "type1:2,2", "type1:2,3", "type1dual:2,2", "dual(type1:2,2)",
+        "polydisc:3", "polydisc:20", "type4:2", "product(flat:1,hyp:1)",
+    )),
+    ("type1:2,2", 2), ("type4:4", 2),
+]
+
+
+@pytest.mark.parametrize("text, max_k", _ROUTE_RUNS)
+def test_the_family_route_reads_the_same_report_off_the_visible_family(
+    monkeypatch, text, max_k
+):
+    # verdicts, witnesses, p_k, Einstein data and summary, against the
+    # route run over the full family
+    phi = potential(parse_spec(text), 2 * max_k + 2)
+    visible = inference._family_route(phi, max_k)
+    real = inference.build_test_family
+    monkeypatch.setattr(inference, "build_test_family", lambda n, k, m=None: real(n, k))
+    full = inference._family_route(phi, max_k)
+    # repr tells an int from a rational, which == does not
+    assert (visible, repr(visible)) == (full, repr(full))
+    last = visible[1][-1]
+    if max_k == 3:
+        assert last.status == REFUTED and last.witness is not None
+    else:
+        assert last.status == CONSISTENT
+
+
+def test_a_metric_with_no_torus_symmetry_keeps_every_row():
+    # fs:3 pulled back under z_i -> z_i + z_{i+1} z_{i+2} + z_i z_{i+1} / 3
+    # (indices mod 3): its steps span Q^3, so the kernel is empty and the
+    # family is the full one
+    k = 3
+    m = _no_torus_fs3(k)
+    assert laplacian._memo(m, 3, k).kernel(k) == []
+    assert build_test_family(3, k, m) == build_test_family(3, k)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_laplcube_rows_are_the_full_family_filtered(n):
+    # |alpha| = |beta| on at most two variables, in family order
+    family, positions = inference.laplcube_rows(n)
+    full = build_test_family(n, 2)
+    want = [
+        pos
+        for pos, index in enumerate(_indices(full))
+        if index.bidegree[0] == index.bidegree[1]
+        and sum(1 for a, b in zip(index.hol, index.anti) if a or b) <= 2
+    ]
+    assert family.keys == tuple(full.keys[pos] for pos in want)
+    assert family.classes == tuple(full.classes[pos] for pos in want)
+    assert positions == list(range(len(want)))
 
 
 def _table_rows(m, fam, kmax):
@@ -496,8 +620,8 @@ def _class_1_doubled(mp):
     # every class-1 moment doubled in build_test_family
     real = inference.build_test_family
 
-    def family(n, k):
-        f = real(n, k)
+    def family(n, k, m=None):
+        f = real(n, k, m)
         classes = tuple((1, 2 * c[1]) if c and c[0] == 1 else c for c in f.classes)
         return Family(dim=f.dim, keys=f.keys, classes=classes)
 

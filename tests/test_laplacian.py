@@ -3,11 +3,12 @@ and the univariate radial-reduction oracle."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from kahlap import inference, radial
+from kahlap import inference, laplacian, radial
 from kahlap.catalog import (
     Custom,
     Flat,
@@ -27,7 +28,9 @@ from kahlap.jets import (
     InsufficientOrderError,
     Jet,
     KahlapError,
+    _SHIFT,
     _pack_bi,
+    _unpack,
 )
 from kahlap.laplacian import (
     NotEinsteinError,
@@ -301,6 +304,97 @@ def test_weight_steps_come_from_the_inverse_metric(reference_metrics):
     # the bent metric has steps that move it, which the pruning must follow
     bent = _memo(reference_metrics["bent hyp:2"], 2, 3)
     assert bent.steps(1) == {0} and any(bent.steps(3))
+
+
+def _step_vectors(origin, s):
+    """The steps that ``origin.value(mu, s)`` can read, as int vectors read
+    off each term's key and its (a, b): e_a - e_b + t_hol - t_anti."""
+    n = origin.dim
+    out = set()
+    for a, row in enumerate(origin.terms):
+        for b, terms in enumerate(row):
+            for th, ta, key, _, _ in terms:
+                if th < s and ta < s:
+                    e = _unpack(key, 2 * n)
+                    out.add(tuple((i == a) - (i == b) + e[i] - e[n + i] for i in range(n)))
+    return out
+
+
+def _rank(vectors):
+    """The rank over Q of a list of int vectors, by Fraction elimination."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _no_torus_fs3(k):
+    """fs:3 pulled back under z_i -> z_i + z_{i+1} z_{i+2} + z_i z_{i+1} / 3
+    (indices mod 3): tangent to the identity, with no torus symmetry."""
+    order = 2 * k + 2
+    w = [Jet.variable(3, order, i) for i in (1, 2, 3)]
+    comps = [
+        w[i] + w[(i + 1) % 3] * w[(i + 2) % 3] + (w[i] * w[(i + 1) % 3]).scale(rat(1, 3))
+        for i in range(3)
+    ]
+    return metric_from_potential(pullback(potential(FubiniStudy(3), order), comps))
+
+
+_KERNEL_CASES = [
+    ("polydisc:3", 3, 3), ("type1:2,2", 3, 3), ("type4:3", 3, 1),
+    ("product(hyp:1,type4:2)", 3, 2), ("type1:3,3", 2, 5), ("no-torus fs:3", 3, 0),
+]
+
+
+@pytest.mark.parametrize("text, k, size", _KERNEL_CASES)
+def test_kernel_is_a_basis_of_the_vectors_orthogonal_to_the_steps(text, k, size):
+    # size = n - rank of the steps; the torus of type1:p,q has rank p+q-1,
+    # type4's is the diagonal circle, and the pulled-back fs:3 has none
+    if text == "no-torus fs:3":
+        m = _no_torus_fs3(k)
+    else:
+        m = metric_from_potential(potential(parse_spec(text), 2 * k + 2))
+    origin = _memo(m, m.dim, k)
+    steps = _step_vectors(origin, k)
+    # the packed steps decode to the same vectors
+    bias = sum(16 << _SHIFT * i for i in range(m.dim))
+    decoded = set()
+    for step in origin.steps(k):
+        v = [0] * m.dim
+        for slot, digit in laplacian._signed_digits(step, bias):
+            v[slot] = digit
+        decoded.add(tuple(v))
+    assert decoded == steps
+    kernel = origin.kernel(k)
+    assert len(kernel) == size == m.dim - _rank(steps)
+    assert _rank(kernel) == size
+    assert all(sum(a * b for a, b in zip(w, d)) == 0 for w in kernel for d in steps)
+    live, u = laplacian.torus_weights(m, m.dim, k)
+    assert live == origin.live(k) and any(u) == bool(kernel)
+
+
+def test_functional_reads_every_kernel_product():
+    # u . v determines (w . v for w in basis) whenever |v|_1 <= 2 kmax
+    basis = [[1, -2, 3], [2, 0, -1], [0, 5, 1]]
+    kmax = 2
+    u = laplacian._functional(basis, 3, kmax)
+    images = {}
+    for v in itertools.product(range(-4, 5), repeat=3):
+        if sum(map(abs, v)) <= 2 * kmax:
+            products = tuple(sum(a * b for a, b in zip(w, v)) for w in basis)
+            image = sum(a * b for a, b in zip(u, v))
+            assert images.setdefault(image, products) == products
+            assert (image == 0) == (products == (0, 0, 0))
+    assert laplacian._functional([], 4, kmax) == [0, 0, 0, 0]
 
 
 def test_budget_enforced():

@@ -35,8 +35,10 @@ def _traced(*argv):
 def test_traced_child_reads_the_family_and_the_witness():
     report = _traced("check", "polydisc:2", "--max-k", "3", "--seed", "0")
     trace = report["trace"]
-    assert trace["counters"]["family_size"] == 99
-    assert trace["counters"]["pairs_scanned"] == 12729
+    # the counters count the family the run builds: the 10 rows of the
+    # full 99 that the polydisc's torus can see
+    assert trace["counters"]["family_size"] == 10
+    assert trace["counters"]["pairs_scanned"] == 115
     assert trace["calls"]["inference.infer"] == 3
     assert json.loads(report["stdout"])["verdicts"][-1]["status"] == "refuted"
 
