@@ -268,18 +268,15 @@ class MetricJet:
     :func:`series_matrix_inverse`, whose state is kept here and extended
     one degree at a time as readers ask: :meth:`inverse` is the inverse
     through the degrees a reader needs, ``inverse(valid)`` the whole of it.
-    The Einstein data, the origin values of Laplacian powers of monomials
-    (filled by ``monomial_powers_at_origin`` of :mod:`kahlap.laplacian`,
-    which every ``*_at_origin`` function reads through) and the weights of
-    the expanded third-power formula (filled by the first
-    ``third_power_rhs`` or ``third_power_checks`` call) are cached the same
-    way; each fill is deterministic.
+    The Einstein data and the origin values of Laplacian powers of
+    monomials (filled by ``monomial_powers_at_origin`` of
+    :mod:`kahlap.laplacian`, which every ``*_at_origin`` function reads
+    through) are cached the same way; each fill is deterministic.
     """
 
     __slots__ = (
         "dim", "order", "valid", "g", "phi",
         "_origin", "_graded", "_inverses", "_einstein", "_origin_values",
-        "_third_power_weights",
     )
 
     def __init__(self, g: Matrix):
@@ -292,7 +289,6 @@ class MetricJet:
         self._inverses = {}
         self._einstein = None
         self._origin_values = None
-        self._third_power_weights = None
         q, n0, pivots = _origin_inverse(g)
         # Sylvester's criterion; g(0) is symmetric, as g is Hermitian
         if not all(p > 0 for p in pivots):

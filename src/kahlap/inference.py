@@ -148,40 +148,39 @@ def build_test_family(n: int, k: int, m: MetricJet | None = None) -> TestFamily:
 
     Given the metric ``m``, only the rows its torus can see are built, in
     the same order: the balanced ones, and the unbalanced ones whose weight
-    beta - alpha lies in the live set of the memo at levels 1..k
+    beta - alpha lies in the top reachable set of the memo at level k
     (:func:`laplacian.torus_weights`).  Every other row reads 0 at every
     level and has moment 0, so it reads 0 = 0: :func:`infer` skips it, it
     is in no witness and the re-check wants 0 of it.  Row 0, ``z1``, is
     kept, since a witness may pair it with a zero-class row.  The pairs are
     not visited: the antiholomorphic halves are grouped by degree and by
     their image under the kernel of the memo's steps, and a holomorphic half
-    reads only the group of its own image.  When the kernel is empty (no
-    torus symmetry) every row is built."""
+    reads only the group of its own image."""
     if n < 1 or k < 1:
         raise KahlapError("family needs n >= 1 and k >= 1")
-    live, u = (None, [0] * n) if m is None else torus_weights(m, n, k)
-    keys, classes = _monomials(n, k, u, live if any(u) else None, 3)
+    reach, u = (None, [0] * n) if m is None else torus_weights(m, n, k)
+    keys, classes = _monomials(n, k, u, reach, 3)
     if keys[:1] != [1]:
         keys.insert(0, 1)
         classes.insert(0, None)
     return TestFamily(dim=n, keys=tuple(keys), classes=tuple(classes))
 
 
-def laplcube_rows(n: int) -> tuple[TestFamily, list]:
-    """The rows that ``reproduce laplcube`` checks and their positions: the
-    rows of :func:`build_test_family` (n, 2) with |alpha| = |beta| supported
-    on at most two variables (any two of the n, not just the first pair),
-    in family order.  They are the rows the diagonal circle sees, the
-    kernel (1, ..., 1), so no other row is visited."""
+def laplcube_rows(n: int) -> TestFamily:
+    """The rows that ``reproduce laplcube`` checks: the rows of
+    :func:`build_test_family` (n, 2) with |alpha| = |beta| supported on at
+    most two variables (any two of the n, not just the first pair), in
+    family order.  They are the rows the diagonal circle sees, the kernel
+    (1, ..., 1), so no other row is visited."""
     keys, classes = _monomials(n, 2, [1] * n, None, 2)
-    return TestFamily(dim=n, keys=tuple(keys), classes=tuple(classes)), list(range(len(keys)))
+    return TestFamily(dim=n, keys=tuple(keys), classes=tuple(classes))
 
 
-def _monomials(n: int, k: int, u, live, cap: int) -> tuple[list, list]:
+def _monomials(n: int, k: int, u, reach, cap: int) -> tuple[list, list]:
     """Keys and moment classes, in family order, of the rows z^alpha zb^beta
     with |alpha|, |beta| <= k on at most ``cap`` variables, with
-    u . alpha = u . beta for the int functional ``u`` and, unless ``live``
-    is None, alpha = beta or ``_pack(beta) - _pack(alpha)`` in ``live``.
+    u . alpha = u . beta for the int functional ``u`` and, unless ``reach``
+    is None, alpha = beta or ``_pack(beta) - _pack(alpha)`` in ``reach``.
     The halves are grouped by image u . v and by degree, and each
     holomorphic half is paired only with the halves of its own image."""
     halves = _halves(n, k, u)
@@ -199,7 +198,7 @@ def _monomials(n: int, k: int, u, live, cap: int) -> tuple[list, list]:
         for (hol, mask, j, _, factorials), antis in pairs:
             for anti, anti_mask, _, _, _ in antis:
                 if (mask | anti_mask).bit_count() <= cap and (
-                    live is None or anti == hol or anti - hol in live
+                    reach is None or anti == hol or anti - hol in reach
                 ):
                     keys.append(hol | anti << shift)
                     classes.append((j, math.factorial(j) * factorials) if anti == hol else None)

@@ -47,7 +47,11 @@ is a sum d_1 + ... + d_s in which each d_j is the step of such a term.
 The steps are read from the same term lists the recursion reads, so these
 reachable sets over-approximate the weights the recursion can meet, on any
 metric, and a monomial whose weight lies outside them is skipped without
-losing a nonzero value.  Circle and torus
+losing a nonzero value.  The sets are nested, reach(s-1) in reach(s): g(0)
+is positive definite (checked when the metric is built), so each diagonal
+entry of g_inv has a nonzero constant term, whose step 0 is read at level 1
+and so at every level.  The top set reach(k) is therefore the live set, the
+weights some level 1..k reaches.  Circle and torus
 symmetries make the sets tiny: the one step 0 on hyp, fs and polydisc,
 where every unbalanced monomial is skipped; three steps on type1:2,2.
 Weights and steps are packed like monomial keys, with signed digits
@@ -64,7 +68,7 @@ in W (:meth:`_OriginValues.kernel`, fraction-free on ints; empty once the
 steps span Q^n).  A monomial with
 W alpha != W beta reads 0 at every level; grouping the halves of the
 family by their image under W visits only the pairs with W alpha = W beta,
-and the live set, the union of the reachable sets, then decides each pair.
+and the top reachable set then decides each pair.
 
 Euclidean moments need no iteration: Lapc^j (z^a zb^b)(0) is j! a! when
 a = b and |a| = j, and 0 otherwise, so a monomial's moment vector has at
@@ -78,10 +82,9 @@ metric in normal coordinates are implemented as independent cross-checks of
 the recursion (they use only origin derivatives of g_inv and of the test
 function, no operator iteration).  The expanded third power is a linear
 functional of the Taylor coefficients of the test function: its g_inv sums
-are built once per metric, in one pass over the terms of degree 2 and 4 of
-g_inv, as one weight per coefficient, kept on the :class:`MetricJet`
-beside the memo, and each call sums the weights against the terms of the
-test function.
+are built in one pass over the terms of degree 2 and 4 of g_inv, as one
+weight per coefficient, and summed against the terms of the test
+function.
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ class _OriginValues:
     D and the weight rule.  It reads g_inv through degree ``top``, which
     serves every level s with 2s - 2 <= ``top``."""
 
-    __slots__ = ("dim", "top", "low", "den", "terms", "units", "memo", "reach", "stepsets", "lives")
+    __slots__ = ("dim", "top", "low", "den", "terms", "units", "memo", "reach", "stepsets")
 
     def __init__(self, m: MetricJet, top: int):
         n = m.dim
@@ -167,7 +170,6 @@ class _OriginValues:
         ]
         self.reach = [{0}]
         self.stepsets = {}
-        self.lives = {}
         self.memo = {}
 
     def steps(self, s: int) -> set:
@@ -186,19 +188,13 @@ class _OriginValues:
 
     def reachable(self, s: int) -> set:
         """The packed weights of the monomials mu that ``value(mu, s)`` can
-        find nonzero: sums of one step of each level 1..s."""
+        find nonzero: sums of one step of each level 1..s.  It holds every
+        set of a lower level, since 0 is a step of level 1."""
         reach = self.reach
         while len(reach) <= s:
             steps = self.steps(len(reach))
             reach.append({w + d for w in reach[-1] for d in steps})
         return reach[s]
-
-    def live(self, kmax: int) -> set:
-        """The packed weights some level 1..kmax reaches, kept per kmax."""
-        got = self.lives.get(kmax)
-        if got is None:
-            got = self.lives[kmax] = set().union(*map(self.reachable, range(1, kmax + 1)))
-        return got
 
     def kernel(self, s: int) -> list:
         """An int basis of the vectors w of Z^n with w . d = 0 for every step
@@ -361,29 +357,26 @@ def monomial_powers_at_origin(m: MetricJet, dim: int, keys, kmax: int):
     one passes or fails them alike."""
     _require_metric_budget(m, kmax)
     origin = _memo(m, dim, kmax)
-    live = origin.live(kmax)
-    shift = _SHIFT * dim
-    low = origin.low
     levels = [[0] * len(keys) for _ in range(kmax)]
     for i, key in enumerate(keys):
-        if (key >> shift) - (key & low) in live:
-            for level, v in zip(levels, origin.powers(key, kmax)):
-                level[i] = v
+        for level, v in zip(levels, origin.powers(key, kmax)):
+            level[i] = v
     return origin.den, levels
 
 
 def torus_weights(m: MetricJet, dim: int, kmax: int) -> tuple[set, list]:
-    """``(live, u)`` of the memo of ``m`` at levels up to ``kmax``, for test
-    functions in ``dim`` variables, after the budget and dimension checks of
-    :func:`monomial_powers_at_origin`: ``live`` is the set of packed weights
-    that reader keeps, and ``u`` the kernel of the steps those levels read
+    """``(reach, u)`` of the memo of ``m`` at levels up to ``kmax``, for
+    test functions in ``dim`` variables, after the budget and dimension
+    checks of :func:`monomial_powers_at_origin`: ``reach`` is the top
+    reachable set, which holds every weight some level 1..kmax reaches, and
+    ``u`` the kernel of the steps those levels read
     (:meth:`_OriginValues.kernel`) as one functional (:func:`_functional`),
     all zero when the kernel is empty.  A monomial z^alpha zb^beta with
     ``u . alpha != u . beta`` has a weight in no lattice of steps, so in no
-    live set: it reads 0 at every level."""
+    reachable set: it reads 0 at every level."""
     _require_metric_budget(m, kmax)
     origin = _memo(m, dim, kmax)
-    return origin.live(kmax), _functional(origin.kernel(kmax), dim, kmax)
+    return origin.reachable(kmax), _functional(origin.kernel(kmax), dim, kmax)
 
 
 def power_at_origin(m: MetricJet, phi: Jet, k: int):
@@ -515,8 +508,8 @@ def third_power_rhs(m: MetricJet, phi: Jet):
 
     with X = g_inv, all derivative coefficients evaluated at 0.  Requires
     the inverse metric valid through degree 4.  The sums over X are a
-    weight per Taylor coefficient of phi, built once per metric and kept
-    on ``m``.
+    weight per Taylor coefficient of phi (:func:`_third_power_weights`),
+    built on each call.
     """
     lam = _require_einstein(m)
     if m.valid < 4:
@@ -528,7 +521,7 @@ def third_power_rhs(m: MetricJet, phi: Jet):
         raise DimensionMismatchError(
             f"metric dimension {m.dim} vs jet dimension {phi.dim}"
         )
-    weights = _weights(m)
+    weights = _third_power_weights(m)
     mom = euclidean_moments(phi, 3)
     acc = ZERO
     for bucket in phi._grades.values():
@@ -537,13 +530,6 @@ def third_power_rhs(m: MetricJet, phi: Jet):
             if w is not None:
                 acc += c * w
     return mom[2] + 3 * lam * mom[1] + lam * lam * mom[0] + acc / phi.den
-
-
-def _weights(m: MetricJet) -> dict:
-    """The weights of :func:`_third_power_weights`, built once per metric."""
-    if m._third_power_weights is None:
-        m._third_power_weights = _third_power_weights(m)
-    return m._third_power_weights
 
 
 def third_power_checks(m: MetricJet, dim: int, keys) -> list:
@@ -558,7 +544,7 @@ def third_power_checks(m: MetricJet, dim: int, keys) -> list:
     1 for j = 1, 2, 3."""
     den, levels = monomial_powers_at_origin(m, dim, keys, 3)
     lam = _require_einstein(m)
-    weights = _weights(m)
+    weights = _third_power_weights(m)
     scale = (lam * lam, 3 * lam, 1)
     checks = []
     for key, direct in zip(keys, levels[2]):

@@ -309,15 +309,15 @@ def _suite_laplcube() -> list[dict]:
     instances = []
     for spec in cat.einstein_catalog_entries():
         m = metric_from_potential(cat.potential(spec, 8))
-        family, rows = laplcube_rows(spec.dim)
-        checks = third_power_checks(m, spec.dim, [family.keys[pos] for pos in rows])
+        family = laplcube_rows(spec.dim)
+        checks = third_power_checks(m, spec.dim, family.keys)
         failures = [
-            family.index(pos).text() for pos, ident in zip(rows, checks) if not ident.passed
+            family.index(pos).text() for pos, ident in enumerate(checks) if not ident.passed
         ]
         instances.append(
             {
                 "spec": spec.label(),
-                "pairs_checked": len(rows),
+                "pairs_checked": len(family),
                 "failures": failures,
                 "passed": not failures,
             }

@@ -378,8 +378,34 @@ def test_kernel_is_a_basis_of_the_vectors_orthogonal_to_the_steps(text, k, size)
     assert len(kernel) == size == m.dim - _rank(steps)
     assert _rank(kernel) == size
     assert all(sum(a * b for a, b in zip(w, d)) == 0 for w in kernel for d in steps)
-    live, u = laplacian.torus_weights(m, m.dim, k)
-    assert live == origin.live(k) and any(u) == bool(kernel)
+    reach, u = laplacian.torus_weights(m, m.dim, k)
+    assert reach == origin.reachable(k) and any(u) == bool(kernel)
+
+
+@pytest.mark.parametrize(
+    "text, k",
+    [(text, k) for text, k, _ in _KERNEL_CASES]
+    + [(f"{how} {spec}", 3) for how in ("bent", "sheared") for spec in ("hyp:2", "type1:2,2")],
+)
+def test_reach_sets_are_nested(text, k):
+    # g(0) is positive definite, so every diagonal entry of g_inv has a
+    # nonzero constant term, whose step 0 is read at level 1: each reach set
+    # holds the one below, and the top one is every weight that is reached.
+    # The bent and sheared metrics have g_inv with denominators, and the
+    # sheared g(0) is not diagonal
+    how, _, spec = text.rpartition(" ")
+    if text == "no-torus fs:3":
+        m = _no_torus_fs3(k)
+    elif how:
+        m = {"bent": _bent, "sheared": _sheared}[how](parse_spec(spec), 2 * k + 2)
+    else:
+        m = metric_from_potential(potential(parse_spec(text), 2 * k + 2))
+    origin = _memo(m, m.dim, k)
+    assert how not in ("bent", "sheared") or origin.den > 1
+    assert 0 in origin.steps(1)
+    reach = [origin.reachable(s) for s in range(k + 1)]
+    assert all(reach[s - 1] <= reach[s] for s in range(1, k + 1))
+    assert laplacian.torus_weights(m, m.dim, k)[0] == origin.reachable(k)
 
 
 def test_functional_reads_every_kernel_product():
@@ -533,11 +559,9 @@ def test_third_power_rhs_guards_hold_on_every_call(hyp1):
 def test_keyed_third_power_rows_match_third_power_check(spec):
     # two metrics, so that the jet route reads nothing the keyed pass cached
     n = spec.dim
-    family, positions = inference.laplcube_rows(n)
-    rows = [family.index(pos) for pos in positions]
-    keyed = third_power_checks(
-        metric_from_potential(potential(spec, 8)), n, [family.keys[pos] for pos in positions]
-    )
+    family = inference.laplcube_rows(n)
+    rows = [family.index(pos) for pos in range(len(family))]
+    keyed = third_power_checks(metric_from_potential(potential(spec, 8)), n, family.keys)
     m = metric_from_potential(potential(spec, 8))
     assert len(keyed) == len(rows)
     for index, got in zip(rows, keyed):
